@@ -7,7 +7,7 @@
 //     to the testable projection of the white-box model automaton, at
 //     every equivalence budget and at every parallelism;
 //   * report coherence — the learn_format:1 JSON is byte-identical at
-//     jobs=1 and jobs=4 (x threads=2);
+//     jobs=1 and jobs=4;
 //   * mutation adequacy — the DropGuard mutant's learned model must fail a
 //     requirement check.
 // Throughput (queries/sec) is reported but not gated.
@@ -115,10 +115,8 @@ int main(int argc, char** argv) {
   {
     learn::LearnRunOptions a;
     a.jobs = 1;
-    a.threads = 1;
     learn::LearnRunOptions b;
     b.jobs = 4;
-    b.threads = 2;
     if (learn::render_json(learn::run_ota_learn(a)) !=
         learn::render_json(learn::run_ota_learn(b))) {
       coherence_ok = false;

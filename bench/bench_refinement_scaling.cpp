@@ -209,19 +209,20 @@ CompressWorkload hidden_workload(int n) {
 }
 
 void InCheckCompression(benchmark::State& state) {
-  // The PR 6 *in-check* reductions (vs CompressionAblation's compositional
-  // sbisim): the same product sweep at each --compress mode, reduction
-  // inside the measured region. Verdicts are mode-invariant by the
-  // fail-replay contract; product_states is the measurement.
+  // check_refinement_compiled's reductions of the composed machine (vs
+  // CompressionAblation's compositional sbisim): the same product sweep at
+  // each Compression mode, reduction inside the measured region. Verdicts
+  // are mode-invariant by the fail-replay contract; product_states is the
+  // measurement.
   const Compression mode = static_cast<Compression>(state.range(0));
   const int n = 7;
   const CompressWorkload w = hidden_workload(n);
   const CheckResult base = check_refinement_compiled(
-      w.spec, w.impl, Model::Traces, 0, nullptr, Compression::None);
+      w.spec, w.impl, Model::Traces, nullptr, Compression::None);
   std::size_t states = 0;
   for (auto _ : state) {
     const CheckResult r = check_refinement_compiled(w.spec, w.impl,
-                                                    Model::Traces, 0, nullptr,
+                                                    Model::Traces, nullptr,
                                                     mode);
     if (!r.passed) state.SkipWithError("refinement failed");
     states = r.stats.product_states;
@@ -230,7 +231,7 @@ void InCheckCompression(benchmark::State& state) {
   state.counters["reduction_factor"] =
       static_cast<double>(base.stats.product_states) /
       static_cast<double>(states == 0 ? 1 : states);
-  state.SetLabel("--compress=" + std::string(to_string(mode)) + " on 2^" +
+  state.SetLabel("compress=" + std::string(to_string(mode)) + " on 2^" +
                  std::to_string(n) + " raw states");
 }
 BENCHMARK(InCheckCompression)

@@ -31,12 +31,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cspm/eval.hpp"
 #include "lint/lint.hpp"
-#include "refine/parallel.hpp"
 #include "store/cache.hpp"
 #include "verify/ota_batch.hpp"
 #include "verify/scheduler.hpp"
@@ -70,16 +68,6 @@ int usage(const char* argv0) {
       "requirement x attacker matrix.\n"
       "  --jobs N        run checks in parallel on N workers (0 = all cores;\n"
       "                  default: sequential single-Context mode)\n"
-      "  --threads N     explore each check's state space on N threads\n"
-      "                  (0 = all cores; default 1). With --jobs the product\n"
-      "                  jobs x threads is clamped to the hardware. Results\n"
-      "                  are byte-identical at any value.\n"
-      "  --compress M    (or --compress=M) reduce component state spaces\n"
-      "                  before each product sweep: none | bisim | diamond |\n"
-      "                  full (default none).\n"
-      "                  Verdicts, counterexamples and vacuity flags are\n"
-      "                  byte-identical at every level; only wall clock and\n"
-      "                  exploration stats change.\n"
       "  --timeout MS    per-check wall-clock budget in milliseconds\n"
       "  --max-states N  per-check state budget (default 2^22)\n"
       "  --dilate K      (--matrix) interleave K hidden cyclers per cell,\n"
@@ -185,8 +173,6 @@ int main(int argc, char** argv) {
   bool inject_mismatch = false;
   bool prune = false;
   unsigned jobs = 1;
-  std::optional<unsigned> threads;
-  Compression compress = Compression::None;
   std::optional<std::chrono::milliseconds> timeout;
   std::size_t max_states = 1u << 22;
   std::size_t dilation = 0;
@@ -205,16 +191,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       parallel = true;
       jobs = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--compress") == 0 && i + 1 < argc) {
-      const auto mode = parse_compression(argv[++i]);
-      if (!mode) return usage(argv[0]);
-      compress = *mode;
-    } else if (std::strncmp(argv[i], "--compress=", 11) == 0) {
-      const auto mode = parse_compression(argv[i] + 11);
-      if (!mode) return usage(argv[0]);
-      compress = *mode;
     } else if (std::strcmp(argv[i], "--timeout") == 0 && i + 1 < argc) {
       timeout = std::chrono::milliseconds(std::atol(argv[++i]));
     } else if (std::strcmp(argv[i], "--max-states") == 0 && i + 1 < argc) {
@@ -295,13 +271,9 @@ int main(int argc, char** argv) {
       for (verify::CheckTask& t : verify::ota_extended_batch(opts)) {
         tasks.push_back(std::move(t));
       }
-      verify::VerifyScheduler sched({.jobs = parallel ? jobs : 1,
-                                     .threads = threads.value_or(1),
-                                     .compression = compress});
-      std::printf(
-          "OTA requirement x attacker matrix on %u worker(s), "
-          "%u thread(s)/check\n",
-          sched.jobs(), sched.threads());
+      verify::VerifyScheduler sched({.jobs = parallel ? jobs : 1});
+      std::printf("OTA requirement x attacker matrix on %u worker(s)\n",
+                  sched.jobs());
       exit_code = report(sched.run(tasks));
     } else if (parallel) {
       // One task per assertion; every worker re-loads the scripts into its
@@ -331,23 +303,12 @@ int main(int argc, char** argv) {
         // drives the exit code just as it does in sequential mode.
         tasks[i].expected = true;
       }
-      verify::VerifyScheduler sched({.jobs = jobs,
-                                     .threads = threads.value_or(1),
-                                     .compression = compress});
-      std::printf("%zu assertion(s) on %u worker(s), %u thread(s)/check\n",
-                  n_asserts, sched.jobs(), sched.threads());
+      verify::VerifyScheduler sched({.jobs = jobs});
+      std::printf("%zu assertion(s) on %u worker(s)\n", n_asserts,
+                  sched.jobs());
       exit_code = report(sched.run(tasks));
     } else {
       // Sequential legacy mode: one shared Context, assertions in order.
-      // --threads still applies inside each check: assertions run one at a
-      // time, but each product sweep fans out (0 = all cores).
-      const ScopedCheckThreads nested(
-          threads
-              ? (*threads != 0
-                     ? *threads
-                     : std::max(1u, std::thread::hardware_concurrency()))
-              : 1u);
-      const ScopedCheckCompression reduced(compress);
       Context ctx;
       cspm::Evaluator ev(ctx);
       for (const char* p : paths) {

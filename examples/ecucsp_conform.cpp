@@ -38,13 +38,6 @@ int usage(const char* argv0) {
       "  --tests N       random-suite size (default 16)\n"
       "  --max-len N     random walk length cap (default 12)\n"
       "  --jobs N        parallel test workers (0 = all cores)\n"
-      "  --threads N     in-check exploration threads per oracle check\n"
-      "                  (0 = hardware/jobs; default 1; jobs x threads is\n"
-      "                  clamped to the hardware)\n"
-      "  --compress M    (or --compress=M) reduce oracle state spaces\n"
-      "                  before each sweep:\n"
-      "                  none | bisim | diamond | full (default none);\n"
-      "                  reports are identical at every level\n"
       "  --timeout MS    per-test wall-clock budget (default 10000)\n"
       "  --max-states N  oracle compilation state budget (default 2^20)\n"
       "  --json          machine-readable report on stdout\n"
@@ -112,19 +105,6 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (!v || !parse_u64(v, n)) return usage(argv[0]);
       opt.jobs = static_cast<unsigned>(n);
-    } else if (std::strcmp(arg, "--threads") == 0) {
-      const char* v = value();
-      if (!v || !parse_u64(v, n)) return usage(argv[0]);
-      opt.threads = static_cast<unsigned>(n);
-    } else if (std::strcmp(arg, "--compress") == 0) {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      const auto mode = ecucsp::parse_compression(v);
-      if (!mode) {
-        std::fprintf(stderr, "unknown compression mode '%s'\n", v);
-        return usage(argv[0]);
-      }
-      opt.compress = *mode;
     } else if (std::strcmp(arg, "--timeout") == 0) {
       const char* v = value();
       if (!v || !parse_u64(v, n) || n == 0) return usage(argv[0]);

@@ -16,8 +16,8 @@
 //
 // Exit code 0 when learning converged and every requirement check passed,
 // 1 when any check failed (or learning did not converge), 2 for usage
-// errors. Reports are byte-identical for a fixed --seed at any
-// --jobs x --threads (timing opt-in via --timing).
+// errors. Reports are byte-identical for a fixed --seed at any --jobs
+// (timing opt-in via --timing).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,8 +38,6 @@ int usage(const char* argv0) {
       "model.\n"
       "  --seed N        learning + harness base seed (default 1)\n"
       "  --jobs N        parallel membership-query workers (0 = all cores)\n"
-      "  --threads N     in-check exploration threads per refinement check\n"
-      "                  (jobs x threads is clamped to the hardware)\n"
       "  --rounds N      max equivalence rounds (default 16)\n"
       "  --eq-tests N    per-round equivalence tests per family (default 64)\n"
       "  --max-len N     equivalence word length cap (default 12)\n"
@@ -94,10 +92,6 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (!v || !parse_u64(v, n)) return usage(argv[0]);
       opt.jobs = static_cast<unsigned>(n);
-    } else if (std::strcmp(arg, "--threads") == 0) {
-      const char* v = value();
-      if (!v || !parse_u64(v, n)) return usage(argv[0]);
-      opt.threads = static_cast<unsigned>(n);
     } else if (std::strcmp(arg, "--rounds") == 0) {
       const char* v = value();
       if (!v || !parse_u64(v, n) || n == 0) return usage(argv[0]);

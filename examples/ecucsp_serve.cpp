@@ -2,7 +2,7 @@
 //
 //   $ ./ecucsp_serve --sock /tmp/ecucsp.sock --jobs 8
 //         --cache-dir /var/cache/ecucsp --shards 16      (one command line)
-//   $ ./ecucsp_serve --tcp 7777 --jobs 4 --threads 2 --compress diamond
+//   $ ./ecucsp_serve --tcp 7777 --jobs 4
 //
 // Accepts CheckRequests (length-prefixed binary frames or JSON lines — see
 // src/serve/protocol.hpp) over a Unix or loopback TCP socket, coalesces
@@ -18,7 +18,6 @@
 #include <optional>
 #include <string>
 
-#include "refine/compact.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 
@@ -41,9 +40,6 @@ int usage(const char* argv0) {
       "  --sock PATH        listen on a Unix-domain socket at PATH\n"
       "  --tcp PORT         listen on 127.0.0.1:PORT\n"
       "  --jobs N           scheduler workers (0 = all cores; default 0)\n"
-      "  --threads N        in-check exploration threads per flight\n"
-      "                     (jobs x threads clamped to the hardware)\n"
-      "  --compress M       none | bisim | diamond | full (default none)\n"
       "  --cache-dir D      persistent verification store directory\n"
       "  --shards N         store shards (default 1; see ecucsp_check)\n"
       "  --max-queue N      flights allowed to queue behind the running\n"
@@ -71,12 +67,6 @@ int main(int argc, char** argv) {
       server_opts.tcp_port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       service_opts.jobs = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      service_opts.threads = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--compress") == 0 && i + 1 < argc) {
-      const auto mode = parse_compression(argv[++i]);
-      if (!mode) return usage(argv[0]);
-      service_opts.compression = *mode;
     } else if (std::strcmp(argv[i], "--cache-dir") == 0 && i + 1 < argc) {
       service_opts.cache_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
@@ -112,10 +102,10 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, on_signal);
 
     std::printf(
-        "ecucsp_serve: listening on %s (%u worker(s), %u thread(s)/check, "
-        "capacity %zu, %u shard(s))\n",
-        server.bound_description().c_str(), service.jobs(), service.threads(),
-        service.capacity(), service.cache().shard_count());
+        "ecucsp_serve: listening on %s (%u worker(s), capacity %zu, "
+        "%u shard(s))\n",
+        server.bound_description().c_str(), service.jobs(), service.capacity(),
+        service.cache().shard_count());
     std::fflush(stdout);
 
     const bool clean = server.run();

@@ -320,13 +320,9 @@ ConformReport run_ota_conformance(const ConformOptions& opt) {
 
   verify::SchedulerOptions sched_opt;
   sched_opt.jobs = opt.jobs;
-  sched_opt.threads = opt.threads;
-  sched_opt.compression = opt.compress;
   sched_opt.default_timeout = opt.timeout;
   verify::VerifyScheduler sched(sched_opt);
   rep.jobs = sched.jobs();
-  rep.threads = sched.threads();
-  rep.compress = sched.compression();
   const verify::BatchResult batch = sched.run(ctasks);
 
   for (std::size_t i = 0; i < batch.outcomes.size(); ++i) {
@@ -387,8 +383,7 @@ ConformReport run_ota_conformance(const ConformOptions& opt) {
 std::string render_text(const ConformReport& r) {
   std::ostringstream out;
   out << "conformance suite '" << r.suite << "' seed " << r.seed << " ("
-      << r.jobs << " jobs, " << r.threads << " threads/check, compress "
-      << to_string(r.compress) << ")\n";
+      << r.jobs << " jobs)\n";
   out << "model: " << r.model_states << " states, " << r.model_transitions
       << " transitions (" << r.plannable_transitions << " plannable)\n";
   out << "coverage: planned " << r.planned_covered << "/"
@@ -419,12 +414,10 @@ std::string render_text(const ConformReport& r) {
 
 std::string render_json(const ConformReport& r, bool with_timing) {
   std::ostringstream out;
-  out << "{\"conform_format\":1";
+  out << "{\"conform_format\":2";
   out << ",\"suite\":\"" << json_escape(r.suite) << "\"";
   out << ",\"seed\":" << r.seed;
   out << ",\"jobs\":" << r.jobs;
-  out << ",\"threads\":" << r.threads;
-  out << ",\"compress\":\"" << to_string(r.compress) << "\"";
   out << ",\"ok\":" << (r.ok() ? "true" : "false");
   out << ",\"model\":{\"states\":" << r.model_states
       << ",\"transitions\":" << r.model_transitions

@@ -32,8 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "refine/compact.hpp"
-
 namespace ecucsp::conform {
 
 struct ConformOptions {
@@ -42,13 +40,6 @@ struct ConformOptions {
   std::size_t tests = 16;    // random-suite size
   std::size_t max_len = 12;  // random walk length cap
   unsigned jobs = 0;         // 0 = hardware concurrency
-  /// In-check exploration threads per oracle check, forwarded to the
-  /// scheduler's nested-parallelism budget (jobs × threads ≤ hardware).
-  unsigned threads = 1;
-  /// State-space reduction applied inside every oracle check
-  /// (refine/compact.hpp); verdict-preserving, so reports are identical at
-  /// every level.
-  Compression compress = Compression::None;
   std::chrono::milliseconds timeout{10'000};  // per test
   std::size_t max_states = 1u << 20;
   /// Seeded ECU fault injection (mutate.hpp); the spec side stays faithful.
@@ -81,8 +72,6 @@ struct ConformReport {
   std::string suite;
   std::uint64_t seed = 0;
   unsigned jobs = 0;
-  unsigned threads = 1;  // effective in-check threads after the budget clamp
-  Compression compress = Compression::None;  // reduction mode of the run
   // Implementation-model automaton:
   std::size_t model_states = 0;
   std::size_t model_transitions = 0;
@@ -112,7 +101,7 @@ struct ConformReport {
 ConformReport run_ota_conformance(const ConformOptions& opt);
 
 std::string render_text(const ConformReport& r);
-/// Machine-readable report ("conform_format": 1). with_timing=false omits
+/// Machine-readable report ("conform_format": 2). with_timing=false omits
 /// every wall-clock field so reports compare byte-for-byte across runs.
 std::string render_json(const ConformReport& r, bool with_timing = true);
 

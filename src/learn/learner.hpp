@@ -19,7 +19,7 @@
 // driven only by tree shape and the (sorted) alphabet; batches are
 // prefetched through the oracle and then folded sequentially. Two learners
 // over equal-answer oracles perform identical query sequences and build
-// identical hypotheses — the property the jobs x threads byte-diff tests
+// identical hypotheses — the property the --jobs byte-diff tests
 // pin end to end.
 #pragma once
 

@@ -138,7 +138,7 @@ class EcuMembershipOracle final : public MembershipOracle {
   /// Run every not-yet-cached distinct skeleton of `words` through the
   /// harness, in parallel when a scheduler was given. Results land in the
   /// run cache in sorted skeleton order, so cache contents (and the
-  /// evaluation counter) are identical at any jobs x threads.
+  /// evaluation counter) are identical at any --jobs.
   void prefetch(const std::vector<Word>& words) override;
 
   /// The stimulus skeleton of a word: its concretizable events, in order.

@@ -160,7 +160,6 @@ LearnReport run_ota_learn(const LearnRunOptions& opt) {
   // 2. Membership oracle, batching through the scheduler.
   verify::SchedulerOptions sched_opt;
   sched_opt.jobs = opt.jobs;
-  sched_opt.threads = opt.threads;
   verify::VerifyScheduler sched(sched_opt);
   EcuMembershipOracle::Options ora_opt;
   ora_opt.seed = opt.seed;
@@ -265,9 +264,8 @@ LearnReport run_ota_learn(const LearnRunOptions& opt) {
     CancelToken token;
     if (opt.timeout) token.set_timeout(*opt.timeout);
     try {
-      const CheckResult res =
-          check_refinement(ctx, spec, impl, Model::Traces, opt.max_states,
-                           &token, opt.threads);
+      const CheckResult res = check_refinement(ctx, spec, impl, Model::Traces,
+                                               opt.max_states, &token);
       if (res.passed) {
         c.verdict = "PASS";
       } else {

@@ -8,9 +8,9 @@
 // (seed, rounds, eq_tests, max_len, mutation, ECU source). Membership
 // queries are batched through the scheduler but answers are folded
 // sequentially, per-run harness seeds derive from (seed, skeleton) alone,
-// and the JSON deliberately carries neither jobs/threads nor wall time
-// (unless with_timing) — so reports are byte-identical at any
-// --jobs x --threads, which CI diffs literally.
+// and the JSON deliberately carries neither jobs nor wall time (unless
+// with_timing) — so reports are byte-identical at any --jobs, which CI
+// diffs literally.
 #pragma once
 
 #include <chrono>
@@ -26,8 +26,7 @@ namespace ecucsp::learn {
 
 struct LearnRunOptions {
   std::uint64_t seed = 1;
-  unsigned jobs = 0;     // scheduler workers; 0 = hardware
-  unsigned threads = 1;  // in-check threads (jobs x threads clamped)
+  unsigned jobs = 0;  // scheduler workers; 0 = hardware
   /// Maximum equivalence rounds before giving up unconverged.
   std::size_t rounds = 16;
   /// Per-round equivalence tests (random walks and Sigma-words, each).
@@ -82,7 +81,7 @@ LearnReport run_ota_learn(const LearnRunOptions& opt);
 std::vector<std::string> ota_learning_alphabet();
 
 std::string render_text(const LearnReport& rep);
-/// learn_format:1. Deterministic: no jobs/threads, and wall time only
+/// learn_format:1. Deterministic: no jobs, and wall time only
 /// when `with_timing`.
 std::string render_json(const LearnReport& rep, bool with_timing = false);
 

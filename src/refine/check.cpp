@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <set>
-#include <unordered_map>
+#include <tuple>
+#include <unordered_set>
 
 namespace ecucsp {
 
@@ -104,11 +106,6 @@ std::string Counterexample::describe(const Context& ctx) const {
 
 namespace {
 
-// Counterexample reconstruction (SearchEdge / rebuild_trace) lives in
-// parallel.hpp now — one canonical implementation shared by the wave engine
-// and everything below, instead of the per-check inline re-walk each of the
-// four uncached functions used to carry.
-
 EventSet visible_initials(const CompactLts& lts, StateId s) {
   std::vector<EventId> out;
   for (std::uint32_t k = lts.begin(s); k < lts.end(s); ++k) {
@@ -133,27 +130,108 @@ bool acceptance_allowed(const NormNode& spec, const EventSet& acceptance) {
   return false;
 }
 
-constexpr std::uint8_t rank(Counterexample::Kind k) {
-  return static_cast<std::uint8_t>(k);
-}
-
-Counterexample to_counterexample(WaveOutcome&& out) {
-  Counterexample ce;
-  ce.kind = static_cast<Counterexample::Kind>(out.kind);
-  ce.trace = std::move(out.trace);
-  ce.event = out.event;
-  ce.impl_acceptance = std::move(out.acceptance);
-  return ce;
-}
-
-// --- wave-engine graph adapters ---------------------------------------------
+// --- the product search ------------------------------------------------------
 //
-// Each check is a search over some graph; the adapters below give the wave
-// engine (parallel.hpp) its view of each. Their callbacks run concurrently,
-// so they read only the pre-compiled CompactLts/NormLts structures — never a
-// Context. The hot loops index the compact CSR arrays directly: one pointer
-// chase per state row instead of the vector-of-vectors walk the engine used
-// to pay per edge.
+// Every check is a level-order search over some graph; the adapters further
+// down give product_search its view of each: root(), prune(), inspect() for
+// a violation at a state, and degree()/edge() for its successors.
+
+/// One outgoing edge: a successor state, or a violation on the edge itself
+/// (a trace violation). Violations leave `trace` empty; the search fills it.
+template <typename NodeT>
+struct Edge {
+  EventId event = TAU;  // trace label (TAU for silent steps)
+  NodeT next{};
+  std::optional<Counterexample> violation{};
+};
+
+/// A violation as an adapter reports it: everything but the trace.
+Counterexample violation(Counterexample::Kind kind, EventId event = 0,
+                         EventSet acceptance = {}) {
+  Counterexample cx;
+  cx.kind = kind;
+  cx.event = event;
+  cx.impl_acceptance = std::move(acceptance);
+  return cx;
+}
+
+struct SearchOutcome {
+  std::optional<Counterexample> counterexample;
+  /// States numbered when the search stopped: the whole reachable set on a
+  /// pass, every state through the violating BFS level on a failure.
+  std::size_t visited = 0;
+};
+
+/// The canonical order on counterexamples: shorter visible trace first, then
+/// the lexicographically smaller trace, then kind, event and acceptance.
+auto canonical_key(const Counterexample& c) {
+  return std::make_tuple(c.trace.size(), std::cref(c.trace), c.kind, c.event,
+                         std::cref(c.impl_acceptance.items()));
+}
+
+/// Breadth-first search of `g` from its root. States are numbered in
+/// first-discovery order, and the search stops at the end of the first BFS
+/// level that holds a violation. The counterexample is the minimum of all
+/// that level's violations under canonical_key, so it does not depend on
+/// where in the level a violation is found.
+template <typename G>
+SearchOutcome product_search(const G& g, CancelToken* cancel) {
+  using Node = typename G::Node;
+  struct Step {  // the edge a state was first reached by
+    std::uint32_t parent = 0;
+    EventId event = TAU;
+  };
+  std::vector<Node> states{g.root()};
+  std::vector<Step> reached_by(1);
+  std::unordered_set<Node, typename G::NodeHash> seen{g.root()};
+  std::vector<std::pair<std::uint32_t, Counterexample>> found;
+  std::size_t level_end = 1;
+  for (std::uint32_t i = 0; i < states.size(); ++i) {
+    if (i == level_end) {
+      if (!found.empty()) break;
+      level_end = states.size();
+    }
+    if (cancel) cancel->poll();
+    const Node n = states[i];  // copy: push_back below may reallocate
+    if (g.prune(n)) continue;
+    if (std::optional<Counterexample> v = g.inspect(n)) {
+      found.emplace_back(i, std::move(*v));
+      continue;
+    }
+    const std::size_t degree = g.degree(n);
+    for (std::size_t k = 0; k < degree; ++k) {
+      Edge<Node> e = g.edge(n, k);
+      if (e.violation) {
+        found.emplace_back(i, std::move(*e.violation));
+      } else if (found.empty() && seen.insert(e.next).second) {
+        // Once this level holds a violation it is the last one searched,
+        // so new states no longer matter.
+        states.push_back(e.next);
+        reached_by.push_back({i, e.event});
+      }
+    }
+  }
+
+  SearchOutcome out;
+  out.visited = found.empty() ? states.size() : level_end;
+  for (auto& [at, cx] : found) {
+    for (std::uint32_t s = at; s != 0; s = reached_by[s].parent) {
+      if (reached_by[s].event != TAU) cx.trace.push_back(reached_by[s].event);
+    }
+    std::reverse(cx.trace.begin(), cx.trace.end());
+    if (!out.counterexample ||
+        canonical_key(cx) < canonical_key(*out.counterexample)) {
+      out.counterexample = std::move(cx);
+    }
+  }
+  return out;
+}
+
+// --- graph adapters ----------------------------------------------------------
+//
+// The adapters read only the pre-compiled CompactLts/NormLts structures,
+// never a Context. The hot loops index the compact CSR arrays directly: one
+// pointer chase per state row instead of a vector-of-vectors walk per edge.
 
 /// The normalized-spec × implementation product for SPEC [T=/[F=/[FD= IMPL.
 struct RefinementGraph {
@@ -205,16 +283,15 @@ struct RefinementGraph {
     return with_div && norm.nodes[n.spec].divergent;
   }
 
-  std::optional<WaveViolation> inspect(const Node& n) const {
+  std::optional<Counterexample> inspect(const Node& n) const {
     if (with_div && (*impl_diverges)[n.impl]) {
-      return WaveViolation{rank(Counterexample::Kind::DivergenceViolation), 0,
-                           EventSet{}};
+      return violation(Counterexample::Kind::DivergenceViolation);
     }
     if (failures && is_stable(impl, n.impl)) {
       EventSet acceptance = visible_initials(impl, n.impl);
       if (!acceptance_allowed(norm.nodes[n.spec], acceptance)) {
-        return WaveViolation{rank(Counterexample::Kind::AcceptanceViolation), 0,
-                             std::move(acceptance)};
+        return violation(Counterexample::Kind::AcceptanceViolation, 0,
+                         std::move(acceptance));
       }
     }
     return std::nullopt;
@@ -222,98 +299,82 @@ struct RefinementGraph {
 
   std::size_t degree(const Node& n) const { return impl.degree(n.impl); }
 
-  WaveEdge<Node> edge(const Node& n, std::size_t i) const {
+  Edge<Node> edge(const Node& n, std::size_t i) const {
     const std::uint32_t k = impl.begin(n.impl) + static_cast<std::uint32_t>(i);
     const LocalEvent le = impl.events[k];
     const StateId target = impl.targets[k];
-    if (le == impl.tau) return {false, TAU, Node{n.spec, target}, {}};
+    if (le == impl.tau) return {TAU, Node{n.spec, target}};
     const EventId event = impl.global_event(le);
     const NormId next_spec =
         spec_succ.empty() ? norm.nodes[n.spec].successor(event)
                           : spec_succ[n.spec * width + le];
     if (next_spec == NORM_NONE) {
-      return {true, event, Node{},
-              WaveViolation{rank(Counterexample::Kind::TraceViolation), event,
-                            EventSet{}}};
+      return {event, Node{},
+              violation(Counterexample::Kind::TraceViolation, event)};
     }
-    return {false, event, Node{next_spec, target}, {}};
+    return {event, Node{next_spec, target}};
   }
 };
 
-struct LtsStateHash {
-  std::size_t operator()(StateId s) const { return std::hash<StateId>{}(s); }
+/// Shared by the two adapters that walk a single compact machine.
+struct LtsGraph {
+  const CompactLts& lts;
+
+  using Node = StateId;
+  using NodeHash = std::hash<StateId>;
+
+  Node root() const { return lts.root; }
+  bool prune(Node) const { return false; }
+  std::size_t degree(Node s) const { return lts.degree(s); }
+  Edge<Node> edge(Node s, std::size_t i) const {
+    const std::uint32_t k = lts.begin(s) + static_cast<std::uint32_t>(i);
+    // global_event maps the interned tau back to TAU, so the search's tau
+    // elision applies.
+    return {lts.global_event(lts.events[k]), lts.targets[k]};
+  }
 };
 
 /// IMPL :[deadlock free] — a reachability search for stuck non-terminated
 /// states. Post-tick and Omega classification was baked into the compact
 /// flags at conversion time, so inspect() is a flag test.
-struct DeadlockGraph {
-  const CompactLts& lts;
-
-  using Node = StateId;
-  using NodeHash = LtsStateHash;
-
-  Node root() const { return lts.root; }
-  bool prune(Node) const { return false; }
-
-  std::optional<WaveViolation> inspect(Node s) const {
+struct DeadlockGraph : LtsGraph {
+  std::optional<Counterexample> inspect(Node s) const {
     // States entered by a tick are successful termination, not deadlock.
     if (lts.is_deadlock(s)) {
-      return WaveViolation{rank(Counterexample::Kind::Deadlock), 0, EventSet{}};
+      return violation(Counterexample::Kind::Deadlock);
     }
     return std::nullopt;
-  }
-
-  std::size_t degree(Node s) const { return lts.degree(s); }
-  WaveEdge<Node> edge(Node s, std::size_t i) const {
-    const std::uint32_t k = lts.begin(s) + static_cast<std::uint32_t>(i);
-    // global_event maps the interned tau back to TAU, so rebuild_trace's
-    // tau elision behaves exactly as before.
-    return {false, lts.global_event(lts.events[k]), lts.targets[k], {}};
   }
 };
 
 /// IMPL :[divergence free] — reachability of a state on a tau cycle.
-struct DivergenceGraph {
-  const CompactLts& lts;
+struct DivergenceGraph : LtsGraph {
   const std::vector<bool>& diverges;
 
-  using Node = StateId;
-  using NodeHash = LtsStateHash;
-
-  Node root() const { return lts.root; }
-  bool prune(Node) const { return false; }
-  std::optional<WaveViolation> inspect(Node s) const {
+  std::optional<Counterexample> inspect(Node s) const {
     if (diverges[s]) {
-      return WaveViolation{rank(Counterexample::Kind::Divergence), 0,
-                           EventSet{}};
+      return violation(Counterexample::Kind::Divergence);
     }
     return std::nullopt;
-  }
-  std::size_t degree(Node s) const { return lts.degree(s); }
-  WaveEdge<Node> edge(Node s, std::size_t i) const {
-    const std::uint32_t k = lts.begin(s) + static_cast<std::uint32_t>(i);
-    return {false, lts.global_event(lts.events[k]), lts.targets[k], {}};
   }
 };
 
 /// IMPL :[deterministic] — BFS over the (deterministic) normal form. Its
-/// edges carry visible events only, so the shared rebuild_trace's tau
-/// elision never fires — every non-root edge contributes to the trace.
+/// edges carry visible events only, so every non-root edge contributes to
+/// the trace.
 struct DeterminismGraph {
   const NormLts& norm;
 
   using Node = NormId;
-  using NodeHash = LtsStateHash;
+  using NodeHash = std::hash<NormId>;
 
   Node root() const { return norm.root; }
   bool prune(Node) const { return false; }
 
-  std::optional<WaveViolation> inspect(Node n) const {
+  std::optional<Counterexample> inspect(Node n) const {
     const NormNode& node = norm.nodes[n];
     if (node.divergent) {
-      return WaveViolation{rank(Counterexample::Kind::Divergence), 0,
-                           EventSet{}};
+      return violation(Counterexample::Kind::Divergence);
     }
     // Deterministic iff after every trace the process accepts exactly its
     // initials: a minimal acceptance missing some initial event means the
@@ -322,23 +383,19 @@ struct DeterminismGraph {
       if (m == node.initials) continue;
       const EventSet missing = node.initials.set_difference(m);
       if (!missing.empty()) {
-        return WaveViolation{rank(Counterexample::Kind::Nondeterminism),
-                             *missing.begin(), m};
+        return violation(Counterexample::Kind::Nondeterminism,
+                         *missing.begin(), m);
       }
     }
     return std::nullopt;
   }
 
   std::size_t degree(Node n) const { return norm.nodes[n].succ.size(); }
-  WaveEdge<Node> edge(Node n, std::size_t i) const {
+  Edge<Node> edge(Node n, std::size_t i) const {
     const auto& [event, target] = norm.nodes[n].succ[i];
-    return {false, event, target, {}};
+    return {event, target};
   }
 };
-
-}  // namespace
-
-namespace {
 
 /// Consult the installed cache around `run`, which computes the verdict
 /// fresh. Cancellation/state-limit exceptions propagate before anything is
@@ -360,12 +417,9 @@ CheckResult with_check_cache(Context& ctx, ProcessRef spec, ProcessRef impl,
 }
 
 /// The refinement product sweep over pre-normalized spec and compact impl —
-/// the single code path every refinement entry point bottoms out in,
-/// whatever the compression mode (the mode only decides *which* machines
-/// are handed in).
+/// the single code path every refinement entry point bottoms out in.
 CheckResult refinement_sweep(const NormLts& norm, const CompactLts& impl,
-                             Model model, unsigned threads,
-                             CancelToken* cancel) {
+                             Model model, CancelToken* cancel) {
   CheckResult result;
   const bool with_div = model == Model::FailuresDivergences;
   std::vector<bool> impl_diverges;
@@ -377,10 +431,10 @@ CheckResult refinement_sweep(const NormLts& norm, const CompactLts& impl,
 
   const RefinementGraph g{norm, impl, with_div ? &impl_diverges : nullptr,
                           model != Model::Traces, with_div};
-  WaveOutcome out = wave_search(g, resolve_check_threads(threads), cancel);
+  SearchOutcome out = product_search(g, cancel);
   result.stats.product_states = out.visited;
-  if (out.violated) {
-    result.counterexample = to_counterexample(std::move(out));
+  if (out.counterexample) {
+    result.counterexample = std::move(out.counterexample);
     return result;
   }
   result.passed = true;
@@ -391,10 +445,9 @@ CheckResult refinement_sweep(const NormLts& norm, const CompactLts& impl,
   // set is the union-minus-intersection of per-node initials. If the
   // implementation's reachable alphabet misses all of them, the pass is
   // trivially true — flag it rather than let a broken extraction "verify".
-  // Both inputs are invariant under the reductions: the constrained set is
-  // a function of the spec's weak semantics (which normalization of a
-  // compressed spec preserves), and compression never removes an event
-  // from the impl's reachable alphabet without removing it everywhere.
+  // The impl side is invariant under check_refinement_compiled's
+  // reductions: compression never removes an event from the impl's
+  // reachable alphabet without removing it everywhere.
   {
     EventSet allowed_union;
     EventSet allowed_inter;
@@ -420,135 +473,29 @@ CheckResult refinement_sweep(const NormLts& norm, const CompactLts& impl,
 
 CheckResult refinement_uncached(Context& ctx, ProcessRef spec, ProcessRef impl,
                                 Model model, std::size_t max_states,
-                                CancelToken* cancel, unsigned threads,
-                                Compression mode) {
-  // Compilation and normalization need the Context, so they stay on the
-  // calling thread; the product sweep below is Context-free and parallel.
+                                CancelToken* cancel) {
   const Lts spec_lts = compile_or_load(ctx, spec, max_states, cancel);
-  const bool with_div = model == Model::FailuresDivergences;
-
-  CheckResult result;
-  if (mode == Compression::None) {
-    const NormLts norm = normalize(spec_lts, with_div, cancel);
-    const Lts impl_lts = compile_or_load(ctx, impl, max_states, cancel);
-    result = refinement_sweep(norm, compact_from_lts(impl_lts), model, threads,
-                              cancel);
-  } else {
-    // Compressed path: reduce both component machines before normalization
-    // and the product walk. The sweep over the reduced machines decides the
-    // verdict; a violation is replayed on the uncompressed machines so the
-    // counterexample (and its canonical minimal-trace tie-break) is byte
-    // for byte the one --compress=none reports — FDR's "debug the
-    // uncompressed process" discipline.
-    const CompactLts spec_c = compact_from_lts(spec_lts);
-    const NormLts norm_z =
-        normalize(compress_compact(spec_c, mode, nullptr, cancel), with_div,
-                  cancel);
-    const Lts impl_lts = compile_or_load(ctx, impl, max_states, cancel);
-    const CompactLts impl_c = compact_from_lts(impl_lts);
-    result = refinement_sweep(
-        norm_z, compress_compact(impl_c, mode, nullptr, cancel), model,
-        threads, cancel);
-    if (!result.passed) {
-      const NormLts norm = normalize(spec_c, with_div, cancel);
-      result = refinement_sweep(norm, impl_c, model, threads, cancel);
-    }
-  }
+  const NormLts norm =
+      normalize(spec_lts, model == Model::FailuresDivergences, cancel);
+  const Lts impl_lts = compile_or_load(ctx, impl, max_states, cancel);
+  CheckResult result =
+      refinement_sweep(norm, compact_from_lts(impl_lts), model, cancel);
   result.stats.spec_states = spec_lts.state_count();
   return result;
 }
 
-CheckResult deadlock_free_uncached(Context& ctx, ProcessRef p,
-                                   std::size_t max_states, CancelToken* cancel,
-                                   unsigned threads, Compression mode) {
+/// The shape the unary checks share: compile `p`, record its size, and let
+/// `sweep` search its compact machine (adding any stats of its own).
+template <typename Sweep>
+CheckResult unary_uncached(Context& ctx, ProcessRef p, std::size_t max_states,
+                           CancelToken* cancel, Sweep sweep) {
   CheckResult result;
   const Lts lts = compile_or_load(ctx, p, max_states, cancel);
   result.stats.impl_states = lts.state_count();
   result.stats.impl_transitions = lts.transition_count();
-  const CompactLts compact = compact_from_lts(lts);
-
-  const auto sweep = [&](const CompactLts& machine) {
-    const DeadlockGraph g{machine};
-    return wave_search(g, resolve_check_threads(threads), cancel);
-  };
-  WaveOutcome out;
-  if (mode == Compression::None) {
-    out = sweep(compact);
-  } else {
-    out = sweep(compress_compact(compact, mode, nullptr, cancel));
-    // Verdict from the reduced machine, counterexample from the original.
-    if (out.violated) out = sweep(compact);
-  }
-  if (out.violated) {
-    result.counterexample = to_counterexample(std::move(out));
-    return result;
-  }
-  result.passed = true;
-  return result;
-}
-
-CheckResult divergence_free_uncached(Context& ctx, ProcessRef p,
-                                     std::size_t max_states,
-                                     CancelToken* cancel, unsigned threads,
-                                     Compression mode) {
-  CheckResult result;
-  const Lts lts = compile_or_load(ctx, p, max_states, cancel);
-  result.stats.impl_states = lts.state_count();
-  result.stats.impl_transitions = lts.transition_count();
-  const CompactLts compact = compact_from_lts(lts);
-
-  const auto sweep = [&](const CompactLts& machine) {
-    const std::vector<bool> diverges = machine.divergent_states();
-    const DivergenceGraph g{machine, diverges};
-    return wave_search(g, resolve_check_threads(threads), cancel);
-  };
-  WaveOutcome out;
-  if (mode == Compression::None) {
-    out = sweep(compact);
-  } else {
-    out = sweep(compress_compact(compact, mode, nullptr, cancel));
-    if (out.violated) out = sweep(compact);
-  }
-  if (out.violated) {
-    result.counterexample = to_counterexample(std::move(out));
-    return result;
-  }
-  result.passed = true;
-  return result;
-}
-
-CheckResult deterministic_uncached(Context& ctx, ProcessRef p,
-                                   std::size_t max_states, CancelToken* cancel,
-                                   unsigned threads, Compression mode) {
-  CheckResult result;
-  const Lts lts = compile_or_load(ctx, p, max_states, cancel);
-  result.stats.impl_states = lts.state_count();
-  result.stats.impl_transitions = lts.transition_count();
-  const CompactLts compact = compact_from_lts(lts);
-
-  const auto sweep = [&](const NormLts& norm) {
-    result.stats.spec_norm_nodes = norm.nodes.size();
-    const DeterminismGraph g{norm};
-    return wave_search(g, resolve_check_threads(threads), cancel);
-  };
-  WaveOutcome out;
-  if (mode == Compression::None) {
-    out = sweep(normalize(compact, /*with_divergence=*/true, cancel));
-  } else {
-    out = sweep(normalize(compress_compact(compact, mode, nullptr, cancel),
-                          /*with_divergence=*/true, cancel));
-    // Normalizing the reduced machine yields an equivalent normal form, but
-    // node discovery order can differ — replay on the original so a
-    // nondeterminism witness matches --compress=none byte for byte.
-    if (out.violated) {
-      out = sweep(normalize(compact, /*with_divergence=*/true, cancel));
-    }
-  }
-  if (out.violated) {
-    result.counterexample = to_counterexample(std::move(out));
-    return result;
-  }
-  result.passed = true;
+  SearchOutcome out = sweep(compact_from_lts(lts), result.stats);
+  result.counterexample = std::move(out.counterexample);
+  result.passed = !result.counterexample;
   return result;
 }
 
@@ -556,75 +503,66 @@ CheckResult deterministic_uncached(Context& ctx, ProcessRef p,
 
 CheckResult check_refinement_compiled(const NormLts& norm,
                                       const CompactLts& impl, Model model,
-                                      unsigned threads, CancelToken* cancel,
+                                      CancelToken* cancel,
                                       Compression compress) {
-  const Compression mode = resolve_check_compression(compress);
-  if (mode == Compression::None) {
-    return refinement_sweep(norm, impl, model, threads, cancel);
+  if (compress == Compression::None) {
+    return refinement_sweep(norm, impl, model, cancel);
   }
-  CheckResult result =
-      refinement_sweep(norm, compress_compact(impl, mode, nullptr, cancel),
-                       model, threads, cancel);
-  if (!result.passed) {
-    result = refinement_sweep(norm, impl, model, threads, cancel);
-  }
+  // The reduced machine decides the verdict; a violation is replayed on the
+  // original, so the counterexample (and its canonical tie-break) is byte
+  // for byte the one Compression::None reports — FDR's "debug the
+  // uncompressed process" discipline.
+  CheckResult result = refinement_sweep(
+      norm, compress_compact(impl, compress, nullptr, cancel), model, cancel);
+  if (!result.passed) result = refinement_sweep(norm, impl, model, cancel);
   return result;
 }
 
-CheckResult check_refinement_compiled(const NormLts& norm, const Lts& impl,
-                                      Model model, unsigned threads,
-                                      CancelToken* cancel) {
-  return check_refinement_compiled(norm, compact_from_lts(impl), model,
-                                   threads, cancel, Compression::None);
-}
-
-// Note: neither `threads` nor `compress` is part of the cache key (they
-// never reach the CheckCache) — the engine produces identical verdicts,
-// counterexamples and vacuity flags at every thread count and compression
-// level (the fail-replay above guarantees the latter), so a verdict cached
-// under one configuration is valid under all of them.
 CheckResult check_refinement(Context& ctx, ProcessRef spec, ProcessRef impl,
                              Model model, std::size_t max_states,
-                             CancelToken* cancel, unsigned threads,
-                             Compression compress) {
-  const Compression mode = resolve_check_compression(compress);
+                             CancelToken* cancel) {
   return with_check_cache(
       ctx, spec, impl, CheckOp::Refinement, model, max_states, [&] {
-        return refinement_uncached(ctx, spec, impl, model, max_states, cancel,
-                                   threads, mode);
+        return refinement_uncached(ctx, spec, impl, model, max_states, cancel);
       });
 }
 
 CheckResult check_deadlock_free(Context& ctx, ProcessRef p,
-                                std::size_t max_states, CancelToken* cancel,
-                                unsigned threads, Compression compress) {
-  const Compression mode = resolve_check_compression(compress);
+                                std::size_t max_states, CancelToken* cancel) {
   return with_check_cache(
       ctx, nullptr, p, CheckOp::DeadlockFree, Model::Traces, max_states, [&] {
-        return deadlock_free_uncached(ctx, p, max_states, cancel, threads,
-                                      mode);
+        return unary_uncached(ctx, p, max_states, cancel,
+                              [&](const CompactLts& lts, CheckStats&) {
+                                return product_search(DeadlockGraph{{lts}},
+                                                      cancel);
+                              });
       });
 }
 
 CheckResult check_divergence_free(Context& ctx, ProcessRef p,
-                                  std::size_t max_states, CancelToken* cancel,
-                                  unsigned threads, Compression compress) {
-  const Compression mode = resolve_check_compression(compress);
+                                  std::size_t max_states, CancelToken* cancel) {
   return with_check_cache(
       ctx, nullptr, p, CheckOp::DivergenceFree, Model::Traces, max_states, [&] {
-        return divergence_free_uncached(ctx, p, max_states, cancel, threads,
-                                        mode);
+        return unary_uncached(
+            ctx, p, max_states, cancel, [&](const CompactLts& lts, CheckStats&) {
+              const std::vector<bool> diverges = lts.divergent_states();
+              return product_search(DivergenceGraph{{lts}, diverges}, cancel);
+            });
       });
 }
 
 CheckResult check_deterministic(Context& ctx, ProcessRef p,
-                                std::size_t max_states, CancelToken* cancel,
-                                unsigned threads, Compression compress) {
-  const Compression mode = resolve_check_compression(compress);
+                                std::size_t max_states, CancelToken* cancel) {
   return with_check_cache(
       ctx, nullptr, p, CheckOp::Deterministic, Model::Traces, max_states, [&] {
-        return deterministic_uncached(ctx, p, max_states, cancel, threads,
-                                      mode);
+        return unary_uncached(
+            ctx, p, max_states, cancel,
+            [&](const CompactLts& lts, CheckStats& stats) {
+              const NormLts norm =
+                  normalize(lts, /*with_divergence=*/true, cancel);
+              stats.spec_norm_nodes = norm.nodes.size();
+              return product_search(DeterminismGraph{norm}, cancel);
+            });
       });
 }
 

@@ -23,7 +23,6 @@
 #include "refine/compact.hpp"
 #include "refine/lts.hpp"
 #include "refine/normalize.hpp"
-#include "refine/parallel.hpp"
 
 namespace ecucsp {
 
@@ -151,67 +150,49 @@ class ScopedCheckCache {
 /// CheckCancelled. This is the hook the src/verify batch scheduler uses to
 /// impose per-check wall-clock deadlines without pre-empting threads.
 ///
-/// `threads` selects how many workers explore the product space (the wave
-/// engine in parallel.hpp): 0 defers to the ambient check_threads() setting
-/// (installed by the verify scheduler or a CLI's --threads), which defaults
-/// to 1. Results — verdict, counterexample, vacuity flag, stats, and hence
-/// every cache digest — are byte-identical at any thread count; only the
-/// wall clock changes. LTS compilation and spec normalization stay on the
-/// calling thread (they need the Context, which is single-threaded by
-/// contract).
-///
-/// `compress` selects the FDR-style reductions (refine/compact.hpp) applied
-/// to the component LTSes before normalization and the product sweep;
-/// Compression::Ambient defers to check_compression() (installed by the
-/// scheduler or a CLI's --compress), defaulting to None. Reductions are
-/// verdict-, counterexample- and vacuity-preserving: a check that fails on
-/// the compressed machines is replayed on the uncompressed ones, so the
-/// counterexample bytes match --compress=none exactly. Like `threads`,
-/// `compress` is therefore deliberately NOT part of the cache key. Only the
-/// exploration *stats* may differ across compression levels on a PASS
-/// (fewer states swept is the point); refine_compress_diff_test pins the
-/// invariants.
+/// The product space is searched breadth-first on the calling thread, and a
+/// failed check reports the canonical counterexample: the minimum, over the
+/// first BFS level holding a violation, by (visible-trace length,
+/// lexicographic trace, kind, event, acceptance). Verdict, counterexample,
+/// vacuity flag and stats are therefore a function of the two terms alone,
+/// which is what the cache digests and the byte-identical reports rest on.
 CheckResult check_refinement(Context& ctx, ProcessRef spec, ProcessRef impl,
                              Model model, std::size_t max_states = 1u << 22,
-                             CancelToken* cancel = nullptr,
-                             unsigned threads = 0,
-                             Compression compress = Compression::Ambient);
+                             CancelToken* cancel = nullptr);
 
 CheckResult check_deadlock_free(Context& ctx, ProcessRef p,
                                 std::size_t max_states = 1u << 22,
-                                CancelToken* cancel = nullptr,
-                                unsigned threads = 0,
-                                Compression compress = Compression::Ambient);
+                                CancelToken* cancel = nullptr);
 CheckResult check_divergence_free(Context& ctx, ProcessRef p,
                                   std::size_t max_states = 1u << 22,
-                                  CancelToken* cancel = nullptr,
-                                  unsigned threads = 0,
-                                  Compression compress = Compression::Ambient);
+                                  CancelToken* cancel = nullptr);
 CheckResult check_deterministic(Context& ctx, ProcessRef p,
                                 std::size_t max_states = 1u << 22,
-                                CancelToken* cancel = nullptr,
-                                unsigned threads = 0,
-                                Compression compress = Compression::Ambient);
+                                CancelToken* cancel = nullptr);
 
 /// Refinement between pre-compiled structures: no Context, no cache, no
-/// compilation — just the product-space sweep over the compact form. This
-/// is what the bench layer times when measuring the parallel engine in
-/// isolation, and what refinement_uncached delegates to internally.
+/// compilation — just the product-space sweep over the compact form.
 /// stats.spec_states is left 0 (the spec's un-normalized LTS is not visible
-/// here). `compress` (default None — explicit control at this layer, no
-/// ambient lookup) reduces the already-compiled impl before the sweep, with
-/// the same fail-replay guarantee as the Context entry points; the spec
-/// arrives normalized, so spec-side reduction happens upstream.
+/// here). `compress` reduces the already-compiled impl (compress_compact)
+/// before the sweep; a violation found on the reduced machine is replayed on
+/// the original, so verdict, counterexample and vacuity flag are identical
+/// to Compression::None and only a PASS's stats may shrink. The spec
+/// arrives normalized, so spec-side reduction is the caller's business.
 CheckResult check_refinement_compiled(const NormLts& norm,
                                       const CompactLts& impl, Model model,
-                                      unsigned threads = 0,
                                       CancelToken* cancel = nullptr,
                                       Compression compress = Compression::None);
 
-/// Lts convenience overload: converts (order-preserving) and delegates.
-CheckResult check_refinement_compiled(const NormLts& norm, const Lts& impl,
-                                      Model model, unsigned threads = 0,
-                                      CancelToken* cancel = nullptr);
+/// Frozen signature for the benchmark under perfbench/, which still passes
+/// a thread count in fourth position. The count is ignored; the next change
+/// to the benchmark moves its call to the overload above and drops this one.
+inline CheckResult check_refinement_compiled(const NormLts& norm,
+                                             const CompactLts& impl,
+                                             Model model, unsigned /*threads*/,
+                                             CancelToken* cancel,
+                                             Compression compress) {
+  return check_refinement_compiled(norm, impl, model, cancel, compress);
+}
 
 /// All finite traces of `p` up to the given length, visible events only.
 /// Exponential; intended for tests and the attack-tree semantics checks.

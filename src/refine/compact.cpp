@@ -1,7 +1,6 @@
 #include "refine/compact.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <map>
 #include <set>
@@ -9,18 +8,7 @@
 
 namespace ecucsp {
 
-// --- compression-mode plumbing -----------------------------------------------
-
-namespace {
-
-// Same idiom as g_check_threads in parallel.cpp: a process-wide atomic
-// consulted by every check entry point whose explicit `compress` argument is
-// Compression::Ambient. Installed by ScopedCheckCompression for the duration
-// of a scheduler batch or a CLI run.
-std::atomic<std::uint8_t> g_check_compression{
-    static_cast<std::uint8_t>(Compression::None)};
-
-}  // namespace
+// --- reduction modes ---------------------------------------------------------
 
 std::string_view to_string(Compression c) {
   switch (c) {
@@ -32,32 +20,8 @@ std::string_view to_string(Compression c) {
       return "diamond";
     case Compression::Full:
       return "full";
-    case Compression::Ambient:
-      return "ambient";
   }
   return "?";
-}
-
-std::optional<Compression> parse_compression(std::string_view s) {
-  if (s == "none") return Compression::None;
-  if (s == "bisim") return Compression::Bisim;
-  if (s == "diamond") return Compression::Diamond;
-  if (s == "full") return Compression::Full;
-  return std::nullopt;
-}
-
-Compression set_check_compression(Compression c) {
-  return static_cast<Compression>(g_check_compression.exchange(
-      static_cast<std::uint8_t>(c), std::memory_order_acq_rel));
-}
-
-Compression check_compression() {
-  return static_cast<Compression>(
-      g_check_compression.load(std::memory_order_acquire));
-}
-
-Compression resolve_check_compression(Compression requested) {
-  return requested == Compression::Ambient ? check_compression() : requested;
 }
 
 // --- representation ----------------------------------------------------------
@@ -501,15 +465,13 @@ std::vector<bool> CompactLts::divergent_states() const {
 
 CompactLts compress_compact(const CompactLts& in, Compression mode,
                             ReductionStats* stats, CancelToken* cancel) {
-  const Compression m = resolve_check_compression(mode);
   if (stats) {
     stats->states_in = in.state_count();
     stats->transitions_in = in.transition_count();
   }
   CompactLts out;
-  switch (m) {
+  switch (mode) {
     case Compression::None:
-    case Compression::Ambient:  // resolve returned the ambient value already
       out = in;
       break;
     case Compression::Bisim:

@@ -7,12 +7,11 @@
 // ranges with no pointer chasing. compact_from_lts preserves per-state
 // transition order exactly, so a sweep over the compact form visits states
 // in the same sequential BFS insertion order as one over the source Lts —
-// which is what keeps --compress=none byte-identical to the historical
-// engine (verdicts, counterexamples, vacuity, stats and hence every cache
-// digest).
+// which is what keeps the checks byte-identical to the historical engine
+// (verdicts, counterexamples, vacuity, stats and hence every cache digest).
 //
-// On top of the representation sit the classic FDR compressions, applied to
-// component machines *before* the spec×impl product walk:
+// On top of the representation sit the classic FDR compressions, explicit
+// operations on compiled machines (compress_compact):
 //
 //   bisim    strong-bisimulation quotienting (partition refinement seeded by
 //            terminal class, so Omega / post-tick / deadlock states never
@@ -29,14 +28,13 @@
 // Every reduction preserves divergence-sensitive weak equivalence of the
 // root, hence verdicts in T, F and FD as well as deadlock / divergence /
 // determinism — see DESIGN.md §12 for the per-pass argument. Counterexample
-// bytes are preserved one level up (refine/check.cpp): a violating verdict
-// found on a compressed machine is replayed on the uncompressed one, FDR's
-// "debug the uncompressed process" move, so failing runs are byte-identical
-// at every --compress level too.
+// bytes are preserved one level up (check_refinement_compiled in
+// refine/check.hpp): a violating verdict found on a compressed machine is
+// replayed on the uncompressed one, FDR's "debug the uncompressed process"
+// move, so failing runs are byte-identical at every mode too.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -45,47 +43,17 @@
 
 namespace ecucsp {
 
-// --- compression-mode plumbing -----------------------------------------------
+// --- reduction modes ---------------------------------------------------------
 
-/// Which reductions the check entry points apply to component LTSes before
-/// the product sweep. `Ambient` is the entry-point default: defer to the
-/// process-wide check_compression() setting (installed by the verify
-/// scheduler or a CLI's --compress), itself defaulting to None.
+/// Which reductions compress_compact applies.
 enum class Compression : std::uint8_t {
   None = 0,
   Bisim = 1,
   Diamond = 2,
   Full = 3,
-  Ambient = 255,
 };
 
 std::string_view to_string(Compression c);
-
-/// Parse a --compress operand ("none" | "bisim" | "diamond" | "full").
-std::optional<Compression> parse_compression(std::string_view s);
-
-/// Process-wide default consumed by every check entry point whose explicit
-/// `compress` argument is Compression::Ambient — the same idiom as
-/// set_check_threads in parallel.hpp. Returns the previous value.
-Compression set_check_compression(Compression c);
-Compression check_compression();
-
-/// Map a caller's `compress` argument to an effective mode:
-/// Ambient -> the ambient check_compression() setting.
-Compression resolve_check_compression(Compression requested);
-
-/// RAII installer (scheduler batches, CLI main, tests).
-class ScopedCheckCompression {
- public:
-  explicit ScopedCheckCompression(Compression c)
-      : prev_(set_check_compression(c)) {}
-  ~ScopedCheckCompression() { set_check_compression(prev_); }
-  ScopedCheckCompression(const ScopedCheckCompression&) = delete;
-  ScopedCheckCompression& operator=(const ScopedCheckCompression&) = delete;
-
- private:
-  Compression prev_;
-};
 
 // --- the compact representation ----------------------------------------------
 
@@ -166,9 +134,9 @@ struct ReductionStats {
 
 /// Apply `mode`'s reductions to `in` and return the reduced machine
 /// (restricted to its reachable part, states renumbered preserving relative
-/// order). Mode None (and Ambient) returns a verbatim copy. The alphabet
-/// table is carried over unchanged so local event ids remain stable across
-/// compression — interned ids survive any insertion/elimination order.
+/// order). Mode None returns a verbatim copy. The alphabet table is carried
+/// over unchanged so local event ids remain stable across compression —
+/// interned ids survive any insertion/elimination order.
 /// Polls `cancel` between passes.
 CompactLts compress_compact(const CompactLts& in, Compression mode,
                             ReductionStats* stats = nullptr,

@@ -52,8 +52,7 @@ struct NormLts {
 /// order, so both produce the same NormLts byte for byte). Normal nodes are
 /// keyed on source-state *sets* and explored in event order, so the output
 /// depends only on the machine's weak semantics — which is why normalising
-/// a compressed spec (check.cpp's --compress path) yields an equivalent
-/// normal form.
+/// a compressed spec (compress_compact) yields an equivalent normal form.
 NormLts normalize(const CompactLts& lts, bool with_divergence,
                   CancelToken* cancel = nullptr);
 NormLts normalize(const Lts& lts, bool with_divergence,

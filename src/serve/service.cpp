@@ -43,17 +43,10 @@ VerifyService::VerifyService(ServiceOptions options)
   cache_install_.emplace(cache_.get());
   verify::SchedulerOptions sched;
   sched.jobs = options.jobs;
-  sched.threads = options.threads;
-  sched.compression = options.compression;
   scheduler_ = std::make_unique<verify::VerifyScheduler>(sched);
   const std::size_t queue =
       options.max_queue != 0 ? options.max_queue : 8u * scheduler_->jobs();
   capacity_ = scheduler_->jobs() + queue;
-  // The scheduler's workers read the ambient thread/compression globals;
-  // install them for the service's lifetime (restored on destruction,
-  // after the workers have joined).
-  ambient_threads_.emplace(scheduler_->threads());
-  ambient_compression_.emplace(options.compression);
 }
 
 VerifyService::~VerifyService() {
@@ -317,8 +310,8 @@ std::string VerifyService::stats_json() const {
   char buf[2048];
   std::snprintf(
       buf, sizeof buf,
-      "{\"serve_format\":1,"
-      "\"jobs\":%u,\"threads\":%u,\"shards\":%u,\"capacity\":%zu,"
+      "{\"serve_format\":2,"
+      "\"jobs\":%u,\"shards\":%u,\"capacity\":%zu,"
       "\"draining\":%s,"
       "\"received\":%llu,\"engine_runs\":%llu,\"coalesced\":%llu,"
       "\"memo_hits\":%llu,\"shed\":%llu,\"rejected_draining\":%llu,"
@@ -331,7 +324,7 @@ std::string VerifyService::stats_json() const {
       "\"cache\":{\"verdict_hits\":%llu,\"verdict_misses\":%llu,"
       "\"lts_hits\":%llu,\"lts_misses\":%llu,\"hit_ratio\":%.4f,"
       "\"memory_hits\":%llu,\"disk_hits\":%llu,\"stores\":%llu}}",
-      jobs(), threads(), cache_->shard_count(), capacity_,
+      jobs(), cache_->shard_count(), capacity_,
       draining() ? "true" : "false",
       static_cast<unsigned long long>(stats_.received.load()),
       static_cast<unsigned long long>(stats_.engine_runs.load()),

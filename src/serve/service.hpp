@@ -19,7 +19,7 @@
 //                                  completion fans the one verdict out to
 //                                  every waiter and feeds the memo
 //
-// Backpressure is tied to the scheduler's jobs×threads clamp: at most
+// Backpressure is tied to the scheduler's worker count: at most
 // `jobs` flights explore concurrently and at most `max_queue` more may
 // wait, so offered load beyond the machine's capacity is shed with a
 // Retry-After hint instead of growing an unbounded queue. Coalesced
@@ -49,7 +49,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "refine/compact.hpp"
 #include "serve/protocol.hpp"
 #include "serve/single_flight.hpp"
 #include "serve/stats.hpp"
@@ -59,11 +58,8 @@
 namespace ecucsp::serve {
 
 struct ServiceOptions {
-  /// Scheduler workers (0 = hardware) and in-check threads per flight;
-  /// jobs × threads is clamped to the machine exactly as in PR 5.
+  /// Scheduler workers (0 = hardware).
   unsigned jobs = 0;
-  unsigned threads = 1;
-  Compression compression = Compression::None;
 
   /// Persistent verification store; memory-only when unset.
   std::optional<std::filesystem::path> cache_dir;
@@ -124,7 +120,6 @@ class VerifyService {
 
   const ServiceStats& stats() const { return stats_; }
   unsigned jobs() const { return scheduler_->jobs(); }
-  unsigned threads() const { return scheduler_->threads(); }
   std::size_t capacity() const { return capacity_; }
   store::VerificationCache& cache() { return *cache_; }
 
@@ -159,11 +154,6 @@ class VerifyService {
   std::atomic<std::size_t> admitted_{0};  // flights admitted, not completed
   mutable std::mutex drain_mu_;
   std::condition_variable drain_cv_;
-
-  // Ambient install for the daemon's lifetime (workers read the globals);
-  // declared before the scheduler so workers are joined before restore.
-  std::optional<ScopedCheckThreads> ambient_threads_;
-  std::optional<ScopedCheckCompression> ambient_compression_;
 
   // Last member: its destructor drains the queue and joins the workers,
   // so every completion callback has returned before anything above dies.

@@ -153,13 +153,6 @@ TaskOutcome run_task(const CheckTask& task, CancelToken& token) {
 VerifyScheduler::VerifyScheduler(SchedulerOptions options) : options_(options) {
   jobs_ = options.jobs != 0 ? options.jobs
                             : std::max(1u, std::thread::hardware_concurrency());
-  // Nested-parallelism budget: jobs × threads must not exceed the machine.
-  // A requested 0 means "whatever the budget allows"; anything explicit is
-  // still clamped to the per-job share.
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned per_job = std::max(1u, hw / jobs_);
-  threads_ = options.threads == 0 ? per_job
-                                  : std::max(1u, std::min(options.threads, per_job));
   workers_.reserve(jobs_);
   for (unsigned i = 0; i < jobs_; ++i) {
     workers_.emplace_back([this](std::stop_token stop) { worker(stop); });
@@ -230,13 +223,6 @@ std::size_t VerifyScheduler::pending() const {
 
 BatchResult VerifyScheduler::run(const std::vector<CheckTask>& tasks) {
   std::lock_guard run_lock(run_mu_);
-
-  // Install the budgeted per-task thread count and the reduction mode as
-  // the ambient defaults for the whole batch: every check_* a worker
-  // reaches (factory, CSPm or custom mode) picks them up without signature
-  // plumbing. Restored on exit.
-  const ScopedCheckThreads nested(threads_);
-  const ScopedCheckCompression reduced(options_.compression);
 
   BatchResult batch;
   batch.outcomes.resize(tasks.size());

@@ -36,21 +36,6 @@ struct SchedulerOptions {
   unsigned jobs = 0;
   /// Applied to tasks that do not carry their own timeout.
   std::optional<std::chrono::milliseconds> default_timeout;
-  /// In-check exploration threads per task (the refine wave engine);
-  /// 0 means hardware_concurrency() / jobs. Whatever is requested is
-  /// clamped so that jobs × threads never oversubscribes the machine:
-  /// effective threads = max(1, min(threads, hardware / jobs)). The
-  /// effective value is installed as the ambient check_threads() for the
-  /// duration of every run(), so factory, CSPm and custom-mode tasks all
-  /// inherit it. Default 1: nested parallelism is opt-in — with enough
-  /// tasks, across-check parallelism already saturates the machine.
-  unsigned threads = 1;
-  /// State-space reduction applied inside every check of the batch
-  /// (refine/compact.hpp), installed as the ambient check_compression() for
-  /// the duration of run() exactly like `threads`. Verdict-, cx- and
-  /// vacuity-preserving, so batch outcomes are byte-identical at every
-  /// level; only wall time and exploration stats change.
-  Compression compression = Compression::None;
 };
 
 class VerifyScheduler {
@@ -63,13 +48,6 @@ class VerifyScheduler {
 
   unsigned jobs() const { return jobs_; }
 
-  /// Effective in-check threads per task after the jobs × threads ≤ hardware
-  /// budget clamp (see SchedulerOptions::threads).
-  unsigned threads() const { return threads_; }
-
-  /// Reduction mode installed for the duration of each run().
-  Compression compression() const { return options_.compression; }
-
   /// Run the whole batch, blocking until every task has an outcome.
   /// Outcomes are returned in submission order. Only one run() may be active
   /// at a time; concurrent callers are serialised on an internal mutex.
@@ -80,11 +58,9 @@ class VerifyScheduler {
   /// immediately; `done` runs on the worker thread that executed the task,
   /// after the outcome is complete. The caller owns `token` (it must outlive
   /// the completion callback) and arms nothing — the worker applies the
-  /// task's / scheduler's timeout exactly as run() does. Unlike run(),
-  /// submit() does not install the ambient check_threads()/compression for
-  /// the job: a long-running service installs them once for its own
-  /// lifetime (see serve::VerifyService). submit() may interleave freely
-  /// with batch run() calls; the pool serves both queues in FIFO order.
+  /// task's / scheduler's timeout exactly as run() does. submit() may
+  /// interleave freely with batch run() calls; the pool serves both queues
+  /// in FIFO order.
   void submit(CheckTask task, CancelToken* token,
               std::function<void(TaskOutcome)> done);
 
@@ -116,7 +92,6 @@ class VerifyScheduler {
   void worker(std::stop_token stop);
 
   unsigned jobs_ = 1;
-  unsigned threads_ = 1;
   SchedulerOptions options_;
 
   mutable std::mutex mu_;

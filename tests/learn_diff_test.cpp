@@ -11,7 +11,7 @@
 //     (response edges win over stimuli under the quiescence discipline,
 //     ignored forged frames strip as self-loops);
 //   * determinism — run_ota_learn's verdicts, text and JSON reports are
-//     byte-identical across --jobs x --threads in {1,2,4}^2.
+//     byte-identical across --jobs in {1,2,4}.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -139,27 +139,21 @@ TEST(LearnDiff, EcuLearningConvergesToTestableProjectionOfModel) {
             std::nullopt);
 }
 
-TEST(LearnDiff, ReportsByteIdenticalAcrossJobsAndThreads) {
+TEST(LearnDiff, ReportsByteIdenticalAcrossJobs) {
   LearnRunOptions base;
   base.seed = 3;
   base.jobs = 1;
-  base.threads = 1;
   const LearnReport ref = run_ota_learn(base);
   const std::string ref_json = render_json(ref);
   const std::string ref_text = render_text(ref);
   ASSERT_TRUE(ref.converged);
-  for (unsigned jobs : {1u, 2u, 4u}) {
-    for (unsigned threads : {1u, 2u, 4u}) {
-      if (jobs == 1 && threads == 1) continue;
-      SCOPED_TRACE("jobs=" + std::to_string(jobs) +
-                   " threads=" + std::to_string(threads));
-      LearnRunOptions opt = base;
-      opt.jobs = jobs;
-      opt.threads = threads;
-      const LearnReport rep = run_ota_learn(opt);
-      EXPECT_EQ(render_json(rep), ref_json);
-      EXPECT_EQ(render_text(rep), ref_text);
-    }
+  for (unsigned jobs : {2u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    LearnRunOptions opt = base;
+    opt.jobs = jobs;
+    const LearnReport rep = run_ota_learn(opt);
+    EXPECT_EQ(render_json(rep), ref_json);
+    EXPECT_EQ(render_text(rep), ref_text);
   }
 }
 
@@ -169,7 +163,6 @@ TEST(LearnDiff, MutantReportByteIdenticalAcrossJobs) {
   a.jobs = 1;
   LearnRunOptions b = a;
   b.jobs = 4;
-  b.threads = 2;
   EXPECT_EQ(render_json(run_ota_learn(a)), render_json(run_ota_learn(b)));
 }
 

@@ -10,6 +10,12 @@
 // P as spec, because traces(T_t) = prefixes(t) and trace sets are
 // prefix-closed. Random terms come from the same seeded generator family as
 // refine_props_test, so failures reproduce by seed.
+//
+// Also here: the regression tests for canonical counterexample selection —
+// the first BFS level holding a violation wins, and ties within it break by
+// lexicographic trace order, then kind, event and acceptance — pinned on
+// terms with several candidate violations, where a scan-order-dependent
+// engine would be free to report any of them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -211,6 +217,105 @@ TEST_P(RefineDiff, MembershipIsInvariantUnderTauPadding) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RefineDiff, ::testing::Range(0u, 40u));
+
+// --- canonical counterexample selection regressions -------------------------
+
+class CanonicalCx : public ::testing::Test {
+ protected:
+  CanonicalCx() {
+    a = ctx.event(ctx.channel("a"));
+    b = ctx.event(ctx.channel("b"));
+    c = ctx.event(ctx.channel("c"));
+  }
+  Context ctx;
+  EventId a, b, c;
+};
+
+TEST_F(CanonicalCx, SameStateTieBreaksOnEventIdNotScanOrder) {
+  // SPEC = a -> a -> STOP; IMPL = a -> (c -> STOP [] b -> STOP).
+  // After <a> both branches violate at the same state. The implementation
+  // term lists c first, so a scan-order engine could report c; the
+  // canonical pick is the smaller event id b.
+  const ProcessRef spec = ctx.prefix(a, ctx.prefix(a, ctx.stop()));
+  const ProcessRef impl = ctx.prefix(
+      a, ctx.ext_choice(ctx.prefix(c, ctx.stop()), ctx.prefix(b, ctx.stop())));
+  const CheckResult r = check_refinement(ctx, spec, impl, Model::Traces);
+  ASSERT_FALSE(r.passed);
+  ASSERT_TRUE(r.counterexample);
+  EXPECT_EQ(r.counterexample->kind, Counterexample::Kind::TraceViolation);
+  EXPECT_EQ(r.counterexample->trace, std::vector<EventId>{a});
+  EXPECT_EQ(r.counterexample->event, b);
+}
+
+TEST_F(CanonicalCx, MultipleMinimalLengthFailuresPickLexSmallestTrace) {
+  // SPEC = (a -> a -> STOP) [] (b -> a -> STOP);
+  // IMPL = (a -> c -> STOP) [] (b -> b -> STOP).
+  // Two violations at minimal length 1: after <a> the event c, after <b>
+  // the event b. Same BFS level, different product states — the
+  // shortest-trace guarantee alone cannot separate them. The canonical
+  // pick is the lexicographically smaller trace <a>, hence event c.
+  const ProcessRef spec =
+      ctx.ext_choice(ctx.prefix(a, ctx.prefix(a, ctx.stop())),
+                     ctx.prefix(b, ctx.prefix(a, ctx.stop())));
+  const ProcessRef impl =
+      ctx.ext_choice(ctx.prefix(a, ctx.prefix(c, ctx.stop())),
+                     ctx.prefix(b, ctx.prefix(b, ctx.stop())));
+  const CheckResult r = check_refinement(ctx, spec, impl, Model::Traces);
+  ASSERT_FALSE(r.passed);
+  ASSERT_TRUE(r.counterexample);
+  EXPECT_EQ(r.counterexample->trace, std::vector<EventId>{a});
+  EXPECT_EQ(r.counterexample->event, c);
+}
+
+TEST_F(CanonicalCx, ShortestViolationWinsOverDeeperOnes) {
+  // SPEC = b -> a -> a -> STOP | IMPL = b -> a -> (b -> STOP [] a -> c -> STOP):
+  // a violation (b) at depth 2 and another (c) at depth 3 — the search
+  // must stop at the first violating level and never report c.
+  const ProcessRef spec =
+      ctx.prefix(b, ctx.prefix(a, ctx.prefix(a, ctx.stop())));
+  const ProcessRef impl = ctx.prefix(
+      b, ctx.prefix(a, ctx.ext_choice(
+                           ctx.prefix(b, ctx.stop()),
+                           ctx.prefix(a, ctx.prefix(c, ctx.stop())))));
+  const CheckResult r = check_refinement(ctx, spec, impl, Model::Traces);
+  ASSERT_FALSE(r.passed);
+  const std::vector<EventId> want{b, a};
+  EXPECT_EQ(r.counterexample->trace, want);
+  EXPECT_EQ(r.counterexample->event, b);
+  // product_states counts every state through the violating level:
+  // (spec0, impl0) -b-> (spec1, impl1) -a-> (spec2, impl2), which is where
+  // the b edge violates. Its a edge, scanned first (transitions are sorted
+  // by event id), reaches a fourth state (spec3, a -> c -> STOP) one level
+  // deeper; a search that stopped at the violating edge would count it.
+  EXPECT_EQ(r.stats.product_states, 3u);
+}
+
+TEST_F(CanonicalCx, VacuousPassIsFlagged) {
+  // SPEC = a -> STOP constrains {a}; IMPL = STOP never reaches it, so the
+  // pass is vacuous (the flag is computed after the sweep).
+  const ProcessRef spec = ctx.prefix(a, ctx.stop());
+  const ProcessRef impl = ctx.stop();
+  const CheckResult r = check_refinement(ctx, spec, impl, Model::Traces);
+  EXPECT_TRUE(r.passed);
+  EXPECT_TRUE(r.vacuous);
+}
+
+TEST_F(CanonicalCx, FdDivergenceViolationNamesTheDivergingPrefix) {
+  // IMPL = b -> (T \ {a}) with T = a -> T diverges right after <b>, where
+  // SPEC = b -> STOP does not.
+  ctx.define("T", [this](Context& cx, std::span<const Value>) {
+    return cx.prefix(a, cx.var("T"));
+  });
+  const ProcessRef spec = ctx.prefix(b, ctx.stop());
+  const ProcessRef impl =
+      ctx.prefix(b, ctx.hide(ctx.var("T"), EventSet{a}));
+  const CheckResult r =
+      check_refinement(ctx, spec, impl, Model::FailuresDivergences);
+  ASSERT_FALSE(r.passed);
+  ASSERT_EQ(r.counterexample->kind,
+            Counterexample::Kind::DivergenceViolation);
+  EXPECT_EQ(r.counterexample->trace, std::vector<EventId>{b});
+}
 
 }  // namespace
 }  // namespace ecucsp

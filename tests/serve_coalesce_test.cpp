@@ -2,8 +2,8 @@
 //
 //   * K concurrent identical submissions cause exactly ONE engine
 //     invocation, and all K callers receive byte-identical verdicts —
-//     counterexample bytes, vacuity, from_cache flags, the lot — across
-//     the whole jobs x threads grid {1,2,4}^2;
+//     counterexample bytes, vacuity, from_cache flags, the lot — at
+//     jobs {1,2,4};
 //   * a waiter departing mid-flight (its callback goes nowhere) never
 //     aborts the shared check: the flight's CancelToken stays unfired and
 //     every remaining waiter is answered;
@@ -86,10 +86,10 @@ struct Collector {
 
   VerifyService::Callback sink() {
     return [this](CheckResponse r) {
-      {
-        std::lock_guard lk(m);
-        got.push_back(std::move(r));
-      }
+      // Notify under the lock: a test may destroy the collector as soon as
+      // wait() returns, while the service's workers are still running.
+      std::lock_guard lk(m);
+      got.push_back(std::move(r));
       cv.notify_all();
     };
   }
@@ -104,48 +104,43 @@ store::Digest key_of(std::uint64_t n) { return store::Digest{n, ~n}; }
 TEST(ServeCoalesceTest, KIdenticalSubmissionsOneEngineRunAcrossGrid) {
   constexpr int K = 6;
   for (const unsigned jobs : {1u, 2u, 4u}) {
-    for (const unsigned threads : {1u, 2u, 4u}) {
-      ServiceOptions opts;
-      opts.jobs = jobs;
-      opts.threads = threads;
-      opts.memo_capacity = 0;  // isolate single-flight from the memo
-      VerifyService service(opts);
+    ServiceOptions opts;
+    opts.jobs = jobs;
+    opts.memo_capacity = 0;  // isolate single-flight from the memo
+    VerifyService service(opts);
 
-      Gate gate;
-      Collector out;
-      for (int i = 0; i < K; ++i) {
-        service.submit_keyed(key_of(1), gated_task(gate), i + 1, out.sink());
-      }
-      gate.wait_entered(1);  // the leader is inside the engine
-      EXPECT_EQ(service.in_flight(), 1u)
-          << "jobs=" << jobs << " threads=" << threads;
-      gate.open_up();
-      out.wait(K);
+    Gate gate;
+    Collector out;
+    for (int i = 0; i < K; ++i) {
+      service.submit_keyed(key_of(1), gated_task(gate), i + 1, out.sink());
+    }
+    gate.wait_entered(1);  // the leader is inside the engine
+    EXPECT_EQ(service.in_flight(), 1u) << "jobs=" << jobs;
+    gate.open_up();
+    out.wait(K);
 
-      EXPECT_EQ(gate.runs.load(), 1)
-          << "jobs=" << jobs << " threads=" << threads;
-      EXPECT_EQ(service.stats().engine_runs.load(), 1u);
-      EXPECT_EQ(service.stats().coalesced.load(),
-                static_cast<std::uint64_t>(K - 1));
+    EXPECT_EQ(gate.runs.load(), 1) << "jobs=" << jobs;
+    EXPECT_EQ(service.stats().engine_runs.load(), 1u);
+    EXPECT_EQ(service.stats().coalesced.load(),
+              static_cast<std::uint64_t>(K - 1));
 
-      // All K sharers: byte-identical verdicts, counterexamples included,
-      // same transport flags, distinct correlation ids.
-      ASSERT_EQ(out.got.size(), static_cast<std::size_t>(K));
-      const std::string block = out.got[0].verdict_block();
-      std::vector<bool> seen(K + 1, false);
-      for (const CheckResponse& r : out.got) {
-        EXPECT_EQ(r.status, ServeStatus::Failed);
-        EXPECT_EQ(r.verdict_block(), block);
-        EXPECT_EQ(r.counterexample,
-                  "gated spec [T= impl: <send.req, rec.rpt> then boom");
-        EXPECT_FALSE(r.from_cache);
-        EXPECT_FALSE(r.memo_hit);
-        EXPECT_TRUE(r.coalesced);
-        ASSERT_GE(r.id, 1u);
-        ASSERT_LE(r.id, static_cast<std::uint64_t>(K));
-        EXPECT_FALSE(seen[r.id]) << "duplicate response for id " << r.id;
-        seen[r.id] = true;
-      }
+    // All K sharers: byte-identical verdicts, counterexamples included,
+    // same transport flags, distinct correlation ids.
+    ASSERT_EQ(out.got.size(), static_cast<std::size_t>(K));
+    const std::string block = out.got[0].verdict_block();
+    std::vector<bool> seen(K + 1, false);
+    for (const CheckResponse& r : out.got) {
+      EXPECT_EQ(r.status, ServeStatus::Failed);
+      EXPECT_EQ(r.verdict_block(), block);
+      EXPECT_EQ(r.counterexample,
+                "gated spec [T= impl: <send.req, rec.rpt> then boom");
+      EXPECT_FALSE(r.from_cache);
+      EXPECT_FALSE(r.memo_hit);
+      EXPECT_TRUE(r.coalesced);
+      ASSERT_GE(r.id, 1u);
+      ASSERT_LE(r.id, static_cast<std::uint64_t>(K));
+      EXPECT_FALSE(seen[r.id]) << "duplicate response for id " << r.id;
+      seen[r.id] = true;
     }
   }
 }

@@ -6,10 +6,12 @@
 //   * outcomes come back in submission order;
 //   * a diverging/huge check with a tiny timeout returns TimedOut without
 //     stalling the pool, leaking a thread, or disturbing its neighbours;
-//   * cancellation is cooperative and immediate for queued tasks.
+//   * cancellation is cooperative and immediate for queued tasks, and a
+//     mid-flight cancel_all() leaves the pool reusable.
 // The CI thread-sanitizer job runs this binary to police data races.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 #include "verify/ota_batch.hpp"
@@ -180,6 +182,43 @@ TEST(VerifyScheduler, CancelAllCancelsQueuedTasks) {
   ASSERT_EQ(batch.outcomes.size(), tasks.size());
   // The tail of the queue was cancelled before it started.
   EXPECT_EQ(batch.outcomes.back().status, TaskStatus::Cancelled);
+}
+
+TEST(VerifyScheduler, MidFlightCancellationUnwindsWithoutDeadlockOrLeak) {
+  // Dilated matrix on two workers: enough product-space work that
+  // cancel_all() lands while checks are mid-exploration on both workers at
+  // once, unlike CancelAllCancelsQueuedTasks, which only drains the queue
+  // behind one job.
+  const std::vector<CheckTask> suite =
+      ota_requirement_matrix({.dilation = 5});
+
+  VerifyScheduler sched({.jobs = 2});
+  std::jthread killer([&sched] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    sched.cancel_all();
+  });
+
+  const BatchResult batch = sched.run(suite);
+  killer.join();
+
+  // Every task reached a terminal status — nothing hung. Do NOT assert
+  // all_as_expected: whichever tasks finished before the cancellation keep
+  // their real verdicts, the rest come back Cancelled.
+  ASSERT_EQ(batch.outcomes.size(), suite.size());
+  for (const TaskOutcome& o : batch.outcomes) {
+    EXPECT_TRUE(o.status == TaskStatus::Passed ||
+                o.status == TaskStatus::Failed ||
+                o.status == TaskStatus::Cancelled ||
+                o.status == TaskStatus::TimedOut)
+        << o.name << ": " << to_string(o.status);
+  }
+
+  // The pool survived: a follow-up batch on the same scheduler runs to
+  // completion with correct verdicts (no leaked tokens, no stuck worker).
+  std::vector<CheckTask> full = ota_requirement_matrix();
+  for (CheckTask& t : ota_extended_batch()) full.push_back(std::move(t));
+  const BatchResult probe = sched.run(full);
+  EXPECT_TRUE(probe.all_as_expected());
 }
 
 TEST(VerifyScheduler, CsmpSourceTasksRunPerAssertion) {
