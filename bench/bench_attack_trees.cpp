@@ -60,7 +60,7 @@ void CspTranslationAndCompile(benchmark::State& state) {
   std::size_t states = 0;
   for (auto _ : state) {
     Context ctx;
-    const Lts lts = compile_lts(ctx, tree.to_csp(ctx));
+    const CompactLts lts = compile_lts(ctx, tree.to_csp(ctx));
     states = lts.state_count();
   }
   state.counters["lts_states"] = static_cast<double>(states);
@@ -98,7 +98,7 @@ void OtaAttackTree(benchmark::State& state) {
   for (auto _ : state) {
     Context ctx;
     const ProcessRef p = tree.to_csp(ctx);
-    const Lts lts = compile_lts(ctx, p);
+    const CompactLts lts = compile_lts(ctx, p);
     seqs = tree.sequences().size();
     benchmark::DoNotOptimize(lts);
   }

@@ -123,7 +123,7 @@ Workload build(std::int64_t cyclers, bool corrupt_last) {
 
   const ProcessRef spec = run_spec(ctx, cyc, cyclers);
   Workload w;
-  w.impl = compact_from_lts(compile_lts(ctx, impl));
+  w.impl = compile_lts(ctx, impl);
   w.spec = normalize(compile_lts(ctx, spec), /*with_divergence=*/false);
   return w;
 }

@@ -25,7 +25,7 @@ void CompileVariant(benchmark::State& state) {
     const ProcessRef p = which == 0   ? model->system_plain
                          : which == 1 ? model->system_attacked
                                       : model->system_unprotected;
-    const Lts lts = compile_lts(model->ctx, p);
+    const CompactLts lts = compile_lts(model->ctx, p);
     states = lts.state_count();
     transitions = lts.transition_count();
   }

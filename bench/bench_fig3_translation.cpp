@@ -43,7 +43,7 @@ int main() {
   cspm::Evaluator ev(ctx);
   ev.load_source(r.cspm);
   const ProcessRef ecu = ev.process("ECU");
-  const Lts lts = compile_lts(ctx, ecu);
+  const CompactLts lts = compile_lts(ctx, ecu);
   const CheckResult div = check_divergence_free(ctx, ecu);
   std::printf("\nround trip: generated script parses; ECU compiles to %zu "
               "states / %zu transitions; divergence free: %s\n",

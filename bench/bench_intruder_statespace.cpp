@@ -19,7 +19,7 @@ void OtaWithAndWithoutAttacker(benchmark::State& state) {
   std::size_t states = 0, transitions = 0;
   for (auto _ : state) {
     auto model = ota::build_ota_model();
-    const Lts lts = compile_lts(
+    const CompactLts lts = compile_lts(
         model->ctx, attacked ? model->system_attacked : model->system_plain);
     states = lts.state_count();
     transitions = lts.transition_count();

@@ -106,7 +106,7 @@ void NormalisationCost(benchmark::State& state) {
   std::size_t nodes = 0;
   for (auto _ : state) {
     Context ctx;
-    const Lts lts = compile_lts(ctx, toggles(ctx, n));
+    const CompactLts lts = compile_lts(ctx, toggles(ctx, n));
     const NormLts norm = normalize(lts, /*with_divergence=*/true);
     nodes = norm.nodes.size();
     benchmark::DoNotOptimize(norm);
@@ -202,7 +202,7 @@ CompressWorkload hidden_workload(int n) {
   });
 
   CompressWorkload w;
-  w.impl = compact_from_lts(compile_lts(ctx, impl));
+  w.impl = compile_lts(ctx, impl);
   w.spec = normalize(compile_lts(ctx, ctx.var("CRUN", {})),
                      /*with_divergence=*/false);
   return w;
@@ -245,10 +245,10 @@ void MinimizationCost(benchmark::State& state) {
   std::size_t before = 0, after = 0;
   for (auto _ : state) {
     Context ctx;
-    const Lts lts = compile_lts(ctx, toggles(ctx, n));
-    const MinimizeResult min = minimize_strong(lts);
+    const CompactLts lts = compile_lts(ctx, toggles(ctx, n));
+    const CompactLts min = compress_compact(lts, Compression::Bisim);
     before = lts.state_count();
-    after = min.lts.state_count();
+    after = min.state_count();
   }
   state.counters["states_before"] = static_cast<double>(before);
   state.counters["states_after"] = static_cast<double>(after);

@@ -61,8 +61,8 @@ SymAutomaton compile_sym_automaton(Context& ctx, ProcessRef p,
                                    CancelToken* cancel) {
   const EventSet hidden = ctx.alphabet().set_difference(keep);
   const ProcessRef visible = hidden.empty() ? p : ctx.hide(p, hidden);
-  const Lts lts = compile_lts(ctx, visible, max_states, cancel);
-  const NormLts norm = normalize(lts, /*with_divergence=*/false, cancel);
+  const NormLts norm = normalize(compile_lts(ctx, visible, max_states, cancel),
+                                 /*with_divergence=*/false, cancel);
 
   SymAutomaton out;
   out.root = norm.root;

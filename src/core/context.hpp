@@ -13,9 +13,11 @@
 //     const ones, may touch the interner/arena caches.
 //   * One verification task = one Context, built and destroyed on the
 //     worker thread that runs the task. Nothing that borrows from a
-//     Context (ProcessRef, EventId, Counterexample, compiled Lts) may
-//     outlive it or cross to another thread; flatten to plain strings
-//     first (see verify::render).
+//     Context (ProcessRef, EventId, Counterexample) may outlive it or
+//     cross to another thread; flatten to plain strings first (see
+//     verify::render). A compiled CompactLts or NormLts holds no term
+//     pointers and stays usable as plain data, but its event ids mean
+//     something only to the Context that compiled it.
 //   * Run independent checks on independent Contexts. Two threads may each
 //     own a Context; two threads must never share one, even read-only.
 #pragma once

@@ -42,13 +42,18 @@ std::optional<Hypothesis> decode_hypothesis(
   try {
     store::ByteReader r(
         store::unseal(store::ArtifactKind::LearnedModel, blob));
+    // Every count is bounded by the bytes left before it sizes anything:
+    // each name, table entry and access-word event takes at least one byte.
     Hypothesis h;
     const std::uint64_t k = r.uv();
+    if (k > r.remaining()) return std::nullopt;
     h.alphabet.reserve(k);
     for (std::uint64_t i = 0; i < k; ++i) h.alphabet.push_back(r.str());
     h.root = static_cast<std::uint32_t>(r.uv());
     const std::uint64_t n = r.uv();
     if (h.root >= n && n > 0) return std::nullopt;
+    // Each state takes k table entries plus its access-word length.
+    if (n > r.remaining() / (k + 1)) return std::nullopt;
     h.succ.assign(n, std::vector<std::uint32_t>(k, Hypothesis::DEAD));
     for (std::uint64_t s = 0; s < n; ++s) {
       for (std::uint64_t a = 0; a < k; ++a) {
@@ -61,6 +66,7 @@ std::optional<Hypothesis> decode_hypothesis(
     h.access.resize(n);
     for (std::uint64_t s = 0; s < n; ++s) {
       const std::uint64_t len = r.uv();
+      if (len > r.remaining()) return std::nullopt;
       h.access[s].reserve(len);
       for (std::uint64_t i = 0; i < len; ++i) {
         h.access[s].push_back(r.str());

@@ -23,19 +23,25 @@ conform::SymAutomaton to_sym_automaton(const Hypothesis& h) {
   return a;
 }
 
-Lts to_lts(Context& ctx, const conform::SymAutomaton& a) {
-  Lts lts;
-  lts.root = a.root;
-  lts.succ.resize(a.succ.size());
-  lts.term_of.assign(a.succ.size(), ctx.stop());
-  lts.omega.assign(a.succ.size(), false);
-  for (std::uint32_t s = 0; s < a.succ.size(); ++s) {
-    for (const conform::SymEdge& e : a.succ[s]) {
-      lts.succ[s].push_back(
-          LtsTransition{ctx.event(ctx.channel(e.event)), e.target});
+namespace {
+
+/// Append `a`'s rows to `lts`, state ids shifted by `shift`.
+void add_rows(CompactBuilder& lts, Context& ctx,
+              const conform::SymAutomaton& a, StateId shift) {
+  for (const auto& row : a.succ) {
+    for (const conform::SymEdge& e : row) {
+      lts.edge(ctx.event(ctx.channel(e.event)), shift + e.target);
     }
+    lts.end_state();
   }
-  return lts;
+}
+
+}  // namespace
+
+CompactLts to_lts(Context& ctx, const conform::SymAutomaton& a) {
+  CompactBuilder lts;
+  add_rows(lts, ctx, a, 0);
+  return std::move(lts).finish(a.root);
 }
 
 ProcessRef to_process(Context& ctx, const conform::SymAutomaton& a,
@@ -47,21 +53,16 @@ bool strong_bisim_equivalent(const conform::SymAutomaton& a,
                              const conform::SymAutomaton& b) {
   // Disjoint union in one fresh Context (shared event interning, shifted
   // state ids for b), then one partition refinement over ALL states —
-  // minimize_strong partitions the whole machine, reachable or not, so
-  // both roots land in blocks of the same partition.
+  // bisim_partition covers the whole machine, reachable or not, so both
+  // roots land in blocks of the same partition.
   Context ctx;
-  Lts u = to_lts(ctx, a);
-  const Lts lb = to_lts(ctx, b);
-  const auto shift = static_cast<StateId>(u.succ.size());
-  u.succ.reserve(u.succ.size() + lb.succ.size());
-  for (const auto& row : lb.succ) {
-    u.succ.push_back(row);
-    for (LtsTransition& t : u.succ.back()) t.target += shift;
-    u.term_of.push_back(ctx.stop());
-    u.omega.push_back(false);
-  }
-  const MinimizeResult m = minimize_strong(u);
-  return m.block_of[a.root] == m.block_of[shift + b.root];
+  CompactBuilder u;
+  add_rows(u, ctx, a, 0);
+  const auto shift = static_cast<StateId>(a.succ.size());
+  add_rows(u, ctx, b, shift);
+  const std::vector<StateId> block =
+      bisim_partition(std::move(u).finish(a.root));
+  return block[a.root] == block[shift + b.root];
 }
 
 conform::SymAutomaton testable_projection(

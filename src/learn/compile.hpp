@@ -4,10 +4,10 @@
 //
 // A Hypothesis is already a deterministic automaton over event-name
 // strings; this layer (1) converts it to conform::SymAutomaton so suite
-// generation can walk it, (2) interns it into a Context as an Lts /
+// generation can walk it, (2) interns it into a Context as a CompactLts /
 // process term so the refinement engine can check R01–R05 against it, and
 // (3) decides strong-bisimulation equivalence of two string-event automata
-// by minimising their disjoint union with refine's minimize_strong — the
+// by partitioning their disjoint union with refine's bisim_partition — the
 // judge the learn_diff_test battery uses to compare learned hypotheses
 // with their seeded spec automata.
 #pragma once
@@ -20,16 +20,16 @@
 #include "conform/automaton.hpp"
 #include "core/context.hpp"
 #include "learn/learner.hpp"
-#include "refine/lts.hpp"
+#include "refine/compact.hpp"
 
 namespace ecucsp::learn {
 
 /// The hypothesis as a conform automaton (live transitions only).
 conform::SymAutomaton to_sym_automaton(const Hypothesis& h);
 
-/// Intern a string-event automaton into `ctx` as an explicit LTS: each
+/// Intern a string-event automaton into `ctx` as an explicit machine: each
 /// distinct event name becomes a field-less channel, states map 1:1.
-Lts to_lts(Context& ctx, const conform::SymAutomaton& a);
+CompactLts to_lts(Context& ctx, const conform::SymAutomaton& a);
 
 /// to_lts wrapped into a process term (refine::lts_to_process); `name`
 /// must be fresh in the Context.
@@ -37,7 +37,7 @@ ProcessRef to_process(Context& ctx, const conform::SymAutomaton& a,
                       const std::string& name);
 
 /// Strong-bisimulation equivalence of two deterministic string-event
-/// automata (every state accepting): minimise the disjoint union, compare
+/// automata (every state accepting): partition the disjoint union, compare
 /// root blocks. For deterministic automata this coincides with language
 /// equality, so it is exactly "the learner reproduced the spec".
 bool strong_bisim_equivalent(const conform::SymAutomaton& a,

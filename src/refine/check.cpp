@@ -16,15 +16,15 @@ std::atomic<CheckCache*> g_check_cache{nullptr};
 
 /// compile_lts through the installed cache's LTS tier: a hit skips the
 /// exploration entirely (the dominant cost of every check below).
-Lts compile_or_load(Context& ctx, ProcessRef root, std::size_t max_states,
-                    CancelToken* cancel) {
+CompactLts compile_or_load(Context& ctx, ProcessRef root,
+                           std::size_t max_states, CancelToken* cancel) {
   CheckCache* const cache = g_check_cache.load(std::memory_order_acquire);
   if (cache) {
     if (auto lts = cache->lookup_lts(ctx, root, max_states)) {
       return std::move(*lts);
     }
   }
-  Lts lts = compile_lts(ctx, root, max_states, cancel);
+  CompactLts lts = compile_lts(ctx, root, max_states, cancel);
   if (cache) cache->store_lts(ctx, root, max_states, lts);
   return lts;
 }
@@ -230,8 +230,7 @@ SearchOutcome product_search(const G& g, CancelToken* cancel) {
 // --- graph adapters ----------------------------------------------------------
 //
 // The adapters read only the pre-compiled CompactLts/NormLts structures,
-// never a Context. The hot loops index the compact CSR arrays directly: one
-// pointer chase per state row instead of a vector-of-vectors walk per edge.
+// never a Context. The hot loops index the compact CSR arrays directly.
 
 /// The normalized-spec × implementation product for SPEC [T=/[F=/[FD= IMPL.
 struct RefinementGraph {
@@ -335,8 +334,8 @@ struct LtsGraph {
 };
 
 /// IMPL :[deadlock free] — a reachability search for stuck non-terminated
-/// states. Post-tick and Omega classification was baked into the compact
-/// flags at conversion time, so inspect() is a flag test.
+/// states. Post-tick and Omega classification is baked into the compact
+/// flags at compile time, so inspect() is a flag test.
 struct DeadlockGraph : LtsGraph {
   std::optional<Counterexample> inspect(Node s) const {
     // States entered by a tick are successful termination, not deadlock.
@@ -439,34 +438,19 @@ CheckResult refinement_sweep(const NormLts& norm, const CompactLts& impl,
   }
   result.passed = true;
 
-  // Vacuity: which events does the spec actually *constrain*? An event
-  // allowed in every normal node (e.g. everything under RUN(Sigma)) is
-  // never restricted, so it cannot witness the property; the constrained
-  // set is the union-minus-intersection of per-node initials. If the
-  // implementation's reachable alphabet misses all of them, the pass is
-  // trivially true — flag it rather than let a broken extraction "verify".
-  // The impl side is invariant under check_refinement_compiled's
-  // reductions: compression never removes an event from the impl's
-  // reachable alphabet without removing it everywhere.
-  {
-    EventSet allowed_union;
-    EventSet allowed_inter;
-    bool first = true;
-    for (const NormNode& n : norm.nodes) {
-      allowed_union = allowed_union.set_union(n.initials);
-      allowed_inter = first ? n.initials : allowed_inter.set_intersection(n.initials);
-      first = false;
+  // Vacuity: if the implementation's reachable alphabet misses every event
+  // the spec constrains, the pass is trivially true — flag it rather than
+  // let a broken extraction "verify". The impl side is invariant under
+  // check_refinement_compiled's reductions: compression never removes an
+  // event from the impl's reachable alphabet without removing it everywhere.
+  const EventSet constrained = constrained_events(norm).constrained;
+  if (!constrained.empty()) {
+    bool touched = false;
+    for (std::size_t k = 0; k < impl.events.size() && !touched; ++k) {
+      const EventId e = impl.global_event(impl.events[k]);
+      if (e != TAU && e != TICK && constrained.contains(e)) touched = true;
     }
-    EventSet constrained = allowed_union.set_difference(allowed_inter);
-    constrained = constrained.set_difference(EventSet{TAU, TICK});
-    if (!constrained.empty()) {
-      bool touched = false;
-      for (std::size_t k = 0; k < impl.events.size() && !touched; ++k) {
-        const EventId e = impl.global_event(impl.events[k]);
-        if (e != TAU && e != TICK && constrained.contains(e)) touched = true;
-      }
-      result.vacuous = !touched;
-    }
+    result.vacuous = !touched;
   }
   return result;
 }
@@ -474,12 +458,11 @@ CheckResult refinement_sweep(const NormLts& norm, const CompactLts& impl,
 CheckResult refinement_uncached(Context& ctx, ProcessRef spec, ProcessRef impl,
                                 Model model, std::size_t max_states,
                                 CancelToken* cancel) {
-  const Lts spec_lts = compile_or_load(ctx, spec, max_states, cancel);
+  const CompactLts spec_lts = compile_or_load(ctx, spec, max_states, cancel);
   const NormLts norm =
       normalize(spec_lts, model == Model::FailuresDivergences, cancel);
-  const Lts impl_lts = compile_or_load(ctx, impl, max_states, cancel);
-  CheckResult result =
-      refinement_sweep(norm, compact_from_lts(impl_lts), model, cancel);
+  CheckResult result = refinement_sweep(
+      norm, compile_or_load(ctx, impl, max_states, cancel), model, cancel);
   result.stats.spec_states = spec_lts.state_count();
   return result;
 }
@@ -490,10 +473,10 @@ template <typename Sweep>
 CheckResult unary_uncached(Context& ctx, ProcessRef p, std::size_t max_states,
                            CancelToken* cancel, Sweep sweep) {
   CheckResult result;
-  const Lts lts = compile_or_load(ctx, p, max_states, cancel);
+  const CompactLts lts = compile_or_load(ctx, p, max_states, cancel);
   result.stats.impl_states = lts.state_count();
   result.stats.impl_transitions = lts.transition_count();
-  SearchOutcome out = sweep(compact_from_lts(lts), result.stats);
+  SearchOutcome out = sweep(lts, result.stats);
   result.counterexample = std::move(out.counterexample);
   result.passed = !result.counterexample;
   return result;
@@ -569,7 +552,7 @@ CheckResult check_deterministic(Context& ctx, ProcessRef p,
 TraceMembership is_trace_of(Context& ctx, ProcessRef p,
                             const std::vector<EventId>& trace,
                             std::size_t max_states) {
-  const Lts lts = compile_or_load(ctx, p, max_states, nullptr);
+  const CompactLts lts = compile_or_load(ctx, p, max_states, nullptr);
   // Frontier of LTS states reachable on the consumed prefix, tau-closed.
   std::set<StateId> frontier{lts.root};
   const auto tau_close = [&](std::set<StateId>& states) {
@@ -577,9 +560,9 @@ TraceMembership is_trace_of(Context& ctx, ProcessRef p,
     while (!work.empty()) {
       const StateId s = work.back();
       work.pop_back();
-      for (const LtsTransition& t : lts.succ[s]) {
-        if (t.event == TAU && states.insert(t.target).second) {
-          work.push_back(t.target);
+      for (std::uint32_t k = lts.begin(s); k < lts.end(s); ++k) {
+        if (lts.events[k] == lts.tau && states.insert(lts.targets[k]).second) {
+          work.push_back(lts.targets[k]);
         }
       }
     }
@@ -588,17 +571,20 @@ TraceMembership is_trace_of(Context& ctx, ProcessRef p,
 
   TraceMembership result;
   for (const EventId e : trace) {
+    const LocalEvent le = lts.local_event(e);
     std::set<StateId> next;
     for (const StateId s : frontier) {
-      for (const LtsTransition& t : lts.succ[s]) {
-        if (t.event == e) next.insert(t.target);
+      for (std::uint32_t k = lts.begin(s); k < lts.end(s); ++k) {
+        if (lts.events[k] == le) next.insert(lts.targets[k]);
       }
     }
     if (next.empty()) {
       std::vector<EventId> offered;
       for (const StateId s : frontier) {
-        for (const LtsTransition& t : lts.succ[s]) {
-          if (t.event != TAU) offered.push_back(t.event);
+        for (std::uint32_t k = lts.begin(s); k < lts.end(s); ++k) {
+          if (lts.events[k] != lts.tau) {
+            offered.push_back(lts.global_event(lts.events[k]));
+          }
         }
       }
       result.offered = EventSet(std::move(offered));
@@ -615,7 +601,7 @@ TraceMembership is_trace_of(Context& ctx, ProcessRef p,
 std::vector<std::vector<EventId>> enumerate_traces(Context& ctx, ProcessRef p,
                                                    std::size_t max_length,
                                                    std::size_t max_states) {
-  const Lts lts = compile_or_load(ctx, p, max_states, nullptr);
+  const CompactLts lts = compile_or_load(ctx, p, max_states, nullptr);
   std::set<std::vector<EventId>> traces;
   // BFS over (state, trace) pairs, pruned by max_length; the visited set is
   // on pairs to keep this terminating on cyclic LTSs.
@@ -627,14 +613,14 @@ std::vector<std::vector<EventId>> enumerate_traces(Context& ctx, ProcessRef p,
   while (!frontier.empty()) {
     auto [s, trace] = std::move(frontier.front());
     frontier.pop_front();
-    for (const LtsTransition& t : lts.succ[s]) {
+    for (std::uint32_t k = lts.begin(s); k < lts.end(s); ++k) {
       std::vector<EventId> next = trace;
-      if (t.event != TAU) {
+      if (lts.events[k] != lts.tau) {
         if (trace.size() >= max_length) continue;
-        next.push_back(t.event);
+        next.push_back(lts.global_event(lts.events[k]));
         traces.insert(next);
       }
-      auto key = std::make_pair(t.target, next);
+      auto key = std::make_pair(lts.targets[k], next);
       if (seen.insert(key).second) frontier.push_back(std::move(key));
     }
   }

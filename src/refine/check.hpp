@@ -117,10 +117,10 @@ class CheckCache {
   /// LTS tier: lets a check that misses the verdict tier still skip the
   /// exploration when the same term was compiled before (possibly under a
   /// different spec, or by a different worker).
-  virtual std::optional<Lts> lookup_lts(Context& ctx, ProcessRef root,
-                                        std::size_t max_states) = 0;
+  virtual std::optional<CompactLts> lookup_lts(Context& ctx, ProcessRef root,
+                                               std::size_t max_states) = 0;
   virtual void store_lts(Context& ctx, ProcessRef root, std::size_t max_states,
-                         const Lts& lts) = 0;
+                         const CompactLts& lts) = 0;
 };
 
 /// Install a process-wide cache consulted by every check entry point and by

@@ -32,60 +32,20 @@ LocalEvent CompactLts::local_event(EventId e) const {
   return static_cast<LocalEvent>(it - alphabet.begin());
 }
 
-CompactLts compact_from_lts(const Lts& lts) {
-  const std::size_t n = lts.state_count();
-  CompactLts c;
-  c.root = lts.root;
-
-  // Intern the alphabet: sorted unique global ids. Local ids are therefore a
-  // function of the *set* of events alone — stable under any transition
-  // insertion order (refine_compact_test pins this).
-  std::vector<EventId> alpha;
-  for (const auto& row : lts.succ) {
-    for (const LtsTransition& t : row) alpha.push_back(t.event);
-  }
+CompactLts CompactBuilder::finish(StateId root) && {
+  CompactLts& c = lts_;
+  c.root = root;
+  std::vector<EventId> alpha(c.events.begin(), c.events.end());
   std::sort(alpha.begin(), alpha.end());
   alpha.erase(std::unique(alpha.begin(), alpha.end()), alpha.end());
   c.alphabet = std::move(alpha);
   c.tau = c.local_event(TAU);
   c.tick = c.local_event(TICK);
-
-  c.offsets.reserve(n + 1);
-  c.events.reserve(lts.transition_count());
-  c.targets.reserve(lts.transition_count());
-  c.flags.assign(n, 0);
-  for (StateId s = 0; s < n; ++s) {
-    for (const LtsTransition& t : lts.succ[s]) {
-      c.events.push_back(c.local_event(t.event));
-      c.targets.push_back(t.target);
-      if (t.event == TICK) c.flags[t.target] |= CompactLts::kPostTick;
-    }
-    c.offsets.push_back(static_cast<std::uint32_t>(c.events.size()));
-    // Prefer the compile-time omega record: term_of pointers dangle once
-    // the owning Context dies, and compiled structures must stay usable as
-    // plain data. Hand-built machines (no omega vector) keep terms alive.
-    const bool omega = s < lts.omega.size()
-                           ? lts.omega[s]
-                           : s < lts.term_of.size() && lts.term_of[s] &&
-                                 lts.term_of[s]->op() == Op::Omega;
-    if (omega) c.flags[s] |= CompactLts::kOmega;
+  for (std::size_t k = 0; k < c.events.size(); ++k) {
+    c.events[k] = c.local_event(c.events[k]);
+    if (c.events[k] == c.tick) c.flags[c.targets[k]] |= CompactLts::kPostTick;
   }
-  return c;
-}
-
-Lts compact_to_lts(const CompactLts& c) {
-  Lts lts;
-  lts.root = c.root;
-  lts.succ.resize(c.state_count());
-  lts.omega.reserve(c.state_count());
-  for (StateId s = 0; s < c.state_count(); ++s) {
-    lts.succ[s].reserve(c.degree(s));
-    for (std::uint32_t k = c.begin(s); k < c.end(s); ++k) {
-      lts.succ[s].push_back({c.global_event(c.events[k]), c.targets[k]});
-    }
-    lts.omega.push_back(c.is_omega(s));
-  }
-  return lts;
+  return std::move(c);
 }
 
 namespace {
@@ -232,47 +192,14 @@ CompactLts finalize(StateId root, const Rows& rows,
   return out;
 }
 
-/// Strong-bisimulation quotient (Kanellakis–Smolka partition refinement,
-/// the minimize.cpp algorithm on the compact form). The initial partition
-/// separates terminal classes — Omega, post-tick and deadlocked states have
-/// identical (empty) transition signatures but different meaning to the
-/// deadlock check, so they must never share a block.
+/// Strong-bisimulation quotient: one state per bisim_partition block.
 CompactLts bisim_quotient(const CompactLts& c, CancelToken* cancel) {
   const std::size_t n = c.state_count();
   if (n == 0) return c;
-  if (cancel) cancel->poll_now();
-
-  std::vector<StateId> block(n);
-  for (StateId s = 0; s < n; ++s) {
-    block[s] = c.degree(s) > 0 ? 0
-                               : 1 + (c.is_omega(s) ? 1u : 0u) +
-                                     (c.is_post_tick(s) ? 2u : 0u);
-  }
-  std::size_t blocks = 0;  // force at least one refinement round
-  for (;;) {
-    std::map<std::pair<StateId, std::set<std::pair<LocalEvent, StateId>>>,
-             StateId>
-        sig_to_new;
-    std::vector<StateId> next(n);
-    StateId next_blocks = 0;
-    for (StateId s = 0; s < n; ++s) {
-      if (cancel) cancel->poll();
-      std::set<std::pair<LocalEvent, StateId>> sig;
-      for (std::uint32_t k = c.begin(s); k < c.end(s); ++k) {
-        sig.emplace(c.events[k], block[c.targets[k]]);
-      }
-      const auto key = std::make_pair(block[s], std::move(sig));
-      auto it = sig_to_new.find(key);
-      if (it == sig_to_new.end()) {
-        it = sig_to_new.emplace(key, next_blocks++).first;
-      }
-      next[s] = it->second;
-    }
-    const bool stable = next_blocks == blocks;
-    block = std::move(next);
-    blocks = next_blocks;
-    if (stable) break;
-  }
+  const std::vector<StateId> block = bisim_partition(c, cancel);
+  const std::size_t blocks =
+      static_cast<std::size_t>(*std::max_element(block.begin(), block.end())) +
+      1;
   if (blocks == n) return c;  // already minimal: skip the rebuild
 
   Rows rows(n);
@@ -461,6 +388,59 @@ std::vector<bool> CompactLts::divergent_states() const {
     }
   }
   return diverges;
+}
+
+std::vector<StateId> bisim_partition(const CompactLts& c, CancelToken* cancel) {
+  const std::size_t n = c.state_count();
+  std::vector<StateId> block(n);
+  if (n == 0) return block;
+  if (cancel) cancel->poll_now();
+
+  // The seed is coarser than bisimilarity, so the fixpoint is unchanged, but
+  // a deterministic τ-free machine stabilises in one round instead of
+  // re-deriving its label sets.
+  std::size_t blocks = 0;
+  {
+    std::map<std::pair<std::uint8_t, std::vector<LocalEvent>>, StateId> seed;
+    std::vector<LocalEvent> labels;
+    for (StateId s = 0; s < n; ++s) {
+      labels.assign(c.events.begin() + c.begin(s), c.events.begin() + c.end(s));
+      std::sort(labels.begin(), labels.end());
+      labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+      block[s] = seed.emplace(std::make_pair(c.flags[s], labels),
+                              static_cast<StateId>(seed.size()))
+                     .first->second;
+    }
+    blocks = seed.size();
+  }
+  // Split by transition signature (event -> target block) until stable.
+  // Each round numbers blocks by first occurrence, so the final numbering
+  // is a function of the classes alone.
+  for (;;) {
+    std::map<std::pair<StateId, std::set<std::pair<LocalEvent, StateId>>>,
+             StateId>
+        sig_to_new;
+    std::vector<StateId> next(n);
+    StateId next_blocks = 0;
+    for (StateId s = 0; s < n; ++s) {
+      if (cancel) cancel->poll();
+      std::set<std::pair<LocalEvent, StateId>> sig;
+      for (std::uint32_t k = c.begin(s); k < c.end(s); ++k) {
+        sig.emplace(c.events[k], block[c.targets[k]]);
+      }
+      const auto key = std::make_pair(block[s], std::move(sig));
+      auto it = sig_to_new.find(key);
+      if (it == sig_to_new.end()) {
+        it = sig_to_new.emplace(key, next_blocks++).first;
+      }
+      next[s] = it->second;
+    }
+    const bool stable = next_blocks == blocks;
+    block = std::move(next);
+    blocks = next_blocks;
+    if (stable) break;
+  }
+  return block;
 }
 
 CompactLts compress_compact(const CompactLts& in, Compression mode,

@@ -1,21 +1,19 @@
 // Compact arena-backed LTS core and FDR-style state-space reduction.
 //
-// CompactLts is the struct-of-arrays twin of Lts: one flat CSR transition
-// arena (offsets / events / targets) instead of a vector-of-vectors, with
-// event ids interned into a per-machine alphabet table so the hot product
-// sweep compares dense 32-bit local ids and walks contiguous successor
-// ranges with no pointer chasing. compact_from_lts preserves per-state
-// transition order exactly, so a sweep over the compact form visits states
-// in the same sequential BFS insertion order as one over the source Lts —
-// which is what keeps the checks byte-identical to the historical engine
-// (verdicts, counterexamples, vacuity, stats and hence every cache digest).
+// CompactLts is the library's one explicit machine: a flat CSR transition
+// arena (offsets / events / targets) with event ids interned into a
+// per-machine alphabet table, so the hot product sweep compares dense 32-bit
+// local ids and walks contiguous successor ranges with no pointer chasing.
+// Rows keep compile_lts's transition order, so sweeps visit states in its
+// BFS insertion order — what keeps the checks byte-identical (verdicts,
+// counterexamples, vacuity, stats and hence every cache digest).
 //
 // On top of the representation sit the classic FDR compressions, explicit
 // operations on compiled machines (compress_compact):
 //
-//   bisim    strong-bisimulation quotienting (partition refinement seeded by
-//            terminal class, so Omega / post-tick / deadlock states never
-//            merge across semantic lines);
+//   bisim    strong-bisimulation quotienting by bisim_partition (seeded by
+//            the terminal flags, so Omega / post-tick / deadlock states
+//            never merge across semantic lines);
 //   diamond  τ-structure elimination: τ-SCC contraction (cyclic SCCs keep a
 //            single τ self-loop so divergence survives), inert single-τ
 //            chain collapse (guarded against incoming TICK edges so
@@ -39,7 +37,7 @@
 #include <vector>
 
 #include "core/cancel.hpp"
-#include "refine/lts.hpp"
+#include "core/event.hpp"
 
 namespace ecucsp {
 
@@ -57,6 +55,8 @@ std::string_view to_string(Compression c);
 
 // --- the compact representation ----------------------------------------------
 
+using StateId = std::uint32_t;
+
 /// Index into CompactLts::alphabet — a machine-local interned event id.
 /// Local ids follow the global EventId order (the alphabet is sorted), so
 /// TAU, when present, is always local id 0.
@@ -64,8 +64,8 @@ using LocalEvent = std::uint32_t;
 inline constexpr LocalEvent NO_LOCAL_EVENT = 0xffffffffu;
 
 struct CompactLts {
-  /// Per-state semantic flags, the information DeadlockGraph used to pull
-  /// from Lts::term_of / a side post_tick vector.
+  /// Per-state semantic flags, recorded while the terms are at hand so the
+  /// machine stays plain data after its Context dies.
   static constexpr std::uint8_t kOmega = 1u;     // successful termination
   static constexpr std::uint8_t kPostTick = 2u;  // entered by a TICK edge
 
@@ -100,23 +100,50 @@ struct CompactLts {
     return degree(s) == 0 && !is_post_tick(s) && !is_omega(s);
   }
 
-  /// For each state, whether an infinite τ-path starts there. Same contract
-  /// as Lts::divergent_states (which delegates here — one SCC
-  /// implementation).
+  /// For each state, whether an infinite τ-path starts there (it can reach
+  /// a τ-cycle by τ steps alone).
   std::vector<bool> divergent_states() const;
+
+  bool operator==(const CompactLts&) const = default;
 };
 
-/// Lossless conversion, preserving state numbering and per-state transition
-/// order exactly. Omega states are recognised from term_of when present;
-/// post-tick flags are derived from the TICK edges.
-CompactLts compact_from_lts(const Lts& lts);
+/// Fills a CompactLts one state at a time, in state-id order, from edges
+/// labelled with global event ids. finish() runs the interning step once:
+/// the alphabet becomes the sorted unique set of labels, so local ids depend
+/// on that set alone and never on insertion order; tau/tick are looked up;
+/// and every TICK target is flagged post-tick.
+class CompactBuilder {
+ public:
+  /// Append an edge to the row of the state being built.
+  void edge(EventId e, StateId target) {
+    lts_.events.push_back(e);  // a global id until finish() interns it
+    lts_.targets.push_back(target);
+  }
+  /// Close the row of the state being built; `omega` marks successful
+  /// termination.
+  void end_state(bool omega = false) {
+    lts_.offsets.push_back(static_cast<std::uint32_t>(lts_.events.size()));
+    lts_.flags.push_back(omega ? CompactLts::kOmega : 0);
+  }
 
-/// Inverse of compact_from_lts up to diagnostics: the transition structure,
-/// root and state numbering round-trip exactly; term_of (a compile-time
-/// artefact) comes back empty. Intended for tests and export paths.
-Lts compact_to_lts(const CompactLts& c);
+  /// Intern the labels and hand the machine over. Every edge target must
+  /// name a state whose row has been closed by then.
+  CompactLts finish(StateId root) &&;
+
+ private:
+  CompactLts lts_;
+};
 
 // --- reductions --------------------------------------------------------------
+
+/// The strong-bisimulation partition of every state of `c`, reachable or
+/// not: block[s] is s's class, numbered in order of each class's smallest
+/// member. Kanellakis–Smolka refinement seeded by (Omega/post-tick flags,
+/// outgoing label set); the flags keep termination, post-tick and deadlock
+/// states apart although all three have empty rows. O(n^2 log n) worst
+/// case, so `cancel` is polled per state in every round.
+std::vector<StateId> bisim_partition(const CompactLts& c,
+                                     CancelToken* cancel = nullptr);
 
 /// How much a compress_compact call shrank the machine.
 struct ReductionStats {

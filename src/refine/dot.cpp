@@ -18,7 +18,7 @@ std::string escape(const std::string& s) {
 
 }  // namespace
 
-std::string lts_to_dot(const Context& ctx, const Lts& lts,
+std::string lts_to_dot(const Context& ctx, const CompactLts& lts,
                        const DotOptions& options) {
   if (lts.state_count() > options.max_states) {
     throw std::length_error("LTS too large to render (" +
@@ -31,11 +31,13 @@ std::string lts_to_dot(const Context& ctx, const Lts& lts,
          " [shape=doublecircle, label=\"" + std::to_string(lts.root) +
          "\"];\n";
   for (StateId s = 0; s < lts.state_count(); ++s) {
-    for (const LtsTransition& t : lts.succ[s]) {
-      if (!options.show_tau && t.event == TAU) continue;
-      out += "  s" + std::to_string(s) + " -> s" + std::to_string(t.target) +
-             " [label=\"" + escape(ctx.event_name(t.event)) + "\"";
-      if (t.event == TAU) out += ", style=dashed, color=gray";
+    for (std::uint32_t k = lts.begin(s); k < lts.end(s); ++k) {
+      const bool tau = lts.events[k] == lts.tau;
+      if (!options.show_tau && tau) continue;
+      out += "  s" + std::to_string(s) + " -> s" +
+             std::to_string(lts.targets[k]) + " [label=\"" +
+             escape(ctx.event_name(lts.global_event(lts.events[k]))) + "\"";
+      if (tau) out += ", style=dashed, color=gray";
       out += "];\n";
     }
   }

@@ -8,7 +8,7 @@
 #include <string>
 
 #include "refine/check.hpp"
-#include "refine/lts.hpp"
+#include "refine/compact.hpp"
 
 namespace ecucsp {
 
@@ -21,7 +21,7 @@ struct DotOptions {
 
 /// Render the LTS. States are numbered; the root is marked. Throws
 /// std::length_error when the LTS exceeds options.max_states.
-std::string lts_to_dot(const Context& ctx, const Lts& lts,
+std::string lts_to_dot(const Context& ctx, const CompactLts& lts,
                        const DotOptions& options = {});
 
 /// Render a counterexample as a linear event chain, annotated with the

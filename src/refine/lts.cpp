@@ -1,56 +1,39 @@
 #include "refine/lts.hpp"
 
-#include <deque>
-
-#include "refine/compact.hpp"
+#include <unordered_map>
+#include <vector>
 
 namespace ecucsp {
 
-Lts compile_lts(Context& ctx, ProcessRef root, std::size_t max_states,
-                CancelToken* cancel) {
-  Lts lts;
+CompactLts compile_lts(Context& ctx, ProcessRef root, std::size_t max_states,
+                       CancelToken* cancel) {
   if (cancel) cancel->poll_now();
   std::unordered_map<ProcessRef, StateId> ids;
+  std::vector<ProcessRef> terms;  // state id -> canonical term
 
   const auto state_of = [&](ProcessRef term) -> StateId {
     term = ctx.canonical(term);
     if (auto it = ids.find(term); it != ids.end()) return it->second;
     if (ids.size() >= max_states) throw StateLimitExceeded(max_states);
-    const StateId id = static_cast<StateId>(ids.size());
+    const StateId id = static_cast<StateId>(terms.size());
     ids.emplace(term, id);
-    lts.succ.emplace_back();
-    lts.term_of.push_back(term);
+    terms.push_back(term);
     return id;
   };
 
-  lts.root = state_of(root);
-  std::deque<StateId> frontier{lts.root};
-  // term_of grows as we discover states; process it like a worklist.
-  std::vector<bool> expanded;
-  while (!frontier.empty()) {
+  // States are discovered in id order and expanded in id order, so terms
+  // is its own FIFO frontier and each row is appended exactly once.
+  CompactBuilder lts;
+  const StateId start = state_of(root);
+  for (StateId s = 0; s < terms.size(); ++s) {
     if (cancel) cancel->poll();
-    const StateId s = frontier.front();
-    frontier.pop_front();
-    if (s < expanded.size() && expanded[s]) continue;
-    if (expanded.size() <= s) expanded.resize(s + 1, false);
-    expanded[s] = true;
-    for (const Transition& t : ctx.transitions(lts.term_of[s])) {
-      const StateId dst = state_of(t.target);
-      lts.succ[s].push_back({t.event, dst});
-      if (dst >= expanded.size() || !expanded[dst]) frontier.push_back(dst);
+    const ProcessRef term = terms[s];
+    for (const Transition& t : ctx.transitions(term)) {
+      lts.edge(t.event, state_of(t.target));
     }
+    lts.end_state(term->op() == Op::Omega);
   }
-  lts.omega.reserve(lts.term_of.size());
-  for (const ProcessRef term : lts.term_of) {
-    lts.omega.push_back(term && term->op() == Op::Omega);
-  }
-  return lts;
-}
-
-std::vector<bool> Lts::divergent_states() const {
-  // One canonical SCC implementation: the compact core's. Conversion is
-  // O(states + transitions), noise next to the τ-SCC passes themselves.
-  return compact_from_lts(*this).divergent_states();
+  return std::move(lts).finish(start);
 }
 
 }  // namespace ecucsp

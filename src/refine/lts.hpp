@@ -1,56 +1,21 @@
 // Labelled transition system compilation.
 //
-// Compiles a process term to an explicit LTS by exhaustive exploration of
-// the operational semantics. States are canonicalised (Var indirection
-// chased) hash-consed process terms, so state identity is pointer identity.
+// Compiles a process term to an explicit CompactLts by exhaustive
+// exploration of the operational semantics. States are canonicalised (Var
+// indirection chased) hash-consed process terms, so state identity is
+// pointer identity; the terms stay local to the compilation, and the
+// machine keeps only what the engines need from them (the Omega flag).
 #pragma once
 
 #include <cstdint>
-#include <limits>
-#include <unordered_map>
-#include <vector>
+#include <stdexcept>
+#include <string>
 
 #include "core/cancel.hpp"
 #include "core/context.hpp"
+#include "refine/compact.hpp"
 
 namespace ecucsp {
-
-using StateId = std::uint32_t;
-
-struct LtsTransition {
-  EventId event = 0;
-  StateId target = 0;
-};
-
-/// An explicit finite LTS. succ[s] lists s's outgoing transitions.
-struct Lts {
-  StateId root = 0;
-  std::vector<std::vector<LtsTransition>> succ;
-  std::vector<ProcessRef> term_of;  // originating term, for diagnostics
-  // Successful-termination (Omega) states, recorded at compile time while
-  // the owning Context is alive. term_of pointers dangle once the Context
-  // dies, but compiled Lts structures must stay usable as plain data (the
-  // check_refinement_compiled contract) — so anything the engines need
-  // from the terms is captured here instead. Empty on hand-built machines
-  // (consumers then fall back to term_of, which those keep alive).
-  std::vector<bool> omega;
-
-  std::size_t state_count() const { return succ.size(); }
-  std::size_t transition_count() const {
-    std::size_t n = 0;
-    for (const auto& ts : succ) n += ts.size();
-    return n;
-  }
-
-  /// True if state s has no outgoing transitions at all (deadlock or Omega).
-  bool is_terminal(StateId s) const { return succ[s].empty(); }
-
-  /// For each state, whether an infinite tau-path starts there
-  /// (i.e. the state can reach a tau-cycle via tau steps only).
-  /// Delegates to CompactLts::divergent_states (refine/compact.hpp) — the
-  /// one SCC implementation shared with the reduction passes.
-  std::vector<bool> divergent_states() const;
-};
 
 class StateLimitExceeded : public std::runtime_error {
  public:
@@ -59,12 +24,21 @@ class StateLimitExceeded : public std::runtime_error {
                            " states); the model may be infinite-state") {}
 };
 
-/// Explore `root` breadth-first. Throws StateLimitExceeded beyond max_states.
-/// If `cancel` is given it is polled periodically during exploration and the
-/// search aborts with CheckCancelled when the token fires — compilation is
-/// the dominant cost of a check, so this is where deadlines mostly trip.
-Lts compile_lts(Context& ctx, ProcessRef root,
-                std::size_t max_states = 1u << 22,
-                CancelToken* cancel = nullptr);
+/// Explore `root` breadth-first, numbering states in discovery order.
+/// Throws StateLimitExceeded beyond max_states. If `cancel` is given it is
+/// polled periodically during exploration and the search aborts with
+/// CheckCancelled when the token fires — compilation is the dominant cost
+/// of a check, so this is where deadlines mostly trip.
+CompactLts compile_lts(Context& ctx, ProcessRef root,
+                       std::size_t max_states = 1u << 22,
+                       CancelToken* cancel = nullptr);
+
+/// Frozen for perfbench/, which still names the retired machine type.
+/// Deleted by the next change to the benchmark.
+using Lts = CompactLts;
+
+/// Frozen for perfbench/, which still converts its machine (now a copy).
+/// Deleted by the next change to the benchmark.
+inline CompactLts compact_from_lts(const CompactLts& lts) { return lts; }
 
 }  // namespace ecucsp

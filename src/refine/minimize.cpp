@@ -1,112 +1,30 @@
 #include "refine/minimize.hpp"
 
-#include <algorithm>
-#include <map>
-#include <set>
+#include <stdexcept>
+#include <vector>
 
 namespace ecucsp {
 
-MinimizeResult minimize_strong(const Lts& lts, CancelToken* cancel) {
-  const std::size_t n = lts.state_count();
-  MinimizeResult result;
-  result.original_states = n;
-  if (n == 0) {
-    result.lts.root = 0;
-    return result;
-  }
-  if (cancel) cancel->poll_now();
-
-  // Kanellakis–Smolka: split by transition signature (multimap event ->
-  // target block) until stable. O(n^2 log n) worst case, fine for explicit
-  // models.
-  //
-  // The initial partition is seeded by each state's outgoing *label set* —
-  // always coarser than bisimilarity, so the fixpoint is unchanged, but an
-  // already-normalized (deterministic, τ-free) machine stabilises in one
-  // round instead of re-deriving what normalization established. The final
-  // block numbering comes from the last refinement round's first-occurrence
-  // scan, which depends only on the equivalence classes — so the quotient
-  // is byte-identical to the unseeded computation.
-  std::vector<StateId> block(n, 0);
-  {
-    std::map<std::set<EventId>, StateId> label_sig;
-    for (StateId s = 0; s < n; ++s) {
-      std::set<EventId> labels;
-      for (const LtsTransition& t : lts.succ[s]) labels.insert(t.event);
-      block[s] = label_sig
-                     .emplace(std::move(labels),
-                              static_cast<StateId>(label_sig.size()))
-                     .first->second;
-    }
-  }
-  std::size_t blocks = 0;  // != any reachable count: run at least one round
-  for (;;) {
-    // Signature of each state under the current partition.
-    std::map<std::pair<StateId, std::set<std::pair<EventId, StateId>>>,
-             StateId>
-        sig_to_new;
-    std::vector<StateId> next(n);
-    StateId next_blocks = 0;
-    for (StateId s = 0; s < n; ++s) {
-      if (cancel) cancel->poll();
-      std::set<std::pair<EventId, StateId>> sig;
-      for (const LtsTransition& t : lts.succ[s]) {
-        sig.emplace(t.event, block[t.target]);
-      }
-      const auto key = std::make_pair(block[s], std::move(sig));
-      auto it = sig_to_new.find(key);
-      if (it == sig_to_new.end()) {
-        it = sig_to_new.emplace(key, next_blocks++).first;
-      }
-      next[s] = it->second;
-    }
-    const bool stable = next_blocks == blocks;
-    block = std::move(next);
-    blocks = next_blocks;
-    if (stable) break;
-  }
-
-  // Build the quotient.
-  result.block_of = block;
-  result.lts.succ.assign(blocks, {});
-  result.lts.term_of.assign(blocks, nullptr);
-  if (!lts.omega.empty()) result.lts.omega.assign(blocks, false);
-  result.lts.root = block[lts.root];
-  std::vector<std::set<std::pair<EventId, StateId>>> added(blocks);
-  for (StateId s = 0; s < n; ++s) {
-    if (!result.lts.term_of[block[s]]) {
-      result.lts.term_of[block[s]] = lts.term_of.empty() ? nullptr
-                                                         : lts.term_of[s];
-    }
-    if (s < lts.omega.size() && lts.omega[s]) result.lts.omega[block[s]] = true;
-    for (const LtsTransition& t : lts.succ[s]) {
-      if (added[block[s]].emplace(t.event, block[t.target]).second) {
-        result.lts.succ[block[s]].push_back({t.event, block[t.target]});
-      }
-    }
-  }
-  return result;
-}
-
-ProcessRef lts_to_process(Context& ctx, const Lts& lts,
+ProcessRef lts_to_process(Context& ctx, const CompactLts& lts,
                           const std::string& name) {
   // One parameterised definition; the argument selects the state.
   const Symbol sym = ctx.sym(name);
-  // Copy the transition structure into the closure.
-  const auto succ = lts.succ;
-  ctx.define(name, [succ, sym](Context& cx, std::span<const Value> args) {
+  // The closure owns a copy of the machine.
+  ctx.define(name, [lts, sym](Context& cx, std::span<const Value> args) {
     const auto s = static_cast<std::size_t>(args[0].as_int());
+    if (s >= lts.state_count()) throw std::out_of_range("no such LTS state");
     std::vector<ProcessRef> visible;
     std::vector<ProcessRef> tau_targets;
-    for (const LtsTransition& t : succ.at(s)) {
-      const ProcessRef target =
-          cx.var(sym, {Value::integer(static_cast<std::int64_t>(t.target))});
-      if (t.event == TAU) {
+    for (std::uint32_t k = lts.offsets[s]; k < lts.offsets[s + 1]; ++k) {
+      const ProcessRef target = cx.var(
+          sym, {Value::integer(static_cast<std::int64_t>(lts.targets[k]))});
+      const EventId e = lts.global_event(lts.events[k]);
+      if (e == TAU) {
         tau_targets.push_back(target);
-      } else if (t.event == TICK) {
+      } else if (e == TICK) {
         visible.push_back(cx.skip());
       } else {
-        visible.push_back(cx.prefix(t.event, target));
+        visible.push_back(cx.prefix(e, target));
       }
     }
     const ProcessRef base = cx.ext_choice(visible);  // STOP when empty
@@ -119,9 +37,9 @@ ProcessRef lts_to_process(Context& ctx, const Lts& lts,
 
 ProcessRef compress(Context& ctx, ProcessRef p, const std::string& name,
                     std::size_t max_states, CancelToken* cancel) {
-  const Lts lts = compile_lts(ctx, p, max_states, cancel);
-  const MinimizeResult min = minimize_strong(lts, cancel);
-  return lts_to_process(ctx, min.lts, name);
+  const CompactLts lts = compile_lts(ctx, p, max_states, cancel);
+  return lts_to_process(
+      ctx, compress_compact(lts, Compression::Bisim, nullptr, cancel), name);
 }
 
 }  // namespace ecucsp

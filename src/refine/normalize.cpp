@@ -157,10 +157,19 @@ NormLts normalize(const CompactLts& lts, bool with_divergence,
   return norm;
 }
 
-NormLts normalize(const Lts& lts, bool with_divergence, CancelToken* cancel) {
-  // compact_from_lts preserves state numbering and transition order, so
-  // this produces the same normal form as running directly on `lts`.
-  return normalize(compact_from_lts(lts), with_divergence, cancel);
+EventConstraints constrained_events(const NormLts& norm) {
+  EventSet allowed_union;
+  EventConstraints out;
+  bool first = true;
+  for (const NormNode& n : norm.nodes) {
+    allowed_union = allowed_union.set_union(n.initials);
+    out.always_allowed = first ? n.initials
+                               : out.always_allowed.set_intersection(n.initials);
+    first = false;
+  }
+  out.constrained = allowed_union.set_difference(out.always_allowed)
+                        .set_difference(EventSet{TAU, TICK});
+  return out;
 }
 
 }  // namespace ecucsp

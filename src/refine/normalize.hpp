@@ -12,7 +12,6 @@
 
 #include "core/cancel.hpp"
 #include "refine/compact.hpp"
-#include "refine/lts.hpp"
 
 namespace ecucsp {
 
@@ -47,15 +46,21 @@ struct NormLts {
 /// construction), so like compile_lts it polls `cancel` per expanded node
 /// and aborts with CheckCancelled when the token fires.
 ///
-/// The compact overload is the implementation; the Lts overload converts
-/// and delegates (compact_from_lts preserves state numbering and transition
-/// order, so both produce the same NormLts byte for byte). Normal nodes are
-/// keyed on source-state *sets* and explored in event order, so the output
-/// depends only on the machine's weak semantics — which is why normalising
-/// a compressed spec (compress_compact) yields an equivalent normal form.
+/// Normal nodes are keyed on source-state *sets* and explored in event
+/// order, so the output depends only on the machine's weak semantics —
+/// which is why normalising a compressed spec (compress_compact) yields an
+/// equivalent normal form.
 NormLts normalize(const CompactLts& lts, bool with_divergence,
                   CancelToken* cancel = nullptr);
-NormLts normalize(const Lts& lts, bool with_divergence,
-                  CancelToken* cancel = nullptr);
+
+/// How a normalized specification restricts events, from its nodes'
+/// initials. A passing refinement whose implementation performs none of the
+/// `constrained` events is vacuous; refinement checks and the static pruner
+/// (verify/prune.hpp) share this one definition.
+struct EventConstraints {
+  EventSet always_allowed;  // the intersection of the initials
+  EventSet constrained;     // the union minus the intersection, TAU/TICK out
+};
+EventConstraints constrained_events(const NormLts& norm);
 
 }  // namespace ecucsp

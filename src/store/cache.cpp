@@ -133,8 +133,8 @@ void VerificationCache::store_check(Context& ctx, ProcessRef spec,
          seal_check(ctx, result));
 }
 
-std::optional<Lts> VerificationCache::lookup_lts(Context& ctx, ProcessRef root,
-                                                 std::size_t max_states) {
+std::optional<CompactLts> VerificationCache::lookup_lts(
+    Context& ctx, ProcessRef root, std::size_t max_states) {
   const Digest key = lts_key(ctx, root, max_states);
   bool from_disk = false;
   const Blob blob = fetch(key, from_disk);
@@ -143,7 +143,7 @@ std::optional<Lts> VerificationCache::lookup_lts(Context& ctx, ProcessRef root,
     return std::nullopt;
   }
   try {
-    Lts lts = unseal_lts(*blob, ctx);
+    CompactLts lts = unseal_lts(*blob, ctx);
     stats_.lts_hits.fetch_add(1, std::memory_order_relaxed);
     (from_disk ? stats_.disk_hits : stats_.memory_hits)
         .fetch_add(1, std::memory_order_relaxed);
@@ -156,7 +156,8 @@ std::optional<Lts> VerificationCache::lookup_lts(Context& ctx, ProcessRef root,
 }
 
 void VerificationCache::store_lts(Context& ctx, ProcessRef root,
-                                  std::size_t max_states, const Lts& lts) {
+                                  std::size_t max_states,
+                                  const CompactLts& lts) {
   insert(lts_key(ctx, root, max_states), seal_lts(ctx, lts));
 }
 

@@ -73,10 +73,10 @@ class VerificationCache final : public CheckCache {
   void store_check(Context& ctx, ProcessRef spec, ProcessRef impl, CheckOp op,
                    Model model, std::size_t max_states,
                    const CheckResult& result) override;
-  std::optional<Lts> lookup_lts(Context& ctx, ProcessRef root,
-                                std::size_t max_states) override;
+  std::optional<CompactLts> lookup_lts(Context& ctx, ProcessRef root,
+                                       std::size_t max_states) override;
   void store_lts(Context& ctx, ProcessRef root, std::size_t max_states,
-                 const Lts& lts) override;
+                 const CompactLts& lts) override;
 
   /// Drop tier 1, keeping the disk store — lets one process simulate a
   /// cold restart against a warm directory (tests, benches).

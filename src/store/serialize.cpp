@@ -1,7 +1,5 @@
 #include "store/serialize.hpp"
 
-#include <unordered_map>
-
 namespace ecucsp::store {
 
 namespace {
@@ -20,6 +18,14 @@ std::uint64_t get_u64_raw(std::span<const std::uint8_t> b, std::size_t at) {
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[at + i]) << (8 * i);
   return v;
+}
+
+/// An element count, bounded by the bytes left (every element takes at
+/// least one) before anything is sized by it.
+std::size_t read_count(ByteReader& r) {
+  const std::uint64_t n = r.uv();
+  if (n > r.remaining()) throw SerializeError("count exceeds payload");
+  return static_cast<std::size_t>(n);
 }
 
 }  // namespace
@@ -141,10 +147,10 @@ Value decode_value(ByteReader& r, Context& ctx) {
     case 1:
       return Value::symbol(ctx.sym(r.str()));
     case 2: {
-      const std::uint64_t n = r.uv();
+      const std::size_t n = read_count(r);
       std::vector<Value> fields;
-      fields.reserve(static_cast<std::size_t>(n));
-      for (std::uint64_t i = 0; i < n; ++i) fields.push_back(decode_value(r, ctx));
+      fields.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) fields.push_back(decode_value(r, ctx));
       return Value::tuple(std::move(fields));
     }
     default:
@@ -183,10 +189,10 @@ EventId decode_event(ByteReader& r, Context& ctx) {
   const std::string chan_name = r.str();
   const auto chan = ctx.find_channel(chan_name);
   if (!chan) throw SerializeError("unknown channel '" + chan_name + "'");
-  const std::uint64_t n = r.uv();
+  const std::size_t n = read_count(r);
   std::vector<Value> fields;
-  fields.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) fields.push_back(decode_value(r, ctx));
+  fields.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) fields.push_back(decode_value(r, ctx));
   try {
     return ctx.event(*chan, std::move(fields));
   } catch (const ModelError& e) {
@@ -201,91 +207,80 @@ void encode_event_set(ByteWriter& w, const Context& ctx, const EventSet& es) {
 }
 
 EventSet decode_event_set(ByteReader& r, Context& ctx) {
-  const std::uint64_t n = r.uv();
+  const std::size_t n = read_count(r);
   std::vector<EventId> events;
-  events.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) events.push_back(decode_event(r, ctx));
+  events.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) events.push_back(decode_event(r, ctx));
   return EventSet(std::move(events));
 }
 
 // --- LTS ---------------------------------------------------------------------
 
-std::vector<std::uint8_t> encode_lts(const Context& ctx, const Lts& lts) {
+std::vector<std::uint8_t> encode_lts(const Context& ctx,
+                                     const CompactLts& lts) {
   ByteWriter w;
   // Event table in order of first appearance; transitions reference it by
   // index so each event's (channel, fields) spelling is written once.
-  std::unordered_map<EventId, std::uint64_t> index;
+  constexpr std::uint64_t kUnlisted = ~std::uint64_t{0};
+  std::vector<std::uint64_t> index(lts.alphabet.size(), kUnlisted);
   std::vector<EventId> table;
-  for (const auto& ts : lts.succ) {
-    for (const LtsTransition& t : ts) {
-      if (index.emplace(t.event, table.size()).second) table.push_back(t.event);
+  for (const LocalEvent le : lts.events) {
+    if (index[le] == kUnlisted) {
+      index[le] = table.size();
+      table.push_back(lts.global_event(le));
     }
   }
   w.uv(table.size());
   for (const EventId e : table) encode_event(w, ctx, e);
 
-  w.uv(lts.succ.size());
+  w.uv(lts.state_count());
   w.uv(lts.root);
   for (StateId s = 0; s < lts.state_count(); ++s) {
-    // Compiled machines carry their omega record as plain data; only
-    // hand-built ones (which keep their Context alive) fall back to terms.
-    const bool omega = s < lts.omega.size()
-                           ? lts.omega[s]
-                           : s < lts.term_of.size() && lts.term_of[s] &&
-                                 lts.term_of[s]->op() == Op::Omega;
-    w.u8(omega ? 1 : 0);
-    w.uv(lts.succ[s].size());
-    for (const LtsTransition& t : lts.succ[s]) {
-      w.uv(index.at(t.event));
-      w.uv(t.target);
+    w.u8(lts.is_omega(s) ? 1 : 0);
+    w.uv(lts.degree(s));
+    for (std::uint32_t k = lts.begin(s); k < lts.end(s); ++k) {
+      w.uv(index[lts.events[k]]);
+      w.uv(lts.targets[k]);
     }
   }
   return w.take();
 }
 
-Lts decode_lts(ByteReader& r, Context& ctx) {
-  const std::uint64_t table_size = r.uv();
+CompactLts decode_lts(ByteReader& r, Context& ctx) {
+  const std::size_t table_size = read_count(r);
   std::vector<EventId> table;
-  table.reserve(static_cast<std::size_t>(table_size));
-  for (std::uint64_t i = 0; i < table_size; ++i) table.push_back(decode_event(r, ctx));
+  table.reserve(table_size);
+  for (std::size_t i = 0; i < table_size; ++i) table.push_back(decode_event(r, ctx));
 
-  const std::uint64_t n = r.uv();
+  const std::size_t n = read_count(r);
   if (n == 0) throw SerializeError("empty LTS");
-  Lts lts;
   const std::uint64_t root = r.uv();
   if (root >= n) throw SerializeError("root out of range");
-  lts.root = static_cast<StateId>(root);
-  lts.succ.resize(static_cast<std::size_t>(n));
-  lts.term_of.resize(static_cast<std::size_t>(n));
-  lts.omega.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t s = 0; s < n; ++s) {
+  CompactBuilder lts;
+  for (std::size_t s = 0; s < n; ++s) {
     const std::uint8_t omega = r.u8();
     if (omega > 1) throw SerializeError("bad omega flag");
-    lts.omega.push_back(omega != 0);
-    lts.term_of[static_cast<std::size_t>(s)] =
-        omega ? ctx.omega() : ctx.stop();
-    const std::uint64_t k = r.uv();
-    auto& ts = lts.succ[static_cast<std::size_t>(s)];
-    ts.reserve(static_cast<std::size_t>(k));
-    for (std::uint64_t i = 0; i < k; ++i) {
+    const std::size_t k = read_count(r);
+    for (std::size_t i = 0; i < k; ++i) {
       const std::uint64_t ev = r.uv();
       const std::uint64_t target = r.uv();
       if (ev >= table.size()) throw SerializeError("event index out of range");
       if (target >= n) throw SerializeError("transition target out of range");
-      ts.push_back(LtsTransition{table[static_cast<std::size_t>(ev)],
-                                 static_cast<StateId>(target)});
+      lts.edge(table[static_cast<std::size_t>(ev)],
+               static_cast<StateId>(target));
     }
+    lts.end_state(omega != 0);
   }
-  return lts;
+  return std::move(lts).finish(static_cast<StateId>(root));
 }
 
-std::vector<std::uint8_t> seal_lts(const Context& ctx, const Lts& lts) {
-  return seal(ArtifactKind::Lts, encode_lts(ctx, lts));
+std::vector<std::uint8_t> seal_lts(const Context& ctx, const CompactLts& lts) {
+  return seal(ArtifactKind::Machine, encode_lts(ctx, lts));
 }
 
-Lts unseal_lts(std::span<const std::uint8_t> blob, Context& ctx) {
-  ByteReader r(unseal(ArtifactKind::Lts, blob));
-  Lts lts = decode_lts(r, ctx);
+CompactLts unseal_lts(std::span<const std::uint8_t> blob, Context& ctx) {
+  ByteReader r(unseal(ArtifactKind::Machine, blob));
+  CompactLts lts = decode_lts(r, ctx);
   if (!r.at_end()) throw SerializeError("trailing bytes in LTS payload");
   return lts;
 }
@@ -335,9 +330,9 @@ CheckResult decode_check(ByteReader& r, Context& ctx) {
       throw SerializeError("bad counterexample kind");
     }
     c.kind = static_cast<Counterexample::Kind>(kind);
-    const std::uint64_t n = r.uv();
-    c.trace.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) c.trace.push_back(decode_event(r, ctx));
+    const std::size_t n = read_count(r);
+    c.trace.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) c.trace.push_back(decode_event(r, ctx));
     c.event = decode_event(r, ctx);
     c.impl_acceptance = decode_event_set(r, ctx);
     res.counterexample = std::move(c);

@@ -1,6 +1,6 @@
 // Versioned binary serialization for store artifacts.
 //
-// Three artifact kinds are stored: compiled LTSes, check verdicts
+// Three artifact kinds are stored: compiled machines, check verdicts
 // (CheckResult incl. counterexample), and learned hypothesis automata
 // (ArtifactKind::LearnedModel; encoded by src/learn over the same
 // ByteWriter/seal envelope). The first two are Context-bound in memory
@@ -14,7 +14,9 @@
 //     a kind byte, the payload length, the payload, and a trailing digest
 //     of the payload;
 //   * loads verify all of it and throw SerializeError on any mismatch —
-//     the store layer turns that into a cache miss, never a crash;
+//     the store layer turns that into a cache miss, never a crash. Every
+//     element count read from a payload is bounded by the bytes that
+//     remain before it sizes an allocation;
 //   * any change to the encoding bumps kStoreFormatVersion, which also
 //     participates in every cache key, so stale-format objects are simply
 //     never looked up (and unreadable if addressed directly).
@@ -27,7 +29,7 @@
 #include <vector>
 
 #include "refine/check.hpp"
-#include "refine/lts.hpp"
+#include "refine/compact.hpp"
 #include "store/digest.hpp"
 
 namespace ecucsp::store {
@@ -36,7 +38,8 @@ namespace ecucsp::store {
 inline constexpr std::uint32_t kStoreFormatVersion = 3;  // v3: pruned flag
 
 enum class ArtifactKind : std::uint8_t {
-  Lts = 1,
+  /// A compiled machine (CompactLts), the store's LTS tier.
+  Machine = 1,
   Verdict = 2,
   /// A hypothesis automaton produced by the active learner (src/learn):
   /// plain string-event edges, not Context-bound — the learner encodes and
@@ -81,6 +84,9 @@ class ByteReader {
   std::string str();
   bool at_end() const { return pos_ == data_.size(); }
   std::size_t tell() const { return pos_; }
+  /// Bytes left to read: an upper bound on any element count still to
+  /// come, since every encoded element takes at least one byte.
+  std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
   std::span<const std::uint8_t> data_;
@@ -111,17 +117,17 @@ EventSet decode_event_set(ByteReader& r, Context& ctx);
 
 // --- LTS ---------------------------------------------------------------------
 
-/// Payload encoding (no envelope). term_of is reduced to one bit per state
-/// (Omega or not) — the only structural use downstream (deadlock checking
-/// distinguishes termination from deadlock); decode synthesises Omega/Stop
-/// terms accordingly, so richer per-state diagnostics do not survive a
-/// round-trip.
-std::vector<std::uint8_t> encode_lts(const Context& ctx, const Lts& lts);
-Lts decode_lts(ByteReader& r, Context& ctx);
+/// Payload encoding (no envelope): the event table in order of first
+/// appearance, the state count and root, then per state its Omega byte and
+/// its row as (table index, target) pairs. Post-tick flags and the interned
+/// alphabet are derived data and are rebuilt on decode (CompactBuilder), in
+/// the decoding Context's event order.
+std::vector<std::uint8_t> encode_lts(const Context& ctx, const CompactLts& lts);
+CompactLts decode_lts(ByteReader& r, Context& ctx);
 
 /// Envelope convenience: seal/unseal + payload encode/decode.
-std::vector<std::uint8_t> seal_lts(const Context& ctx, const Lts& lts);
-Lts unseal_lts(std::span<const std::uint8_t> blob, Context& ctx);
+std::vector<std::uint8_t> seal_lts(const Context& ctx, const CompactLts& lts);
+CompactLts unseal_lts(std::span<const std::uint8_t> blob, Context& ctx);
 
 // --- check verdicts ----------------------------------------------------------
 

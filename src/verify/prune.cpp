@@ -11,31 +11,19 @@ bool predict_vacuous_pass(Context& ctx, ProcessRef spec, ProcessRef impl,
   if (model != Model::Traces) return false;
   try {
     // Spec side: exact. Compile and normalize the specification the same
-    // way the sweep would; the constrained set below is then literally the
-    // one refinement_sweep's vacuity detector computes.
-    const Lts spec_lts = compile_lts(ctx, spec, max_states);
-    const NormLts norm = normalize(spec_lts, /*with_divergence=*/false);
-
-    EventSet allowed_union;
-    EventSet allowed_inter;
-    bool first = true;
-    for (const NormNode& n : norm.nodes) {
-      allowed_union = allowed_union.set_union(n.initials);
-      allowed_inter =
-          first ? n.initials : allowed_inter.set_intersection(n.initials);
-      first = false;
-    }
-    EventSet constrained = allowed_union.set_difference(allowed_inter);
-    constrained = constrained.set_difference(EventSet{TAU, TICK});
-    if (constrained.empty()) return false;  // dynamic run would not flag it
+    // way the sweep would, and take the sweep's own constrained set.
+    const NormLts norm =
+        normalize(compile_lts(ctx, spec, max_states), /*with_divergence=*/false);
+    const EventConstraints events = constrained_events(norm);
+    if (events.constrained.empty()) return false;  // dynamic run would not flag it
 
     // Impl side: over-approximate. reach includes TICK when any component
     // may terminate and never includes TAU, so the subset test against
-    // allowed_inter also covers termination (a spec that cannot always tick
+    // always_allowed also covers termination (a spec that cannot always tick
     // rejects an impl that might).
     const EventSet reach = lint::reachable_events_over(ctx, impl);
-    if (reach.intersects(constrained)) return false;
-    return reach.subset_of(allowed_inter);
+    if (reach.intersects(events.constrained)) return false;
+    return reach.subset_of(events.always_allowed);
   } catch (const std::exception&) {
     // Spec too large for the budget, unresolved reference, cancelled — the
     // prediction abstains and the cell runs normally.

@@ -88,7 +88,7 @@ TEST_F(CspmEvalTest, MutualRecursion) {
       "channel a, b\n"
       "P = a -> Q\n"
       "Q = b -> P\n");
-  const Lts lts = compile_lts(ctx, ev.process("P"));
+  const CompactLts lts = compile_lts(ctx, ev.process("P"));
   EXPECT_EQ(lts.state_count(), 2u);
 }
 

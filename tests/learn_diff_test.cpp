@@ -5,7 +5,7 @@
 //     and the extracted OTA model automaton is learned back through an
 //     AutomatonOracle driven to *guaranteed* convergence by the exact
 //     product-BFS equivalence oracle, and the hypothesis must be
-//     strong-bisimulation-equivalent to its target (via minimize_strong);
+//     strong-bisimulation-equivalent to its target (via bisim_partition);
 //   * black-box fixpoint — learning the simulated ECU through the harness
 //     converges to exactly the testable projection of the model automaton
 //     (response edges win over stimuli under the quiescence discipline,
@@ -28,6 +28,7 @@
 #include "learn/oracle.hpp"
 #include "learn/run.hpp"
 #include "ota/ota.hpp"
+#include "store/serialize.hpp"
 
 namespace ecucsp::learn {
 namespace {
@@ -181,6 +182,24 @@ TEST(LearnDiff, HypothesisSurvivesCacheRoundTrip) {
   corrupt[corrupt.size() / 2] ^= 0x5a;
   EXPECT_EQ(decode_hypothesis(corrupt), std::nullopt);
   EXPECT_EQ(decode_hypothesis({blob.data(), blob.size() - 3}), std::nullopt);
+}
+
+TEST(LearnDiff, OversizedHypothesisCountsAreAMiss) {
+  // Counts beyond the payload's remaining bytes are corrupt: a miss, never
+  // an allocation sized by them (bad_alloc / length_error). Payloads are
+  // varints; the name "a" is its length 1 and the byte 'a'.
+  const auto decode = [](std::initializer_list<std::uint64_t> vs) {
+    store::ByteWriter w;
+    for (const std::uint64_t v : vs) w.uv(v);
+    return decode_hypothesis(
+        store::seal(store::ArtifactKind::LearnedModel, w.take()));
+  };
+  for (const std::uint64_t huge :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+    EXPECT_EQ(decode({huge, 1, 'a'}), std::nullopt);             // names
+    EXPECT_EQ(decode({1, 1, 'a', 0, huge, 0}), std::nullopt);     // states
+    EXPECT_EQ(decode({1, 1, 'a', 0, 1, 0, huge}), std::nullopt);  // a word
+  }
 }
 
 TEST(LearnDiff, CacheKeyDigestSeparatesParameters) {

@@ -27,40 +27,46 @@ TEST_F(MinimizeTest, BisimilarBranchesCollapse) {
   const ProcessRef p =
       ctx.ext_choice(ctx.prefix(a, ctx.prefix(b, ctx.stop())),
                      ctx.prefix(c, ctx.prefix(b, stop_variant)));
-  const Lts lts = compile_lts(ctx, p);
+  const CompactLts lts = compile_lts(ctx, p);
   ASSERT_EQ(lts.state_count(), 5u);
-  const MinimizeResult min = minimize_strong(lts);
-  EXPECT_EQ(min.lts.state_count(), 3u);  // root, b-prefix, dead
+  // root, b-prefix, dead
+  EXPECT_EQ(compress_compact(lts, Compression::Bisim).state_count(), 3u);
 }
 
 TEST_F(MinimizeTest, MinimalLtsIsFixpoint) {
   ctx.define("P", [this](Context& cx, std::span<const Value>) {
     return cx.prefix(a, cx.prefix(b, cx.var("P")));
   });
-  const Lts lts = compile_lts(ctx, ctx.var("P"));
-  const MinimizeResult once = minimize_strong(lts);
-  const MinimizeResult twice = minimize_strong(once.lts);
-  EXPECT_EQ(once.lts.state_count(), twice.lts.state_count());
+  const CompactLts lts = compile_lts(ctx, ctx.var("P"));
+  const CompactLts once = compress_compact(lts, Compression::Bisim);
+  const CompactLts twice = compress_compact(once, Compression::Bisim);
+  EXPECT_EQ(once.state_count(), twice.state_count());
+  EXPECT_EQ(once.events, twice.events);
+  EXPECT_EQ(once.targets, twice.targets);
 }
 
 TEST_F(MinimizeTest, DistinguishableStatesStaySeparate) {
   // a -> b -> STOP: all three states have different futures.
-  const Lts lts = compile_lts(ctx, ctx.prefix(a, ctx.prefix(b, ctx.stop())));
-  EXPECT_EQ(minimize_strong(lts).lts.state_count(), 3u);
+  const CompactLts lts =
+      compile_lts(ctx, ctx.prefix(a, ctx.prefix(b, ctx.stop())));
+  EXPECT_EQ(compress_compact(lts, Compression::Bisim).state_count(), 3u);
+  const std::vector<StateId> block = bisim_partition(lts);
+  EXPECT_EQ(block, (std::vector<StateId>{0, 1, 2}));
 }
 
 TEST_F(MinimizeTest, RootMapsToQuotientRoot) {
-  const Lts lts = compile_lts(ctx, ctx.prefix(a, ctx.stop()));
-  const MinimizeResult min = minimize_strong(lts);
-  EXPECT_EQ(min.block_of[lts.root], min.lts.root);
-  EXPECT_EQ(min.original_states, lts.state_count());
+  const CompactLts lts = compile_lts(ctx, ctx.prefix(a, ctx.stop()));
+  const std::vector<StateId> block = bisim_partition(lts);
+  const CompactLts min = compress_compact(lts, Compression::Bisim);
+  ASSERT_EQ(block.size(), lts.state_count());
+  EXPECT_EQ(block[lts.root], min.root);
 }
 
 TEST_F(MinimizeTest, LtsToProcessReproducesBehaviour) {
   const ProcessRef p = ctx.ext_choice(
       ctx.prefix(a, ctx.int_choice(ctx.prefix(b, ctx.stop()), ctx.skip())),
       ctx.prefix(c, ctx.skip()));
-  const Lts lts = compile_lts(ctx, p);
+  const CompactLts lts = compile_lts(ctx, p);
   const ProcessRef wrapped = lts_to_process(ctx, lts, "_WRAP1");
   for (const Model m :
        {Model::Traces, Model::Failures, Model::FailuresDivergences}) {
@@ -105,16 +111,17 @@ TEST_F(MinimizeTest, CompressShrinksRedundantStructure) {
     return cx.prefix(a, cx.var("T"));
   });
   const ProcessRef p = ctx.interleave(ctx.var("T"), ctx.var("T"));
-  const Lts lts = compile_lts(ctx, p);
-  const MinimizeResult min = minimize_strong(lts);
-  EXPECT_EQ(min.lts.state_count(), 1u);  // all states do 'a' forever
-  EXPECT_GE(min.original_states, 1u);
+  const CompactLts lts = compile_lts(ctx, p);
+  EXPECT_GE(lts.state_count(), 1u);
+  // all states do 'a' forever
+  EXPECT_EQ(compress_compact(lts, Compression::Bisim).state_count(), 1u);
 }
 
 // --- dot export ----------------------------------------------------------------
 
 TEST_F(MinimizeTest, LtsDotContainsStatesAndLabels) {
-  const Lts lts = compile_lts(ctx, ctx.prefix(a, ctx.prefix(b, ctx.stop())));
+  const CompactLts lts =
+      compile_lts(ctx, ctx.prefix(a, ctx.prefix(b, ctx.stop())));
   const std::string dot = lts_to_dot(ctx, lts);
   EXPECT_NE(dot.find("digraph lts"), std::string::npos);
   EXPECT_NE(dot.find("doublecircle"), std::string::npos);  // root marker
@@ -135,7 +142,8 @@ TEST_F(MinimizeTest, DotTauStyling) {
 TEST_F(MinimizeTest, DotRefusesHugeGraphs) {
   DotOptions opts;
   opts.max_states = 2;
-  const Lts lts = compile_lts(ctx, ctx.prefix(a, ctx.prefix(b, ctx.stop())));
+  const CompactLts lts =
+      compile_lts(ctx, ctx.prefix(a, ctx.prefix(b, ctx.stop())));
   EXPECT_THROW(lts_to_dot(ctx, lts, opts), std::length_error);
 }
 

@@ -1,19 +1,18 @@
 // Cooperative cancellation inside the normalisation/minimisation passes.
 //
 // The verify scheduler's per-check timeouts only work if every long pass
-// polls its CancelToken: compile_lts always has, and this PR threads the
-// token through normalize(), minimize_strong() and compress() too. These
-// tests build synthetic LTSes large enough that each pass runs for many
-// milliseconds and assert that (a) a pre-expired deadline aborts at entry,
-// (b) a short deadline aborts mid-run, and (c) a cross-thread
-// request_cancel() lands.
+// polls its CancelToken: compile_lts, normalize(), bisim_partition() and
+// compress() all do. These tests build synthetic machines large enough that
+// each pass runs for many milliseconds and assert that (a) a pre-expired
+// deadline aborts at entry, (b) a short deadline aborts mid-run, and (c) a
+// cross-thread request_cancel() lands.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <thread>
 
 #include "core/event.hpp"
-#include "refine/lts.hpp"
+#include "refine/compact.hpp"
 #include "refine/minimize.hpp"
 #include "refine/normalize.hpp"
 
@@ -26,20 +25,21 @@ constexpr EventId kB = FIRST_USER_EVENT + 1;
 /// A long chain with alternating events and a tau sprinkled at every third
 /// state — enough states that normalisation takes well over any deadline
 /// used below, with a poll every 64 subset expansions.
-Lts big_chain(std::size_t states) {
-  Lts lts;
-  lts.root = 0;
-  lts.succ.resize(states);
-  for (std::size_t s = 0; s + 1 < states; ++s) {
+CompactLts big_chain(std::size_t states) {
+  CompactBuilder lts;
+  for (std::size_t s = 0; s < states; ++s) {
     const auto t = static_cast<StateId>(s + 1);
-    lts.succ[s].push_back({s % 3 == 2 ? TAU : (s % 2 == 0 ? kA : kB), t});
-    if (s % 5 == 0) lts.succ[s].push_back({kB, t});
+    if (s + 1 < states) {
+      lts.edge(s % 3 == 2 ? TAU : (s % 2 == 0 ? kA : kB), t);
+      if (s % 5 == 0) lts.edge(kB, t);
+    }
+    lts.end_state();
   }
-  return lts;
+  return std::move(lts).finish(0);
 }
 
 TEST(RefineCancel, ExpiredDeadlineAbortsNormalizeAtEntry) {
-  const Lts lts = big_chain(1'000);
+  const CompactLts lts = big_chain(1'000);
   CancelToken token;
   token.set_deadline(CancelToken::Clock::now() -
                      std::chrono::milliseconds(1));
@@ -49,7 +49,7 @@ TEST(RefineCancel, ExpiredDeadlineAbortsNormalizeAtEntry) {
 TEST(RefineCancel, ShortDeadlineAbortsNormalizeMidRun) {
   // ~2M states: far more than any machine normalises in 5ms, so the
   // deadline must fire from inside the subset construction loop.
-  const Lts lts = big_chain(2'000'000);
+  const CompactLts lts = big_chain(2'000'000);
   CancelToken token;
   token.set_timeout(std::chrono::milliseconds(5));
   try {
@@ -61,14 +61,14 @@ TEST(RefineCancel, ShortDeadlineAbortsNormalizeMidRun) {
 }
 
 TEST(RefineCancel, CrossThreadCancelAbortsMinimizeMidRun) {
-  const Lts lts = big_chain(2'000'000);
+  const CompactLts lts = big_chain(2'000'000);
   CancelToken token;
   std::thread killer([&token] {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     token.request_cancel();
   });
   try {
-    minimize_strong(lts, &token);
+    bisim_partition(lts, &token);
     // Partition refinement may legitimately finish before the 2ms nap on
     // a fast machine; only a thrown CheckCancelled is checked for reason.
   } catch (const CheckCancelled& e) {
@@ -78,7 +78,7 @@ TEST(RefineCancel, CrossThreadCancelAbortsMinimizeMidRun) {
   // Whether or not the pass finished first, the flag must now be set and
   // any further pass must abort immediately.
   EXPECT_TRUE(token.cancel_requested());
-  EXPECT_THROW(minimize_strong(lts, &token), CheckCancelled);
+  EXPECT_THROW(bisim_partition(lts, &token), CheckCancelled);
 }
 
 TEST(RefineCancel, CompressForwardsTheToken) {
@@ -97,11 +97,13 @@ TEST(RefineCancel, CompressForwardsTheToken) {
 }
 
 TEST(RefineCancel, NoTokenRunsToCompletion) {
-  const Lts lts = big_chain(2'000);
+  const CompactLts lts = big_chain(2'000);
   const NormLts norm = normalize(lts, false, nullptr);
   EXPECT_GT(norm.nodes.size(), 0u);
-  const MinimizeResult min = minimize_strong(lts, nullptr);
-  EXPECT_GT(min.lts.state_count(), 0u);
+  EXPECT_EQ(bisim_partition(lts, nullptr).size(), lts.state_count());
+  EXPECT_GT(compress_compact(lts, Compression::Bisim, nullptr, nullptr)
+                .state_count(),
+            0u);
 }
 
 }  // namespace

@@ -1,15 +1,17 @@
 // Property tests for the arena-backed CompactLts core (refine/compact.hpp).
 //
-// The compact form is the representation every check sweeps, so its
-// conversion must be lossless and canonical:
-//   * compact_from_lts / compact_to_lts round-trips the structure exactly —
-//     same root, same states, same per-row transition order (the order
-//     the checks' byte-compatibility with the historical engine rests on);
-//   * the interned alphabet is a bijection onto the set of events the LTS
-//     actually uses, and local ids depend only on that *set* — never on the
-//     insertion/edge order the compiler happened to produce;
+// The compact form is the one machine every check sweeps, so compile_lts
+// must fill it losslessly and canonically:
+//   * each row is the operational semantics of its state's term, in
+//     Context::transitions order, with states numbered in BFS discovery
+//     order (the order the checks' byte-compatibility rests on) — checked
+//     against an independent reference exploration;
+//   * the interned alphabet is a bijection onto the set of events the
+//     machine actually uses, and local ids depend only on that *set* —
+//     never on the insertion/edge order the rows happened to arrive in
+//     (CompactBuilder);
 //   * derived flags (post-tick, Omega, deadlock) and divergent_states match
-//     the definitions the historical engine computed from Lts directly.
+//     their definitions over the terms and edges.
 // Plus structural sanity of compress_compact: mode none is the identity on
 // the arrays, every reduced machine is well-formed and fully reachable, and
 // reachable divergence is preserved (the verdict-level guarantees live in
@@ -17,8 +19,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <optional>
 #include <random>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "refine/check.hpp"
@@ -88,21 +93,47 @@ struct TermGen {
   }
 };
 
-/// Structural equality of Lts transition tables (term_of is diagnostics
-/// only and is deliberately not round-tripped).
-void expect_same_structure(const Lts& a, const Lts& b,
-                           const std::string& where) {
-  ASSERT_EQ(a.root, b.root) << where;
-  ASSERT_EQ(a.state_count(), b.state_count()) << where;
-  for (StateId s = 0; s < a.state_count(); ++s) {
-    ASSERT_EQ(a.succ[s].size(), b.succ[s].size()) << where << " state " << s;
-    for (std::size_t i = 0; i < a.succ[s].size(); ++i) {
-      EXPECT_EQ(a.succ[s][i].event, b.succ[s][i].event)
-          << where << " state " << s << " edge " << i;
-      EXPECT_EQ(a.succ[s][i].target, b.succ[s][i].target)
-          << where << " state " << s << " edge " << i;
+using Rows = std::vector<std::vector<std::pair<EventId, StateId>>>;
+
+/// An independent exploration of `root`: a FIFO frontier over canonical
+/// terms, numbering each state at first discovery. rows[s] lists the
+/// transitions of terms[s] in Context::transitions order.
+struct Reference {
+  std::vector<ProcessRef> terms;
+  Rows rows;
+};
+
+Reference explore(Context& ctx, ProcessRef root) {
+  Reference ref;
+  std::unordered_map<ProcessRef, StateId> ids;
+  std::deque<ProcessRef> frontier;
+  const auto id_of = [&](ProcessRef term) {
+    term = ctx.canonical(term);
+    const auto [it, fresh] =
+        ids.emplace(term, static_cast<StateId>(ref.terms.size()));
+    if (fresh) {
+      ref.terms.push_back(term);
+      frontier.push_back(term);
+    }
+    return it->second;
+  };
+  for (id_of(root); !frontier.empty(); frontier.pop_front()) {
+    auto& row = ref.rows.emplace_back();
+    for (const Transition& t : ctx.transitions(frontier.front())) {
+      row.emplace_back(t.event, id_of(t.target));
     }
   }
+  return ref;
+}
+
+/// A hand-built machine from per-state rows of global event ids.
+CompactLts from_rows(const Rows& rows) {
+  CompactBuilder b;
+  for (const auto& row : rows) {
+    for (const auto& [e, t] : row) b.edge(e, t);
+    b.end_state();
+  }
+  return std::move(b).finish(0);
 }
 
 class CompactRoundTrip : public ::testing::TestWithParam<unsigned> {};
@@ -111,32 +142,26 @@ TEST_P(CompactRoundTrip, ConversionIsLosslessAndOrderPreserving) {
   Context ctx;
   TermGen gen(ctx, GetParam());
   for (int i = 0; i < 4; ++i) {
-    const Lts lts = compile_lts(ctx, gen.process(3));
-    const CompactLts compact = compact_from_lts(lts);
+    const ProcessRef p = gen.process(3);
+    const CompactLts compact = compile_lts(ctx, p);
+    const Reference ref = explore(ctx, p);
 
-    // State/transition bijection.
-    ASSERT_EQ(compact.state_count(), lts.state_count());
-    ASSERT_EQ(compact.transition_count(), lts.transition_count());
-    ASSERT_EQ(compact.root, lts.root);
+    // State bijection, root first.
+    ASSERT_EQ(compact.root, 0u);
+    ASSERT_EQ(compact.state_count(), ref.rows.size());
 
-    // Per-row: same events in the same order, with the same targets, after
-    // mapping local ids back through the alphabet table.
-    for (StateId s = 0; s < lts.state_count(); ++s) {
-      ASSERT_EQ(compact.degree(s), lts.succ[s].size()) << "state " << s;
-      for (std::size_t k = 0; k < lts.succ[s].size(); ++k) {
+    // Per-row: the term's transitions in order, with the same targets,
+    // after mapping local ids back through the alphabet table.
+    for (StateId s = 0; s < compact.state_count(); ++s) {
+      ASSERT_EQ(compact.degree(s), ref.rows[s].size()) << "state " << s;
+      for (std::size_t k = 0; k < ref.rows[s].size(); ++k) {
         const std::uint32_t at = compact.begin(s) + static_cast<std::uint32_t>(k);
-        EXPECT_EQ(compact.global_event(compact.events[at]),
-                  lts.succ[s][k].event)
+        EXPECT_EQ(compact.global_event(compact.events[at]), ref.rows[s][k].first)
             << "state " << s << " edge " << k;
-        EXPECT_EQ(compact.targets[at], lts.succ[s][k].target)
+        EXPECT_EQ(compact.targets[at], ref.rows[s][k].second)
             << "state " << s << " edge " << k;
       }
     }
-
-    // Full round-trip through compact_to_lts.
-    expect_same_structure(lts, compact_to_lts(compact),
-                          "seed=" + std::to_string(GetParam()) +
-                              " term=" + std::to_string(i));
   }
 }
 
@@ -144,12 +169,12 @@ TEST_P(CompactRoundTrip, AlphabetIsABijectionOnTheUsedEventSet) {
   Context ctx;
   TermGen gen(ctx, GetParam() + 100);
   for (int i = 0; i < 4; ++i) {
-    const Lts lts = compile_lts(ctx, gen.process(3));
-    const CompactLts compact = compact_from_lts(lts);
+    const ProcessRef p = gen.process(3);
+    const CompactLts compact = compile_lts(ctx, p);
 
     std::vector<EventId> used;
-    for (StateId s = 0; s < lts.state_count(); ++s) {
-      for (const LtsTransition& t : lts.succ[s]) used.push_back(t.event);
+    for (const auto& row : explore(ctx, p).rows) {
+      for (const auto& [e, t] : row) used.push_back(e);
     }
     std::sort(used.begin(), used.end());
     used.erase(std::unique(used.begin(), used.end()), used.end());
@@ -178,32 +203,20 @@ TEST(CompactLtsTest, InternedIdsDependOnlyOnTheEventSetNotInsertionOrder) {
   const EventId b = ctx.event(ctx.channel("b"));
   const EventId c = ctx.event(ctx.channel("c"));
 
-  Lts forward;  // root --a--> 1 --b--> 2 --c--> 2
-  forward.root = 0;
-  forward.succ = {{{a, 1}}, {{b, 2}}, {{c, 2}}};
-
-  Lts backward;  // root --c--> 1 --b--> 2 --a--> 2, edges discovered c,b,a
-  backward.root = 0;
-  backward.succ = {{{c, 1}}, {{b, 2}}, {{a, 2}}};
-
-  const CompactLts cf = compact_from_lts(forward);
-  const CompactLts cb = compact_from_lts(backward);
+  // root --a--> 1 --b--> 2 --c--> 2
+  const CompactLts cf = from_rows({{{a, 1}}, {{b, 2}}, {{c, 2}}});
+  // root --c--> 1 --b--> 2 --a--> 2, edges discovered c,b,a
+  const CompactLts cb = from_rows({{{c, 1}}, {{b, 2}}, {{a, 2}}});
   EXPECT_EQ(cf.alphabet, cb.alphabet);
   for (const EventId e : {a, b, c}) {
     EXPECT_EQ(cf.local_event(e), cb.local_event(e)) << "event " << e;
   }
 
   // Permuting the edges *within* one row does not change the mapping either.
-  Lts shuffled;
-  shuffled.root = 0;
-  shuffled.succ = {{{c, 1}, {a, 1}, {b, 1}}, {}};
-  Lts ordered;
-  ordered.root = 0;
-  ordered.succ = {{{a, 1}, {b, 1}, {c, 1}}, {}};
-  EXPECT_EQ(compact_from_lts(shuffled).alphabet,
-            compact_from_lts(ordered).alphabet);
-  EXPECT_EQ(compact_from_lts(shuffled).local_event(b),
-            compact_from_lts(ordered).local_event(b));
+  const CompactLts shuffled = from_rows({{{c, 1}, {a, 1}, {b, 1}}, {}});
+  const CompactLts ordered = from_rows({{{a, 1}, {b, 1}, {c, 1}}, {}});
+  EXPECT_EQ(shuffled.alphabet, ordered.alphabet);
+  EXPECT_EQ(shuffled.local_event(b), ordered.local_event(b));
 }
 
 TEST(CompactLtsTest, FlagsMatchTheHistoricalDefinitions) {
@@ -211,23 +224,23 @@ TEST(CompactLtsTest, FlagsMatchTheHistoricalDefinitions) {
   const EventId a = ctx.event(ctx.channel("a"));
   // SKIP ; a -> STOP: exercises tick, post-tick and a genuine deadlock.
   const ProcessRef p = ctx.seq(ctx.skip(), ctx.prefix(a, ctx.stop()));
-  const Lts lts = compile_lts(ctx, p);
-  const CompactLts compact = compact_from_lts(lts);
+  const CompactLts compact = compile_lts(ctx, p);
+  const Reference ref = explore(ctx, p);
+  ASSERT_EQ(compact.state_count(), ref.rows.size());
 
-  std::vector<bool> post_tick(lts.state_count(), false);
-  for (StateId s = 0; s < lts.state_count(); ++s) {
-    for (const LtsTransition& t : lts.succ[s]) {
-      if (t.event == TICK) post_tick[t.target] = true;
+  std::vector<bool> post_tick(ref.rows.size(), false);
+  for (const auto& row : ref.rows) {
+    for (const auto& [e, t] : row) {
+      if (e == TICK) post_tick[t] = true;
     }
   }
   bool saw_deadlock = false;
-  for (StateId s = 0; s < lts.state_count(); ++s) {
+  for (StateId s = 0; s < compact.state_count(); ++s) {
     EXPECT_EQ(compact.is_post_tick(s), post_tick[s]) << "state " << s;
-    const bool omega = s < lts.term_of.size() && lts.term_of[s] &&
-                       lts.term_of[s]->op() == Op::Omega;
+    const bool omega = ref.terms[s]->op() == Op::Omega;
     EXPECT_EQ(compact.is_omega(s), omega) << "state " << s;
     EXPECT_EQ(compact.is_deadlock(s),
-              lts.succ[s].empty() && !post_tick[s] && !omega)
+              ref.rows[s].empty() && !post_tick[s] && !omega)
         << "state " << s;
     saw_deadlock = saw_deadlock || compact.is_deadlock(s);
   }
@@ -235,13 +248,13 @@ TEST(CompactLtsTest, FlagsMatchTheHistoricalDefinitions) {
 }
 
 TEST(CompactLtsTest, CompiledStructuresOutliveTheirContext) {
-  // The check_refinement_compiled contract: compiled Lts/NormLts are plain
-  // data, usable after the owning Context dies. term_of pointers dangle at
-  // that point, so conversion and the flags must come from the omega record
-  // captured at compile time — never from the terms. (Regression for a
-  // use-after-free TSan caught in compact_from_lts; the sanitizer legs are
-  // what give this test its teeth.)
-  std::optional<Lts> impl;
+  // The check_refinement_compiled contract: compiled CompactLts/NormLts are
+  // plain data, usable after the owning Context dies. The terms are gone at
+  // that point, so the flags must come from the Omega record captured at
+  // compile time — never from the terms. (Regression for a use-after-free
+  // TSan caught in the retired conversion into the compact form; the
+  // sanitizer legs are what give this test its teeth.)
+  std::optional<CompactLts> impl;
   std::optional<NormLts> spec;
   {
     Context ctx;
@@ -250,9 +263,9 @@ TEST(CompactLtsTest, CompiledStructuresOutliveTheirContext) {
     const ProcessRef p = ctx.prefix(a, ctx.skip());
     impl = compile_lts(ctx, p);
     spec = normalize(compile_lts(ctx, p), /*with_divergence=*/false);
-  }  // Context destroyed; every term_of pointer is now dangling.
+  }  // Context destroyed; every compile-time term is now dangling.
 
-  const CompactLts compact = compact_from_lts(*impl);
+  const CompactLts& compact = *impl;
   bool saw_omega = false;
   for (StateId s = 0; s < compact.state_count(); ++s) {
     saw_omega = saw_omega || compact.is_omega(s);
@@ -275,7 +288,7 @@ TEST(CompactLtsTest, DivergentStatesMatchesTauCycleReachability) {
     return cx.prefix(a, cx.var("T"));
   });
   const ProcessRef p = ctx.prefix(b, ctx.hide(ctx.var("T"), EventSet{a}));
-  const CompactLts compact = compact_from_lts(compile_lts(ctx, p));
+  const CompactLts compact = compile_lts(ctx, p);
   const std::vector<bool> div = compact.divergent_states();
 
   ASSERT_EQ(div.size(), compact.state_count());
@@ -297,8 +310,7 @@ class CompressStructure : public ::testing::TestWithParam<unsigned> {};
 TEST_P(CompressStructure, ModeNoneIsTheIdentityOnTheArrays) {
   Context ctx;
   TermGen gen(ctx, GetParam() + 200);
-  const CompactLts compact =
-      compact_from_lts(compile_lts(ctx, gen.process(3)));
+  const CompactLts compact = compile_lts(ctx, gen.process(3));
   ReductionStats stats;
   const CompactLts same = compress_compact(compact, Compression::None, &stats);
   EXPECT_EQ(same.root, compact.root);
@@ -315,8 +327,7 @@ TEST_P(CompressStructure, ReducedMachinesAreWellFormedAndNoLarger) {
   Context ctx;
   TermGen gen(ctx, GetParam() + 300);
   for (int i = 0; i < 3; ++i) {
-    const CompactLts compact =
-        compact_from_lts(compile_lts(ctx, gen.process(3)));
+    const CompactLts compact = compile_lts(ctx, gen.process(3));
     const bool diverges_somewhere = [&] {
       const std::vector<bool> d = compact.divergent_states();
       return std::find(d.begin(), d.end(), true) != d.end();

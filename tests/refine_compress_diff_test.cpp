@@ -117,7 +117,7 @@ CheckResult check_compiled(Context& ctx, ProcessRef spec, ProcessRef impl,
                            Model m, Compression mode) {
   const NormLts norm =
       normalize(compile_lts(ctx, spec), m == Model::FailuresDivergences);
-  const CompactLts compact = compact_from_lts(compile_lts(ctx, impl));
+  const CompactLts compact = compile_lts(ctx, impl);
   return check_refinement_compiled(norm, compact, m, nullptr, mode);
 }
 
@@ -211,7 +211,7 @@ TEST_F(CompressRegression, BisimMustNotMergeDeadlockWithTermination) {
   // would leave no deadlock state for a deadlock check to find.
   const ProcessRef p =
       ctx.int_choice(ctx.skip(), ctx.prefix(a, ctx.stop()));
-  const CompactLts compact = compact_from_lts(compile_lts(ctx, p));
+  const CompactLts compact = compile_lts(ctx, p);
   for (const Compression mode : kModes) {
     const CompactLts reduced = compress_compact(compact, mode);
     bool deadlock = false;

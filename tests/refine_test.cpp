@@ -23,7 +23,7 @@ class RefineTest : public ::testing::Test {
 
 TEST_F(RefineTest, CompileLtsCountsStates) {
   // a -> b -> STOP: three states, two transitions.
-  const Lts lts = compile_lts(ctx, ctx.prefix(a, ctx.prefix(b, ctx.stop())));
+  const CompactLts lts = compile_lts(ctx, ctx.prefix(a, ctx.prefix(b, ctx.stop())));
   EXPECT_EQ(lts.state_count(), 3u);
   EXPECT_EQ(lts.transition_count(), 2u);
 }
@@ -32,7 +32,7 @@ TEST_F(RefineTest, CompileLtsSharesRecursiveStates) {
   ctx.define("P", [this](Context& cx, std::span<const Value>) {
     return cx.prefix(a, cx.prefix(b, cx.var("P")));
   });
-  const Lts lts = compile_lts(ctx, ctx.var("P"));
+  const CompactLts lts = compile_lts(ctx, ctx.var("P"));
   EXPECT_EQ(lts.state_count(), 2u);  // the loop folds back
 }
 
@@ -57,13 +57,13 @@ TEST_F(RefineTest, DivergentStatesFindsTauCycle) {
     return cx.prefix(a, cx.var("T"));
   });
   const ProcessRef div = ctx.hide(ctx.var("T"), EventSet{a});
-  const Lts lts = compile_lts(ctx, div);
+  const CompactLts lts = compile_lts(ctx, div);
   const auto d = lts.divergent_states();
   EXPECT_TRUE(d[lts.root]);
 }
 
 TEST_F(RefineTest, StraightLineIsNotDivergent) {
-  const Lts lts = compile_lts(ctx, ctx.prefix(a, ctx.skip()));
+  const CompactLts lts = compile_lts(ctx, ctx.prefix(a, ctx.skip()));
   for (bool d : lts.divergent_states()) EXPECT_FALSE(d);
 }
 

@@ -222,7 +222,7 @@ TEST(VerificationCacheTest, MemoryOnlyStoreThenHit) {
 TEST(VerificationCacheTest, DiskTierSurvivesClearAndNewInstance) {
   TempDir tmp("disk_tier");
   Terms t;
-  const Lts lts = compile_lts(t.ctx, t.impl);
+  const CompactLts lts = compile_lts(t.ctx, t.impl);
 
   {
     VerificationCache cache(tmp.path());
@@ -291,7 +291,7 @@ TEST(VerificationCacheTest, TruncatedObjectIsEvictedNotServed) {
   TempDir tmp("truncate");
   Terms t;
   VerificationCache cache(tmp.path());
-  const Lts lts = compile_lts(t.ctx, t.impl);
+  const CompactLts lts = compile_lts(t.ctx, t.impl);
   cache.store_lts(t.ctx, t.impl, 1 << 20, lts);
 
   const Digest key = VerificationCache::lts_key(t.ctx, t.impl, 1 << 20);
@@ -312,7 +312,7 @@ TEST(VerificationCacheTest, ForeignFormatVersionIsAMiss) {
   TempDir tmp("version");
   Terms t;
   VerificationCache cache(tmp.path());
-  const Lts lts = compile_lts(t.ctx, t.impl);
+  const CompactLts lts = compile_lts(t.ctx, t.impl);
   cache.store_lts(t.ctx, t.impl, 1 << 20, lts);
 
   const Digest key = VerificationCache::lts_key(t.ctx, t.impl, 1 << 20);
@@ -335,7 +335,7 @@ TEST(VerificationCacheTest, TrimDelegatesToDisk) {
   TempDir tmp("cache_trim");
   Terms t;
   VerificationCache cache(tmp.path());
-  const Lts lts = compile_lts(t.ctx, t.impl);
+  const CompactLts lts = compile_lts(t.ctx, t.impl);
   cache.store_lts(t.ctx, t.impl, 1 << 20, lts);
   cache.store_lts(t.ctx, t.spec, 1 << 20, compile_lts(t.ctx, t.spec));
   EXPECT_GT(cache.trim(0), 0u);

@@ -4,9 +4,10 @@
 // The store's contract is that a load either returns exactly what was
 // stored or throws SerializeError (which the cache layer converts into a
 // miss) — it never crashes, never returns a mangled artifact. That is
-// checked both constructively (round trips, including randomised LTSes and
-// verdicts) and destructively (every truncation point, every single-byte
-// corruption, plain garbage).
+// checked both constructively (round trips, including randomised machines
+// and verdicts, and one pinned machine encoding) and destructively (every
+// truncation point, every single-byte corruption, plain garbage, element
+// counts larger than the payload).
 #include <gtest/gtest.h>
 
 #include <random>
@@ -87,14 +88,14 @@ TEST(Seal, RoundTrip) {
 
 TEST(Seal, KindMismatchThrows) {
   const auto blob = seal(ArtifactKind::Verdict, payload_bytes("x"));
-  EXPECT_THROW(unseal(ArtifactKind::Lts, blob), SerializeError);
+  EXPECT_THROW(unseal(ArtifactKind::Machine, blob), SerializeError);
 }
 
 TEST(Seal, EveryTruncationThrows) {
-  const auto blob = seal(ArtifactKind::Lts, payload_bytes("some payload"));
+  const auto blob = seal(ArtifactKind::Machine, payload_bytes("some payload"));
   for (std::size_t n = 0; n < blob.size(); ++n) {
     EXPECT_THROW(
-        unseal(ArtifactKind::Lts,
+        unseal(ArtifactKind::Machine,
                std::span<const std::uint8_t>(blob.data(), n)),
         SerializeError)
         << "prefix of " << n << " bytes accepted";
@@ -102,9 +103,9 @@ TEST(Seal, EveryTruncationThrows) {
 }
 
 TEST(Seal, TrailingGarbageThrows) {
-  auto blob = seal(ArtifactKind::Lts, payload_bytes("p"));
+  auto blob = seal(ArtifactKind::Machine, payload_bytes("p"));
   blob.push_back(0);
-  EXPECT_THROW(unseal(ArtifactKind::Lts, blob), SerializeError);
+  EXPECT_THROW(unseal(ArtifactKind::Machine, blob), SerializeError);
 }
 
 TEST(Seal, SingleByteCorruptionNeverYieldsAlteredPayload) {
@@ -134,7 +135,7 @@ TEST(Seal, GarbageInputThrows) {
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng());
     // Random bytes essentially never start with the magic; if they do, the
     // digest check rejects them.
-    EXPECT_THROW(unseal(ArtifactKind::Lts, junk), SerializeError);
+    EXPECT_THROW(unseal(ArtifactKind::Machine, junk), SerializeError);
   }
 }
 
@@ -198,44 +199,74 @@ TEST(SerializeLts, CompiledLtsRoundTripsIntoFreshContext) {
   src.define("P", [a, b](Context& cx, std::span<const Value>) {
     return cx.prefix(a, cx.prefix(b, cx.var("P")));
   });
-  const Lts lts = compile_lts(src, src.var("P"));
+  const CompactLts lts = compile_lts(src, src.var("P"));
   const auto blob = seal_lts(src, lts);
 
   Context dst;
   declare_alphabet(dst, 2);
-  const Lts back = unseal_lts(blob, dst);
+  const CompactLts back = unseal_lts(blob, dst);
   ASSERT_EQ(back.state_count(), lts.state_count());
   EXPECT_EQ(back.root, lts.root);
-  EXPECT_EQ(back.transition_count(), lts.transition_count());
-  for (StateId s = 0; s < lts.state_count(); ++s) {
-    ASSERT_EQ(back.succ[s].size(), lts.succ[s].size());
-    for (std::size_t i = 0; i < lts.succ[s].size(); ++i) {
-      EXPECT_EQ(back.succ[s][i].target, lts.succ[s][i].target);
-      EXPECT_EQ(dst.event_name(back.succ[s][i].event),
-                src.event_name(lts.succ[s][i].event));
-    }
+  EXPECT_EQ(back.offsets, lts.offsets);
+  EXPECT_EQ(back.targets, lts.targets);
+  for (std::size_t k = 0; k < lts.transition_count(); ++k) {
+    EXPECT_EQ(dst.event_name(back.global_event(back.events[k])),
+              src.event_name(lts.global_event(lts.events[k])));
   }
 }
 
 TEST(SerializeLts, OmegaStatesSurvive) {
   Context src;
   const EventId a = src.event(src.channel("ch0"));
-  const Lts lts = compile_lts(src, src.prefix(a, src.skip()));
+  const CompactLts lts = compile_lts(src, src.prefix(a, src.skip()));
   const auto blob = seal_lts(src, lts);
   Context dst;
   declare_alphabet(dst, 1);
-  const Lts back = unseal_lts(blob, dst);
+  const CompactLts back = unseal_lts(blob, dst);
   ASSERT_EQ(back.state_count(), lts.state_count());
+  bool saw_omega = false;
   for (StateId s = 0; s < lts.state_count(); ++s) {
-    const bool was_omega = lts.term_of[s] && lts.term_of[s]->op() == Op::Omega;
-    const bool is_omega = back.term_of[s] && back.term_of[s]->op() == Op::Omega;
-    EXPECT_EQ(was_omega, is_omega) << "state " << s;
+    EXPECT_EQ(back.is_omega(s), lts.is_omega(s)) << "state " << s;
+    EXPECT_EQ(back.is_post_tick(s), lts.is_post_tick(s)) << "state " << s;
+    saw_omega = saw_omega || lts.is_omega(s);
   }
+  EXPECT_TRUE(saw_omega);
+}
+
+TEST(SerializeLts, SealedBytesArePinned) {
+  // The LTS tier's wire format, byte for byte: the event table in order of
+  // first appearance, the state count and root, then per state its Omega
+  // byte and (table index, target) row. Stores on disk are read with this
+  // format at kStoreFormatVersion 3, so changing it means bumping the
+  // version. The machine has TAU, TICK, an Omega state, a deadlock and a
+  // channel with fields, and no state with two successors under one event
+  // (their order would follow term addresses).
+  Context ctx;
+  const Value ok = Value::symbol(ctx.sym("ok"));
+  const ChannelId c =
+      ctx.channel("c", {{Value::integer(0), Value::integer(1)}, {ok}});
+  const EventId c0 = ctx.event(c, {Value::integer(0), ok});
+  const EventId c1 = ctx.event(c, {Value::integer(1), ok});
+  // c.0.ok -> STOP [] c.1.ok -> (SKIP ; SKIP)
+  const CompactLts lts = compile_lts(
+      ctx, ctx.ext_choice(ctx.prefix(c0, ctx.stop()),
+                          ctx.prefix(c1, ctx.seq(ctx.skip(), ctx.skip()))));
+  const std::vector<std::uint8_t> pinned = {
+      0x45, 0x43, 0x53, 0x50, 0x03, 0x01, 0x2b, 0x04, 0x02, 0x01, 0x63, 0x02,
+      0x00, 0x00, 0x01, 0x02, 0x6f, 0x6b, 0x02, 0x01, 0x63, 0x02, 0x00, 0x02,
+      0x01, 0x02, 0x6f, 0x6b, 0x00, 0x01, 0x05, 0x00, 0x00, 0x02, 0x00, 0x01,
+      0x01, 0x02, 0x00, 0x00, 0x00, 0x01, 0x02, 0x03, 0x00, 0x01, 0x03, 0x04,
+      0x01, 0x00, 0x6e, 0x94, 0x28, 0xfc, 0x5b, 0x46, 0x4d, 0x24, 0xa8, 0xfa,
+      0x8c, 0x93, 0x27, 0x6e, 0x11, 0x50,
+  };
+  EXPECT_EQ(kStoreFormatVersion, 3u);
+  EXPECT_EQ(seal_lts(ctx, lts), pinned);
+  EXPECT_TRUE(unseal_lts(pinned, ctx) == lts);
 }
 
 TEST(SerializeLts, RandomisedRoundTripProperty) {
-  // Seeded random LTSes straight through encode→decode; events live in one
-  // shared Context so EventIds compare directly.
+  // Seeded random machines straight through encode→decode; events live in
+  // one shared Context so EventIds compare directly.
   std::mt19937_64 rng(20260805);
   Context ctx;
   std::vector<EventId> alphabet;
@@ -243,33 +274,21 @@ TEST(SerializeLts, RandomisedRoundTripProperty) {
 
   for (int round = 0; round < 50; ++round) {
     const std::size_t states = 1 + rng() % 40;
-    Lts lts;
-    lts.succ.resize(states);
-    lts.term_of.assign(states, ctx.stop());
-    lts.root = static_cast<StateId>(rng() % states);
+    CompactBuilder b;
     for (std::size_t s = 0; s < states; ++s) {
-      if (rng() % 4 == 0) lts.term_of[s] = ctx.omega();
+      const bool omega = rng() % 4 == 0;
       const std::size_t degree = rng() % 5;
       for (std::size_t t = 0; t < degree; ++t) {
-        lts.succ[s].push_back(
-            LtsTransition{alphabet[rng() % alphabet.size()],
-                          static_cast<StateId>(rng() % states)});
+        b.edge(alphabet[rng() % alphabet.size()],
+               static_cast<StateId>(rng() % states));
       }
+      b.end_state(omega);
     }
+    const CompactLts lts =
+        std::move(b).finish(static_cast<StateId>(rng() % states));
 
     const auto blob = seal_lts(ctx, lts);
-    const Lts back = unseal_lts(blob, ctx);
-    ASSERT_EQ(back.state_count(), lts.state_count());
-    EXPECT_EQ(back.root, lts.root);
-    for (std::size_t s = 0; s < states; ++s) {
-      ASSERT_EQ(back.succ[s].size(), lts.succ[s].size()) << "state " << s;
-      for (std::size_t i = 0; i < lts.succ[s].size(); ++i) {
-        EXPECT_EQ(back.succ[s][i].event, lts.succ[s][i].event);
-        EXPECT_EQ(back.succ[s][i].target, lts.succ[s][i].target);
-      }
-      EXPECT_EQ(back.term_of[s]->op() == Op::Omega,
-                lts.term_of[s]->op() == Op::Omega);
-    }
+    EXPECT_TRUE(unseal_lts(blob, ctx) == lts) << "round " << round;
 
     // And the destructive side: truncations of this random artifact throw.
     for (std::size_t cut : {blob.size() / 3, blob.size() / 2, blob.size() - 1}) {
@@ -280,25 +299,58 @@ TEST(SerializeLts, RandomisedRoundTripProperty) {
   }
 }
 
+/// A payload of varints. Flags, tags and bytes below 128 encode as
+/// themselves, and a string is its length and bytes: "ch0" is 3, 'c', 'h',
+/// '0'.
+std::vector<std::uint8_t> varints(std::initializer_list<std::uint64_t> vs) {
+  ByteWriter w;
+  for (const std::uint64_t v : vs) w.uv(v);
+  return w.take();
+}
+
 TEST(SerializeLts, RejectsDanglingReferences) {
-  // Hand-mangle a valid payload so it survives the digest but violates the
-  // structural invariants: decode must bound-check, not index blindly.
+  // Payloads that survive the digest but violate the structural invariants:
+  // decode must bound-check, not index blindly. The event table is {ch0};
+  // two states, each (omega, degree, (event, target)*).
   Context ctx;
-  const EventId a = ctx.event(ctx.channel("ch0"));
-  Lts lts;
-  lts.succ.resize(2);
-  lts.term_of.assign(2, ctx.stop());
-  lts.root = 0;
-  lts.succ[0].push_back(LtsTransition{a, 1});
+  ctx.channel("ch0");
+  const auto decode = [&](std::uint64_t root, std::uint64_t event,
+                          std::uint64_t target) {
+    return unseal_lts(
+        seal(ArtifactKind::Machine, varints({1, 2, 3, 'c', 'h', '0', 0, 2, root,
+                                             0, 1, event, target, 0, 0})),
+        ctx);
+  };
+  EXPECT_NO_THROW(decode(0, 0, 1));
+  EXPECT_THROW(decode(0, 0, 7), SerializeError);  // transition target
+  EXPECT_THROW(decode(9, 0, 1), SerializeError);  // root
+  EXPECT_THROW(decode(0, 3, 1), SerializeError);  // event index
+}
 
-  // Re-encode with an out-of-range transition target.
-  Lts bad = lts;
-  bad.succ[0][0].target = 7;
-  EXPECT_THROW(unseal_lts(seal_lts(ctx, bad), ctx), SerializeError);
-
-  Lts bad_root = lts;
-  bad_root.root = 9;
-  EXPECT_THROW(unseal_lts(seal_lts(ctx, bad_root), ctx), SerializeError);
+TEST(SerializeLts, OversizedCountsAreRejectedNotAllocated) {
+  // Every count in a payload names elements of at least one byte each, so a
+  // count beyond the bytes left is corrupt. It must decode to SerializeError
+  // (a cache miss), never size an allocation into bad_alloc/length_error.
+  Context ctx;
+  ctx.channel("ch0");
+  const auto lts = [&](std::initializer_list<std::uint64_t> vs) {
+    return unseal_lts(seal(ArtifactKind::Machine, varints(vs)), ctx);
+  };
+  const auto verdict = [&](std::initializer_list<std::uint64_t> vs) {
+    return unseal_check(seal(ArtifactKind::Verdict, varints(vs)), ctx);
+  };
+  for (const std::uint64_t huge :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+    EXPECT_THROW(lts({huge}), SerializeError);              // event table
+    EXPECT_THROW(lts({0, huge, 0}), SerializeError);        // states
+    EXPECT_THROW(lts({0, 1, 0, 0, huge}), SerializeError);  // transitions
+    // An event's fields, and the fields of a tuple value among them.
+    EXPECT_THROW(lts({1, 2, 3, 'c', 'h', '0', huge}), SerializeError);
+    EXPECT_THROW(lts({1, 2, 3, 'c', 'h', '0', 1, 2, huge}), SerializeError);
+    // A counterexample's trace, and its acceptance set after event TAU.
+    EXPECT_THROW(verdict({0, 0, 0, 1, 0, huge}), SerializeError);
+    EXPECT_THROW(verdict({0, 0, 0, 1, 0, 0, 0, huge}), SerializeError);
+  }
 }
 
 // --- verdict round trips -----------------------------------------------------

@@ -122,7 +122,7 @@ TEST(ShardedCache, ObjectsLandInTheShardTheDigestNames) {
 
   // Different state budgets give different keys, scattering objects over
   // the shards; every one must land exactly where shard_of() points.
-  const Lts lts = compile_lts(t.ctx, t.impl);
+  const CompactLts lts = compile_lts(t.ctx, t.impl);
   for (unsigned bit = 10; bit < 18; ++bit) {
     cache.store_lts(t.ctx, t.impl, 1u << bit, lts);
     const Digest key = VerificationCache::lts_key(t.ctx, t.impl, 1u << bit);
@@ -184,7 +184,7 @@ TEST(ShardedCache, TrimSpreadsTheBudgetAcrossShards) {
   TempDir tmp("trim");
   Terms t;
   VerificationCache cache(tmp.path(), 4);
-  const Lts lts = compile_lts(t.ctx, t.impl);
+  const CompactLts lts = compile_lts(t.ctx, t.impl);
   for (unsigned bit = 10; bit < 18; ++bit) {
     cache.store_lts(t.ctx, t.impl, 1u << bit, lts);
   }
