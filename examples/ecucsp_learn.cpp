@@ -42,12 +42,11 @@ int usage(const char* argv0) {
       "  --eq-tests N    per-round equivalence tests per family (default 64)\n"
       "  --max-len N     equivalence word length cap (default 12)\n"
       "  --timeout MS    per-refinement-check wall-clock budget\n"
-      "  --max-states N  refinement state budget (default 2^20)\n"
       "  --json          machine-readable learn_format:1 report on stdout\n"
       "  --timing        include wall-clock fields in the JSON report\n"
       "  --mutate SEED   learn a seeded ECU mutant instead of the faithful\n"
       "                  ECU -- the requirement battery must catch it\n"
-      "  --cache-dir D   persist learned models + verdicts; also replays\n"
+      "  --cache-dir D   persist learned models; also replays\n"
       "                  counterexamples stored by ecucsp_check as\n"
       "                  equivalence probes\n",
       argv0);
@@ -108,10 +107,6 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (!v || !parse_u64(v, n) || n == 0) return usage(argv[0]);
       opt.timeout = std::chrono::milliseconds(n);
-    } else if (std::strcmp(arg, "--max-states") == 0) {
-      const char* v = value();
-      if (!v || !parse_u64(v, n) || n == 0) return usage(argv[0]);
-      opt.max_states = static_cast<std::size_t>(n);
     } else if (std::strcmp(arg, "--json") == 0) {
       json = true;
     } else if (std::strcmp(arg, "--timing") == 0) {

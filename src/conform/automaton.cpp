@@ -1,80 +1,86 @@
 #include "conform/automaton.hpp"
 
 #include <algorithm>
-
-#include "refine/lts.hpp"
-#include "refine/normalize.hpp"
+#include <stdexcept>
+#include <utility>
 
 namespace ecucsp::conform {
 
-std::size_t SymAutomaton::edge_count() const {
-  std::size_t n = 0;
-  for (const auto& es : succ) n += es.size();
-  return n;
+std::uint32_t Dfa::symbol(std::string_view name) const {
+  const auto it = std::lower_bound(names.begin(), names.end(), name);
+  if (it == names.end() || *it != name) return NONE;
+  return static_cast<std::uint32_t>(it - names.begin());
 }
 
-const SymEdge* SymAutomaton::edge(std::uint32_t node,
-                                  std::string_view event) const {
-  if (node >= succ.size()) return nullptr;
-  const auto& es = succ[node];
-  auto it = std::lower_bound(
-      es.begin(), es.end(), event,
-      [](const SymEdge& e, std::string_view ev) { return e.event < ev; });
-  if (it == es.end() || it->event != event) return nullptr;
-  return &*it;
+std::uint32_t Dfa::step(std::uint32_t node, std::uint32_t symbol) const {
+  const auto first = labels.begin() + begin(node);
+  const auto last = labels.begin() + end(node);
+  const auto it = std::lower_bound(first, last, symbol);
+  if (it == last || *it != symbol) return NONE;
+  return targets[static_cast<std::size_t>(it - labels.begin())];
 }
 
-std::vector<std::string> SymAutomaton::offered(std::uint32_t node) const {
+std::vector<std::string> Dfa::offered(std::uint32_t node) const {
   std::vector<std::string> out;
-  if (node >= succ.size()) return out;
-  out.reserve(succ[node].size());
-  for (const SymEdge& e : succ[node]) out.push_back(e.event);
-  return out;
-}
-
-std::set<std::string> SymAutomaton::event_alphabet() const {
-  std::set<std::string> out;
-  for (const auto& es : succ) {
-    for (const SymEdge& e : es) out.insert(e.event);
+  out.reserve(end(node) - begin(node));
+  for (std::uint32_t k = begin(node); k < end(node); ++k) {
+    out.push_back(names[labels[k]]);
   }
   return out;
 }
 
-void SymAutomaton::add_edge(std::uint32_t from, std::string event,
-                            std::uint32_t to) {
-  const std::uint32_t hi = std::max(from, to);
-  if (hi >= succ.size()) succ.resize(hi + 1);
-  succ[from].push_back(SymEdge{std::move(event), to});
+DfaBuilder::DfaBuilder(std::vector<std::string> names) {
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
+  dfa_.names = std::move(names);
 }
 
-void SymAutomaton::sort_edges() {
-  for (auto& es : succ) {
-    std::sort(es.begin(), es.end(), [](const SymEdge& a, const SymEdge& b) {
-      return a.event < b.event;
-    });
+void DfaBuilder::edge(std::uint32_t symbol, std::uint32_t target) {
+  if (symbol >= dfa_.names.size()) {
+    throw std::invalid_argument("Dfa edge: symbol outside the name table");
   }
+  dfa_.labels.push_back(symbol);
+  dfa_.targets.push_back(target);
 }
 
-SymAutomaton compile_sym_automaton(Context& ctx, ProcessRef p,
-                                   const EventSet& keep,
-                                   std::size_t max_states,
-                                   CancelToken* cancel) {
-  const EventSet hidden = ctx.alphabet().set_difference(keep);
-  const ProcessRef visible = hidden.empty() ? p : ctx.hide(p, hidden);
-  const NormLts norm = normalize(compile_lts(ctx, visible, max_states, cancel),
-                                 /*with_divergence=*/false, cancel);
+void DfaBuilder::edge(std::string_view name, std::uint32_t target) {
+  const std::uint32_t symbol = dfa_.symbol(name);
+  if (symbol == Dfa::NONE) {
+    throw std::invalid_argument("Dfa edge: '" + std::string(name) +
+                                "' is not in the name table");
+  }
+  edge(symbol, target);
+}
 
-  SymAutomaton out;
-  out.root = norm.root;
-  out.succ.resize(norm.nodes.size());
-  for (std::size_t n = 0; n < norm.nodes.size(); ++n) {
-    for (const auto& [event, target] : norm.nodes[n].succ) {
-      if (event == TICK) continue;
-      out.succ[n].push_back(SymEdge{ctx.event_name(event), target});
+void DfaBuilder::end_state() {
+  const std::size_t lo = dfa_.offsets.back();
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> row;
+  for (std::size_t k = lo; k < dfa_.labels.size(); ++k) {
+    row.emplace_back(dfa_.labels[k], dfa_.targets[k]);
+  }
+  std::sort(row.begin(), row.end());
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    if (i > 0 && row[i].first == row[i - 1].first) {
+      throw std::invalid_argument("Dfa edge: two edges under '" +
+                                  dfa_.names[row[i].first] + "'");
     }
+    dfa_.labels[lo + i] = row[i].first;
+    dfa_.targets[lo + i] = row[i].second;
   }
-  out.sort_edges();
-  return out;
+  dfa_.offsets.push_back(static_cast<std::uint32_t>(dfa_.labels.size()));
+}
+
+Dfa DfaBuilder::finish(std::uint32_t root) && {
+  const std::size_t n = dfa_.state_count();
+  const bool dangling =
+      dfa_.offsets.back() != dfa_.labels.size() ||
+      std::any_of(dfa_.targets.begin(), dfa_.targets.end(),
+                  [n](std::uint32_t t) { return t >= n; });
+  if (root >= n || dangling) {
+    throw std::invalid_argument("Dfa: root or edge target names no state");
+  }
+  dfa_.root = root;
+  return std::move(dfa_);
 }
 
 }  // namespace ecucsp::conform

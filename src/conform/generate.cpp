@@ -15,15 +15,13 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 
 namespace {
 
-/// plannable-ness per (node, edge index), precomputed once per generation.
-std::vector<std::vector<bool>> plannable_mask(const SymAutomaton& model,
-                                              const GeneratorOptions& opt) {
-  std::vector<std::vector<bool>> mask(model.succ.size());
-  for (std::size_t n = 0; n < model.succ.size(); ++n) {
-    mask[n].resize(model.succ[n].size());
-    for (std::size_t i = 0; i < model.succ[n].size(); ++i) {
-      mask[n][i] = !opt.plannable || opt.plannable(model.succ[n][i].event);
-    }
+/// plannable-ness per edge, indexed like Dfa::labels, precomputed once per
+/// generation.
+std::vector<bool> plannable_mask(const Dfa& model,
+                                 const GeneratorOptions& opt) {
+  std::vector<bool> mask(model.edge_count());
+  for (std::size_t k = 0; k < mask.size(); ++k) {
+    mask[k] = !opt.plannable || opt.plannable(model.names[model.labels[k]]);
   }
   return mask;
 }
@@ -31,18 +29,18 @@ std::vector<std::vector<bool>> plannable_mask(const SymAutomaton& model,
 }  // namespace
 
 std::vector<std::pair<std::uint32_t, std::uint32_t>> plannable_edges(
-    const SymAutomaton& model, const GeneratorOptions& opt) {
+    const Dfa& model, const GeneratorOptions& opt) {
   const auto mask = plannable_mask(model, opt);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
-  for (std::uint32_t n = 0; n < mask.size(); ++n) {
-    for (std::uint32_t i = 0; i < mask[n].size(); ++i) {
-      if (mask[n][i]) out.emplace_back(n, i);
+  for (std::uint32_t n = 0; n < model.state_count(); ++n) {
+    for (std::uint32_t k = model.begin(n); k < model.end(n); ++k) {
+      if (mask[k]) out.emplace_back(n, k - model.begin(n));
     }
   }
   return out;
 }
 
-std::vector<TestCase> generate_random(const SymAutomaton& model,
+std::vector<TestCase> generate_random(const Dfa& model,
                                       const GeneratorOptions& opt) {
   const auto mask = plannable_mask(model, opt);
   std::vector<TestCase> out;
@@ -58,73 +56,69 @@ std::vector<TestCase> generate_random(const SymAutomaton& model,
     std::uint32_t node = model.root;
     for (std::size_t step = 0; step < opt.max_len; ++step) {
       std::vector<std::uint32_t> choices;
-      for (std::uint32_t i = 0; i < model.succ[node].size(); ++i) {
-        if (mask[node][i]) choices.push_back(i);
+      for (std::uint32_t k = model.begin(node); k < model.end(node); ++k) {
+        if (mask[k]) choices.push_back(k);
       }
       if (choices.empty()) break;
       const std::uint32_t pick =
           choices[splitmix64(rng) % choices.size()];
-      tc.events.push_back(model.succ[node][pick].event);
-      node = model.succ[node][pick].target;
+      tc.events.push_back(model.names[model.labels[pick]]);
+      node = model.targets[pick];
     }
     out.push_back(std::move(tc));
   }
   return out;
 }
 
-std::vector<TestCase> generate_cover(const SymAutomaton& model,
+std::vector<TestCase> generate_cover(const Dfa& model,
                                      const GeneratorOptions& opt) {
   const auto mask = plannable_mask(model, opt);
   const std::size_t tour_cap = std::max<std::size_t>(4 * opt.max_len, 8);
+  const std::size_t states = model.state_count();
 
-  std::vector<std::vector<bool>> covered(mask.size());
-  std::size_t uncovered = 0;
-  for (std::size_t n = 0; n < mask.size(); ++n) {
-    covered[n].resize(mask[n].size(), false);
-    for (bool p : mask[n]) uncovered += p ? 1 : 0;
-  }
+  std::vector<bool> covered(mask.size(), false);
+  std::size_t uncovered = static_cast<std::size_t>(
+      std::count(mask.begin(), mask.end(), true));
+  const auto has_uncovered = [&](std::uint32_t n) {
+    for (std::uint32_t k = model.begin(n); k < model.end(n); ++k) {
+      if (mask[k] && !covered[k]) return true;
+    }
+    return false;
+  };
 
   // BFS (plannable edges only) from `from` to the nearest node with an
-  // uncovered outgoing edge; returns the edge-index path, empty if none.
+  // uncovered outgoing edge; returns the edge path, empty if none.
   auto path_to_uncovered = [&](std::uint32_t from,
-                               std::vector<std::uint32_t>& path_nodes,
                                std::vector<std::uint32_t>& path_edges) {
-    std::vector<std::int64_t> pred_node(model.succ.size(), -1);
-    std::vector<std::uint32_t> pred_edge(model.succ.size(), 0);
-    std::vector<bool> seen(model.succ.size(), false);
+    std::vector<std::uint32_t> pred_node(states, 0);
+    std::vector<std::uint32_t> pred_edge(states, 0);
+    std::vector<bool> seen(states, false);
     std::deque<std::uint32_t> queue{from};
     seen[from] = true;
     std::int64_t goal = -1;
     while (!queue.empty()) {
       const std::uint32_t n = queue.front();
       queue.pop_front();
-      bool has_uncovered = false;
-      for (std::uint32_t i = 0; i < mask[n].size(); ++i) {
-        if (mask[n][i] && !covered[n][i]) has_uncovered = true;
-      }
-      if (has_uncovered) {
+      if (has_uncovered(n)) {
         goal = n;
         break;
       }
-      for (std::uint32_t i = 0; i < model.succ[n].size(); ++i) {
-        if (!mask[n][i]) continue;
-        const std::uint32_t to = model.succ[n][i].target;
+      for (std::uint32_t k = model.begin(n); k < model.end(n); ++k) {
+        if (!mask[k]) continue;
+        const std::uint32_t to = model.targets[k];
         if (seen[to]) continue;
         seen[to] = true;
         pred_node[to] = n;
-        pred_edge[to] = i;
+        pred_edge[to] = k;
         queue.push_back(to);
       }
     }
-    path_nodes.clear();
     path_edges.clear();
     if (goal < 0) return false;
     for (std::uint32_t n = static_cast<std::uint32_t>(goal); n != from;
-         n = static_cast<std::uint32_t>(pred_node[n])) {
-      path_nodes.push_back(n);
+         n = pred_node[n]) {
       path_edges.push_back(pred_edge[n]);
     }
-    std::reverse(path_nodes.begin(), path_nodes.end());
     std::reverse(path_edges.begin(), path_edges.end());
     return true;
   };
@@ -137,35 +131,29 @@ std::vector<TestCase> generate_cover(const SymAutomaton& model,
     tc.strategy = "cover";
     tc.seed = splitmix64(rng);
     std::uint32_t node = model.root;
-    while (tc.events.size() < tour_cap) {
-      std::vector<std::uint32_t> path_nodes, path_edges;
-      if (!path_to_uncovered(node, path_nodes, path_edges)) break;
-      // Traverse the connecting path, then the uncovered edge itself;
-      // everything walked counts as covered.
-      std::uint32_t at = node;
-      for (std::size_t k = 0; k < path_edges.size(); ++k) {
-        const std::uint32_t i = path_edges[k];
-        tc.events.push_back(model.succ[at][i].event);
-        if (!covered[at][i] && mask[at][i]) {
-          covered[at][i] = true;
-          --uncovered;
-        }
-        at = path_nodes[k];
+    const auto take = [&](std::uint32_t k) {
+      tc.events.push_back(model.names[model.labels[k]]);
+      if (!covered[k] && mask[k]) {
+        covered[k] = true;
+        --uncovered;
       }
-      std::uint32_t take = 0;
-      bool found = false;
-      for (std::uint32_t i = 0; i < mask[at].size(); ++i) {
-        if (mask[at][i] && !covered[at][i]) {
-          take = i;
-          found = true;
+      node = model.targets[k];
+    };
+    while (tc.events.size() < tour_cap) {
+      // Traverse the connecting path, then the first uncovered edge at its
+      // end; everything walked counts as covered.
+      std::vector<std::uint32_t> path_edges;
+      if (!path_to_uncovered(node, path_edges)) break;
+      for (const std::uint32_t k : path_edges) take(k);
+      std::uint32_t next = model.end(node);
+      for (std::uint32_t k = model.begin(node); k < model.end(node); ++k) {
+        if (mask[k] && !covered[k]) {
+          next = k;
           break;
         }
       }
-      if (!found) break;  // path edges already consumed the goal's edges
-      tc.events.push_back(model.succ[at][take].event);
-      covered[at][take] = true;
-      --uncovered;
-      node = model.succ[at][take].target;
+      if (next == model.end(node)) break;  // the path consumed them all
+      take(next);
     }
     if (tc.events.empty()) break;  // remaining edges unreachable from root
     out.push_back(std::move(tc));
@@ -191,23 +179,21 @@ std::optional<TestCase> bridge_counterexample(
 }
 
 std::set<std::pair<std::uint32_t, std::uint32_t>> covered_edges(
-    const SymAutomaton& model, const std::vector<std::string>& events) {
-  const std::set<std::string> alphabet = model.event_alphabet();
+    const Dfa& model, const std::vector<std::string>& events) {
+  std::vector<bool> labels_an_edge(model.names.size(), false);
+  for (const std::uint32_t l : model.labels) labels_an_edge[l] = true;
   std::set<std::pair<std::uint32_t, std::uint32_t>> out;
   std::uint32_t node = model.root;
   for (const std::string& e : events) {
-    if (!alphabet.contains(e)) continue;  // attacker frames, renamed events
-    const auto& es = model.succ[node];
-    std::uint32_t idx = SymAutomaton::NONE;
-    for (std::uint32_t i = 0; i < es.size(); ++i) {
-      if (es[i].event == e) {
-        idx = i;
-        break;
-      }
-    }
-    if (idx == SymAutomaton::NONE) break;  // trace left the model here
-    out.insert({node, idx});
-    node = es[idx].target;
+    const std::uint32_t symbol = model.symbol(e);
+    // Attacker frames, renamed events, alphabet names on no edge.
+    if (symbol == Dfa::NONE || !labels_an_edge[symbol]) continue;
+    const auto first = model.labels.begin() + model.begin(node);
+    const auto last = model.labels.begin() + model.end(node);
+    const auto at = std::lower_bound(first, last, symbol);
+    if (at == last || *at != symbol) break;  // trace left the model here
+    out.insert({node, static_cast<std::uint32_t>(at - first)});
+    node = model.targets[static_cast<std::size_t>(at - model.labels.begin())];
   }
   return out;
 }

@@ -57,17 +57,17 @@ std::uint64_t splitmix64(std::uint64_t& state);
 
 /// The plannable edges of `model` as (node, edge-index) pairs, sorted.
 std::vector<std::pair<std::uint32_t, std::uint32_t>> plannable_edges(
-    const SymAutomaton& model, const GeneratorOptions& opt);
+    const Dfa& model, const GeneratorOptions& opt);
 
 /// `opt.tests` seeded random walks; walk i is fully determined by
 /// (opt.seed, i) and never exceeds opt.max_len events.
-std::vector<TestCase> generate_random(const SymAutomaton& model,
+std::vector<TestCase> generate_random(const Dfa& model,
                                       const GeneratorOptions& opt);
 
 /// Greedy tours covering every plannable edge reachable from the root via
 /// plannable edges. Deterministic; returns as many tours as needed, each at
 /// most 4 * opt.max_len events.
-std::vector<TestCase> generate_cover(const SymAutomaton& model,
+std::vector<TestCase> generate_cover(const Dfa& model,
                                      const GeneratorOptions& opt);
 
 /// Map an abstract spec counterexample (event names from the hand-built
@@ -82,9 +82,9 @@ std::optional<TestCase> bridge_counterexample(
 
 /// Distinct plannable edges of `model` traversed by walking `events` from
 /// the root (the walk stops at the first event with no matching edge;
-/// events outside the automaton alphabet are skipped). Shared by planned
-/// and observed coverage accounting.
+/// events that label no edge of the automaton are skipped). Shared by
+/// planned and observed coverage accounting.
 std::set<std::pair<std::uint32_t, std::uint32_t>> covered_edges(
-    const SymAutomaton& model, const std::vector<std::string>& events);
+    const Dfa& model, const std::vector<std::string>& events);
 
 }  // namespace ecucsp::conform

@@ -2,7 +2,42 @@
 
 #include <algorithm>
 
+#include "refine/lts.hpp"
+#include "refine/normalize.hpp"
+
 namespace ecucsp::conform {
+
+std::uint32_t TraceOracle::resolve(const std::string& event) const {
+  if (ignored.contains(event)) return kSkip;
+  const std::uint32_t symbol = automaton.symbol(event);
+  if (symbol != Dfa::NONE) return symbol;
+  return strict ? kRejectAlphabet : kSkip;
+}
+
+std::uint32_t TraceOracle::advance(std::uint32_t node,
+                                   std::uint32_t resolved) const {
+  if (resolved == kSkip || resolved == kRejectAlphabet) return resolved;
+  const std::uint32_t target = automaton.step(node, resolved);
+  return target == Dfa::NONE ? kRejectStuck : target;
+}
+
+const char* rejection_reason(std::uint32_t why) {
+  return why == TraceOracle::kRejectAlphabet
+             ? "event outside the oracle alphabet"
+             : "spec offers no such event here";
+}
+
+OracleVerdict TraceOracle::rejection(std::size_t at, const std::string& event,
+                                     std::uint32_t node,
+                                     std::uint32_t why) const {
+  OracleVerdict v;
+  v.accepted = false;
+  v.divergence_index = at;
+  v.event = event;
+  v.offered = automaton.offered(node);
+  v.reason = rejection_reason(why);
+  return v;
+}
 
 OracleVerdict TraceOracle::judge(const std::vector<std::string>& events) const {
   OracleCursor cur = start();
@@ -14,78 +49,52 @@ OracleVerdict TraceOracle::judge_resume(OracleCursor& cur,
                                         std::size_t end) const {
   const std::size_t stop = std::min(end, events.size());
   for (; cur.next < stop; ++cur.next) {
-    const std::string& e = events[cur.next];
-    if (ignored.contains(e)) continue;
-    if (!alphabet.contains(e)) {
-      if (!strict) continue;
-      OracleVerdict v;
-      v.accepted = false;
-      v.divergence_index = cur.next;
-      v.event = e;
-      v.offered = automaton.offered(cur.node);
-      v.reason = "event outside the oracle alphabet";
-      return v;
+    const std::uint32_t to = next(cur.node, events[cur.next]);
+    if (to == kSkip) continue;
+    if (to >= kRejectStuck) {
+      return rejection(cur.next, events[cur.next], cur.node, to);
     }
-    const SymEdge* edge = automaton.edge(cur.node, e);
-    if (edge == nullptr) {
-      OracleVerdict v;
-      v.accepted = false;
-      v.divergence_index = cur.next;
-      v.event = e;
-      v.offered = automaton.offered(cur.node);
-      v.reason = "spec offers no such event here";
-      return v;
-    }
-    cur.node = edge->target;
+    cur.node = to;
   }
   return {};
 }
 
 bool OracleSession::step(const std::string& event) {
-  if (!alive_) {
-    // Sticky rejection: count the event so cursor().next stays the number
-    // of consumed events, but do not move the node or rewrite the verdict.
-    ++cur_.next;
-    return false;
-  }
-  // One iteration of judge_resume's loop, so a stepped walk reproduces the
-  // one-shot verdict byte for byte.
+  // Sticky rejection: a dead session still counts the event, so
+  // cursor().next stays the number of consumed events, but moves neither
+  // the node nor the verdict.
   const std::size_t at = cur_.next++;
-  const std::string& e = event;
-  if (oracle_->ignored.contains(e)) return true;
-  if (!oracle_->alphabet.contains(e)) {
-    if (!oracle_->strict) return true;
+  if (!alive_) return false;
+  const std::uint32_t to = oracle_->next(cur_.node, event);
+  if (to == TraceOracle::kSkip) return true;
+  if (to >= TraceOracle::kRejectStuck) {
     alive_ = false;
-    verdict_.accepted = false;
-    verdict_.divergence_index = at;
-    verdict_.event = e;
-    verdict_.offered = oracle_->automaton.offered(cur_.node);
-    verdict_.reason = "event outside the oracle alphabet";
+    verdict_ = oracle_->rejection(at, event, cur_.node, to);
     return false;
   }
-  const SymEdge* edge = oracle_->automaton.edge(cur_.node, e);
-  if (edge == nullptr) {
-    alive_ = false;
-    verdict_.accepted = false;
-    verdict_.divergence_index = at;
-    verdict_.event = e;
-    verdict_.offered = oracle_->automaton.offered(cur_.node);
-    verdict_.reason = "spec offers no such event here";
-    return false;
-  }
-  cur_.node = edge->target;
+  cur_.node = to;
   return true;
 }
 
 TraceOracle compile_oracle(Context& ctx, std::string name, ProcessRef spec,
                            const EventSet& keep, bool strict,
                            std::size_t max_states, CancelToken* cancel) {
-  TraceOracle oracle;
-  oracle.name = std::move(name);
-  oracle.automaton = compile_sym_automaton(ctx, spec, keep, max_states, cancel);
-  for (EventId e : keep) oracle.alphabet.insert(ctx.event_name(e));
-  oracle.strict = strict;
-  return oracle;
+  const EventSet hidden = ctx.alphabet().set_difference(keep);
+  const ProcessRef visible = hidden.empty() ? spec : ctx.hide(spec, hidden);
+  const NormLts norm = normalize(compile_lts(ctx, visible, max_states, cancel),
+                                 /*with_divergence=*/false, cancel);
+
+  std::vector<std::string> names;
+  for (EventId e : keep) names.push_back(ctx.event_name(e));
+  DfaBuilder dfa(std::move(names));
+  for (const NormNode& node : norm.nodes) {
+    for (const auto& [event, target] : node.succ) {
+      if (event != TICK) dfa.edge(ctx.event_name(event), target);
+    }
+    dfa.end_state();
+  }
+  return TraceOracle{std::move(name), std::move(dfa).finish(norm.root), {},
+                     strict};
 }
 
 }  // namespace ecucsp::conform

@@ -1,7 +1,7 @@
 // Trace oracles: accept/reject an observed event sequence against a spec.
 //
 // The oracle is the "check every run against the spec" half of model-based
-// conformance testing. It walks a SymAutomaton over the observed trace and
+// conformance testing. It walks a Dfa over the observed trace and
 // reports the first divergence: the index, the offending event, and what
 // the spec offered instead. Because it is pure data over event-name
 // strings, one oracle compiled on the main thread serves every test
@@ -20,6 +20,8 @@
 #include <vector>
 
 #include "conform/automaton.hpp"
+#include "core/cancel.hpp"
+#include "core/context.hpp"
 
 namespace ecucsp::conform {
 
@@ -47,11 +49,16 @@ struct OracleCursor {
 };
 
 struct TraceOracle {
+  /// Outcomes of the step rule besides a target node.
+  static constexpr std::uint32_t kSkip = 0xffffffffu;
+  static constexpr std::uint32_t kRejectAlphabet = 0xfffffffeu;
+  static constexpr std::uint32_t kRejectStuck = 0xfffffffdu;
+
   std::string name;
-  SymAutomaton automaton;
-  /// Events this oracle constrains. An alphabet event must match an
-  /// automaton edge; anything else is skipped (or rejected under strict).
-  std::set<std::string> alphabet;
+  /// The spec. Its name table is the oracle's alphabet, the events it
+  /// constrains: an alphabet event must match an edge; anything else is
+  /// skipped (or rejected under strict).
+  Dfa automaton;
   /// Events skipped silently even under strict (e.g. attacker-injected
   /// frames the model deliberately has no word for).
   std::set<std::string> ignored;
@@ -60,6 +67,24 @@ struct TraceOracle {
   /// frame-to-event mapping and the model alphabet have drifted apart,
   /// which must surface as a failure, not a silent skip.
   bool strict = false;
+
+  /// The step rule, written once for every walker (judge_resume,
+  /// OracleSession and replay's per-trace step tables). Per event name:
+  /// kSkip for an ignored event or, unless strict, one outside the
+  /// alphabet; kRejectAlphabet for one outside it under strict; otherwise
+  /// the event's symbol.
+  std::uint32_t resolve(const std::string& event) const;
+  /// Per node: the node a resolved event leads to, or kRejectStuck when
+  /// `node` has no edge for it; kSkip and kRejectAlphabet pass through.
+  std::uint32_t advance(std::uint32_t node, std::uint32_t resolved) const;
+  std::uint32_t next(std::uint32_t node, const std::string& event) const {
+    return advance(node, resolve(event));
+  }
+
+  /// The verdict for rejection code `why` of `event`, the trace's event
+  /// number `at`, refused at `node`.
+  OracleVerdict rejection(std::size_t at, const std::string& event,
+                          std::uint32_t node, std::uint32_t why) const;
 
   OracleVerdict judge(const std::vector<std::string>& events) const;
 
@@ -133,9 +158,17 @@ class OracleSession {
   OracleVerdict verdict_;
 };
 
-/// Compile a Context-bound spec process into a portable oracle. The oracle
-/// alphabet is the rendered `keep` set (not just the events reachable in
-/// the automaton — an alphabet event the spec never allows must reject).
+/// The reason a verdict gives for rejection code `why` (kRejectAlphabet or
+/// kRejectStuck).
+const char* rejection_reason(std::uint32_t why);
+
+/// Compile a Context-bound spec process into a portable oracle: hide
+/// everything outside `keep`, compile, normalize, render event names. TAU
+/// never appears in a normalized automaton and TICK is dropped, since
+/// observed bus traces carry neither. The name table is the rendered `keep`
+/// set, not just the events on some edge: an alphabet event the spec never
+/// allows must reject. Cancellation and the state budget reach both
+/// exploration passes.
 TraceOracle compile_oracle(Context& ctx, std::string name, ProcessRef spec,
                            const EventSet& keep, bool strict = false,
                            std::size_t max_states = 1u << 20,

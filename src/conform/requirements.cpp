@@ -23,65 +23,61 @@ namespace {
 // requirement-level specs.
 
 TraceOracle oracle_r01() {
-  TraceOracle o;
-  o.name = "R01";
-  o.alphabet = {"send.SwInventoryReq", "rec.SwReport", "send.UpdApplyReq",
-                "rec.UpdReport"};
-  o.ignored = {"send.UpdApplyReqBad"};
-  o.automaton.add_edge(0, "send.SwInventoryReq", 1);
-  for (const std::string& e : o.alphabet) o.automaton.add_edge(1, e, 1);
-  o.automaton.sort_edges();
-  return o;
+  const std::vector<std::string> alphabet = {
+      "send.SwInventoryReq", "rec.SwReport", "send.UpdApplyReq",
+      "rec.UpdReport"};
+  DfaBuilder dfa(alphabet);
+  dfa.edge("send.SwInventoryReq", 1);
+  dfa.end_state();
+  for (const std::string& e : alphabet) dfa.edge(e, 1);
+  dfa.end_state();
+  return {"R01", std::move(dfa).finish(0), {"send.UpdApplyReqBad"}, false};
 }
 
 TraceOracle oracle_r02() {
-  TraceOracle o;
-  o.name = "R02";
-  o.alphabet = {"send.SwInventoryReq", "rec.SwReport"};
-  o.automaton.add_edge(0, "send.SwInventoryReq", 1);
-  o.automaton.add_edge(1, "send.SwInventoryReq", 1);
-  o.automaton.add_edge(1, "rec.SwReport", 1);
-  o.automaton.sort_edges();
-  return o;
+  DfaBuilder dfa({"send.SwInventoryReq", "rec.SwReport"});
+  dfa.edge("send.SwInventoryReq", 1);
+  dfa.end_state();
+  dfa.edge("send.SwInventoryReq", 1);
+  dfa.edge("rec.SwReport", 1);
+  dfa.end_state();
+  return {"R02", std::move(dfa).finish(0), {}, false};
 }
 
 TraceOracle oracle_r03() {
-  TraceOracle o;
-  o.name = "R03";
-  o.alphabet = {"send.UpdApplyReq", "rec.UpdReport"};
-  o.automaton.add_edge(0, "send.UpdApplyReq", 1);
-  o.automaton.add_edge(1, "send.UpdApplyReq", 1);
-  o.automaton.add_edge(1, "rec.UpdReport", 1);
-  o.automaton.sort_edges();
-  return o;
+  DfaBuilder dfa({"send.UpdApplyReq", "rec.UpdReport"});
+  dfa.edge("send.UpdApplyReq", 1);
+  dfa.end_state();
+  dfa.edge("send.UpdApplyReq", 1);
+  dfa.edge("rec.UpdReport", 1);
+  dfa.end_state();
+  return {"R03", std::move(dfa).finish(0), {}, false};
 }
 
 TraceOracle oracle_r04() {
   // Counting oracle: every UpdReport consumes one outstanding genuine
   // UpdApplyReq (saturating at 8 pending — beyond that the oracle stops
   // distinguishing, a documented over-approximation).
-  TraceOracle o;
-  o.name = "R04";
-  o.alphabet = {"send.UpdApplyReq", "rec.UpdReport"};
-  o.ignored = {"send.UpdApplyReqBad"};
+  DfaBuilder dfa({"send.UpdApplyReq", "rec.UpdReport"});
   constexpr std::uint32_t kMax = 8;
   for (std::uint32_t k = 0; k <= kMax; ++k) {
-    o.automaton.add_edge(k, "send.UpdApplyReq", std::min(k + 1, kMax));
-    if (k > 0) o.automaton.add_edge(k, "rec.UpdReport", k - 1);
+    dfa.edge("send.UpdApplyReq", std::min(k + 1, kMax));
+    if (k > 0) dfa.edge("rec.UpdReport", k - 1);
+    dfa.end_state();
   }
-  o.automaton.sort_edges();
-  return o;
+  return {"R04", std::move(dfa).finish(0), {"send.UpdApplyReqBad"}, false};
 }
 
 TraceOracle oracle_r05() {
-  TraceOracle o;
-  o.name = "R05";
-  o.alphabet = {"send.UpdApplyReq", "send.UpdApplyReqBad", "rec.UpdReport"};
-  o.automaton.add_edge(0, "send.UpdApplyReqBad", 0);
-  o.automaton.add_edge(0, "send.UpdApplyReq", 1);
-  for (const std::string& e : o.alphabet) o.automaton.add_edge(1, e, 1);
-  o.automaton.sort_edges();
-  return o;
+  const std::vector<std::string> alphabet = {
+      "send.UpdApplyReq", "send.UpdApplyReqBad", "rec.UpdReport"};
+  DfaBuilder dfa(alphabet);
+  dfa.edge("send.UpdApplyReqBad", 0);
+  dfa.edge("send.UpdApplyReq", 1);
+  dfa.end_state();
+  for (const std::string& e : alphabet) dfa.edge(e, 1);
+  dfa.end_state();
+  return {"R05", std::move(dfa).finish(0), {}, false};
 }
 
 }  // namespace

@@ -30,7 +30,7 @@ TraceOracle requirement_oracle(std::string_view id);
 std::vector<TraceOracle> ota_requirement_oracles();
 
 /// The strict model oracle: parse the reference CAPL ECU (src/ota), extract
-/// its CSP model, compile to a SymAutomaton over the send/rec alphabet.
+/// its CSP model, compile to a Dfa over the send/rec alphabet.
 /// Forged apply requests are in `ignored` — the model deliberately has no
 /// word for attacker-injected frames.
 TraceOracle ota_model_oracle(std::size_t max_states = 1u << 20);

@@ -15,6 +15,7 @@
 #include "conform/oracle.hpp"
 #include "conform/requirements.hpp"
 #include "core/context.hpp"
+#include "core/json.hpp"
 #include "cspm/eval.hpp"
 #include "ota/ota.hpp"
 #include "store/cache.hpp"
@@ -26,57 +27,6 @@ namespace ecucsp::conform {
 namespace {
 
 using EdgeKey = std::pair<std::uint32_t, std::uint32_t>;
-
-std::vector<std::string> collect_trace(const Context& ctx,
-                                       const Counterexample& cex) {
-  std::vector<std::string> out;
-  out.reserve(cex.trace.size() + 1);
-  for (EventId e : cex.trace) out.push_back(ctx.event_name(e));
-  if (cex.kind == Counterexample::Kind::TraceViolation ||
-      cex.kind == Counterexample::Kind::Nondeterminism) {
-    out.push_back(ctx.event_name(cex.event));
-  }
-  return out;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_string_list(const std::vector<std::string>& xs) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "\"" + json_escape(xs[i]) + "\"";
-  }
-  return out + "]";
-}
 
 std::string fmt_pct(double v) {
   char buf[32];
@@ -136,7 +86,7 @@ ConformReport run_ota_conformance(const ConformOptions& opt) {
   // 2. Implementation model -> automaton (doubles as strict model oracle
   // and generation model). Shared with offline replay via requirements.hpp.
   const TraceOracle model_ecu = ota_model_oracle(opt.max_states);
-  const SymAutomaton& impl_auto = model_ecu.automaton;
+  const Dfa& impl_auto = model_ecu.automaton;
 
   // 3. Composed-system oracle (the dialogue scenario's spec).
   translate::ExtractorOptions ecu_opt;
@@ -212,7 +162,7 @@ ConformReport run_ota_conformance(const ConformOptions& opt) {
         *ota_model, "R05", ota_model->system_unprotected, opt.max_states);
     if (!r05_unprot.passed && r05_unprot.counterexample) {
       traces.push_back(
-          collect_trace(ota_model->ctx, *r05_unprot.counterexample));
+          r05_unprot.counterexample->trace_names(ota_model->ctx));
     }
     if (opt.cache_dir) {
       for (auto& tr :

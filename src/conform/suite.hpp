@@ -4,7 +4,7 @@
 //   1. parse the reference CAPL + CANdb sources (src/ota);
 //   2. extract the ECU implementation model (faithful source — the spec
 //      side must not inherit an injected fault) and compile it to a
-//      portable SymAutomaton, which doubles as the strict model oracle and
+//      portable Dfa, which doubles as the strict model oracle and
 //      the test-generation model;
 //   3. build the R01-R05 requirement oracles by hand and the composed
 //      VMG+ECU system oracle from extract_system;

@@ -5,13 +5,14 @@
 // hypothesis is cached in the same on-disk ObjectStore the verification
 // cache uses, keyed on exactly those inputs, sealed in the store's
 // versioned envelope under ArtifactKind::LearnedModel. Unlike LTS/verdict
-// artifacts the payload is *not* Context-bound — a hypothesis is plain
-// string-event data — so encode/decode live here rather than in
-// store/serialize.cpp, and only the envelope (magic, format version, kind
-// byte, digest seal) is borrowed from seal()/unseal().
+// artifacts the payload is *not* Context-bound — a hypothesis is a Dfa
+// over event names plus access words — so encode/decode live here rather
+// than in store/serialize.cpp, and only the envelope (magic, format
+// version, kind byte, digest seal) is borrowed from seal()/unseal().
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string_view>
 
 #include "learn/learner.hpp"
@@ -38,8 +39,9 @@ struct LearnCacheKey {
 std::vector<std::uint8_t> encode_hypothesis(const Hypothesis& h);
 
 /// Decode a sealed LearnedModel envelope; nullopt on any mismatch
-/// (foreign format, truncation, corrupted payload) — a cache miss, never
-/// an error.
+/// (foreign format, truncation, corrupted payload, no states, a root or
+/// target outside them, a name table that is not strictly ascending) — a
+/// cache miss, never an error.
 std::optional<Hypothesis> decode_hypothesis(
     std::span<const std::uint8_t> blob);
 

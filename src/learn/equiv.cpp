@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
+#include <set>
 
 #include "conform/generate.hpp"
 #include "core/rng.hpp"
-#include "learn/compile.hpp"
 
 namespace ecucsp::learn {
 
@@ -33,15 +32,14 @@ std::optional<Word> approximate_counterexample(MembershipOracle& oracle,
 
   // 2. Random walks + cover tour over the hypothesis automaton: words the
   // hypothesis claims are traces; the target must agree.
-  const conform::SymAutomaton hyp_auto = to_sym_automaton(hypothesis);
   conform::GeneratorOptions gen;
   gen.seed = mix_seed(opt.seed, opt.round, 0x77a1ULL);
   gen.tests = opt.tests;
   gen.max_len = opt.max_len;
-  for (const conform::TestCase& tc : generate_random(hyp_auto, gen)) {
+  for (const conform::TestCase& tc : generate_random(hypothesis.dfa, gen)) {
     words.push_back(tc.events);
   }
-  for (const conform::TestCase& tc : generate_cover(hyp_auto, gen)) {
+  for (const conform::TestCase& tc : generate_cover(hypothesis.dfa, gen)) {
     words.push_back(tc.events);
   }
 
@@ -63,7 +61,7 @@ std::optional<Word> approximate_counterexample(MembershipOracle& oracle,
   // one event past the shorter accepted prefix).
   oracle.prefetch(words);
   for (const Word& w : words) {
-    const std::size_t h_acc = hypothesis.accepted_prefix(w);
+    const std::size_t h_acc = accepted_prefix(hypothesis.dfa, w);
     const std::size_t l_acc = oracle.accepted_prefix(w);
     if (h_acc == l_acc) continue;
     const std::size_t cut = std::min(h_acc, l_acc) + 1;
@@ -73,39 +71,42 @@ std::optional<Word> approximate_counterexample(MembershipOracle& oracle,
 }
 
 std::optional<Word> exact_counterexample(
-    const conform::SymAutomaton& target, const conform::SymAutomaton& hyp,
+    const conform::Dfa& target, const conform::Dfa& hyp,
     const std::vector<std::string>& alphabet) {
   // BFS over the product of the two walk automata, each extended with an
-  // implicit dead sink; a pair with exactly one dead side is a mismatch.
-  // BFS layer = word length and symbols are scanned in sorted order, so
-  // the first mismatch found is the shortest, lexicographically smallest
-  // counterexample — fully deterministic.
-  constexpr std::uint32_t kDead = 0xffffffffu;
+  // implicit dead sink (Dfa::NONE); a pair with exactly one dead side is a
+  // mismatch. BFS layer = word length and symbols are scanned in sorted
+  // order, so the first mismatch found is the shortest, lexicographically
+  // smallest counterexample — fully deterministic.
+  constexpr std::uint32_t kDead = conform::Dfa::NONE;
+  std::vector<std::uint32_t> t_sym, h_sym;
+  for (const std::string& a : alphabet) {
+    t_sym.push_back(target.symbol(a));
+    h_sym.push_back(hyp.symbol(a));
+  }
   struct Item {
     std::uint32_t t, h;
     Word word;
   };
-  std::map<std::pair<std::uint32_t, std::uint32_t>, bool> seen;
+  std::set<std::pair<std::uint32_t, std::uint32_t>> seen{
+      {target.root, hyp.root}};
   std::deque<Item> queue{{target.root, hyp.root, {}}};
-  seen[{target.root, hyp.root}] = true;
   while (!queue.empty()) {
     Item it = std::move(queue.front());
     queue.pop_front();
-    for (const std::string& a : alphabet) {
-      const conform::SymEdge* te =
-          it.t == kDead ? nullptr : target.edge(it.t, a);
-      const conform::SymEdge* he = it.h == kDead ? nullptr : hyp.edge(it.h, a);
-      const std::uint32_t tn = te ? te->target : kDead;
-      const std::uint32_t hn = he ? he->target : kDead;
+    for (std::size_t a = 0; a < alphabet.size(); ++a) {
+      const std::uint32_t tn =
+          it.t == kDead ? kDead : target.step(it.t, t_sym[a]);
+      const std::uint32_t hn = it.h == kDead ? kDead : hyp.step(it.h, h_sym[a]);
       if ((tn == kDead) != (hn == kDead)) {
         Word w = it.word;
-        w.push_back(a);
+        w.push_back(alphabet[a]);
         return w;
       }
       if (tn == kDead) continue;  // both dead: no live extension either side
-      if (seen.emplace(std::pair{tn, hn}, true).second) {
+      if (seen.emplace(tn, hn).second) {
         Word w = it.word;
-        w.push_back(a);
+        w.push_back(alphabet[a]);
         queue.push_back({tn, hn, std::move(w)});
       }
     }

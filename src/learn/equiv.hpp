@@ -54,7 +54,7 @@ std::optional<Word> approximate_counterexample(MembershipOracle& oracle,
 /// shortest; nullopt when the automata are language-equivalent. `alphabet`
 /// must be sorted.
 std::optional<Word> exact_counterexample(
-    const conform::SymAutomaton& target, const conform::SymAutomaton& hyp,
+    const conform::Dfa& target, const conform::Dfa& hyp,
     const std::vector<std::string>& alphabet);
 
 }  // namespace ecucsp::learn

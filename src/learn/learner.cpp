@@ -1,6 +1,5 @@
 #include "learn/learner.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace ecucsp::learn {
@@ -21,31 +20,6 @@ Word concat(const Word& a, const std::string& e, const Word& b) {
 }
 
 }  // namespace
-
-std::size_t Hypothesis::transition_count() const {
-  std::size_t n = 0;
-  for (const auto& row : succ) {
-    n += static_cast<std::size_t>(
-        std::count_if(row.begin(), row.end(),
-                      [](std::uint32_t t) { return t != DEAD; }));
-  }
-  return n;
-}
-
-std::size_t Hypothesis::accepted_prefix(const Word& word) const {
-  std::uint32_t state = root;
-  std::size_t k = 0;
-  for (; k < word.size(); ++k) {
-    const auto sym = std::lower_bound(alphabet.begin(), alphabet.end(),
-                                      word[k]);
-    if (sym == alphabet.end() || *sym != word[k]) break;  // outside Sigma
-    const std::uint32_t next =
-        succ[state][static_cast<std::size_t>(sym - alphabet.begin())];
-    if (next == DEAD) break;
-    state = next;
-  }
-  return k;
-}
 
 TreeLearner::TreeLearner(MembershipOracle& oracle) : oracle_(oracle) {
   // Root discriminates with the empty suffix. Its reject side is the one
@@ -98,20 +72,19 @@ std::vector<std::int32_t> TreeLearner::sift_batch(
 }
 
 Hypothesis TreeLearner::hypothesis() {
-  Hypothesis h;
-  h.alphabet = oracle_.alphabet();
+  const std::vector<std::string>& sigma = oracle_.alphabet();
   const std::size_t n = leaves_.size();
-  const std::size_t k = h.alphabet.size();
+  const std::size_t k = sigma.size();
 
   // State numbering = live-leaf creation order; the root state is the
   // empty access word's leaf, which is created first.
-  std::vector<std::uint32_t> state_of(nodes_.size(), Hypothesis::DEAD);
+  Hypothesis h;
+  std::vector<std::uint32_t> state_of(nodes_.size(), conform::Dfa::NONE);
   h.access.resize(n);
   for (std::size_t s = 0; s < n; ++s) {
     state_of[static_cast<std::size_t>(leaves_[s])] = static_cast<std::uint32_t>(s);
     h.access[s] = nodes_[static_cast<std::size_t>(leaves_[s])].access;
   }
-  h.root = 0;
 
   // Transitions: sift access(q)·a for every (state, symbol), all in one
   // breadth-batched pass.
@@ -119,26 +92,28 @@ Hypothesis TreeLearner::hypothesis() {
   words.reserve(n * k);
   for (std::size_t s = 0; s < n; ++s) {
     for (std::size_t a = 0; a < k; ++a) {
-      words.push_back(concat(h.access[s], h.alphabet[a], {}));
+      words.push_back(concat(h.access[s], sigma[a], {}));
     }
   }
   const std::vector<std::int32_t> target = sift_batch(words);
 
-  h.succ.assign(n, std::vector<std::uint32_t>(k, Hypothesis::DEAD));
+  conform::DfaBuilder dfa(sigma);
   for (std::size_t s = 0; s < n; ++s) {
     for (std::size_t a = 0; a < k; ++a) {
       const std::int32_t leaf = target[s * k + a];
       if (leaf != dead_leaf_) {
-        h.succ[s][a] = state_of[static_cast<std::size_t>(leaf)];
+        dfa.edge(sigma[a], state_of[static_cast<std::size_t>(leaf)]);
       }
     }
+    dfa.end_state();
   }
+  h.dfa = std::move(dfa).finish(0);
   return h;
 }
 
 bool TreeLearner::refine(const Word& word) {
   const Hypothesis h = hypothesis();
-  const std::size_t h_acc = h.accepted_prefix(word);
+  const std::size_t h_acc = accepted_prefix(h.dfa, word);
   const bool h_member = h_acc == word.size();
   oracle_.prefetch({word});
   const bool l_member = oracle_.member(word);
@@ -146,15 +121,9 @@ bool TreeLearner::refine(const Word& word) {
 
   // Hypothesis run states q_0..q_last (all live; last = h_acc).
   const std::size_t last = h_acc;
-  std::vector<std::uint32_t> run{h.root};
-  {
-    std::uint32_t state = h.root;
-    for (std::size_t i = 0; i < last; ++i) {
-      const auto sym = std::lower_bound(h.alphabet.begin(), h.alphabet.end(),
-                                        word[i]);
-      state = h.succ[state][static_cast<std::size_t>(sym - h.alphabet.begin())];
-      run.push_back(state);
-    }
+  std::vector<std::uint32_t> run{h.dfa.root};
+  for (std::size_t i = 0; i < last; ++i) {
+    run.push_back(h.dfa.step(run.back(), h.dfa.symbol(word[i])));
   }
 
   // Rivest–Schapire: beta_i = member(access(q_i) · word[i..]).

@@ -33,29 +33,17 @@
 namespace ecucsp::learn {
 
 /// A deterministic, prefix-closed hypothesis: states are live leaves of
-/// the discrimination tree (all accepting), transitions either move to a
-/// live state or fall off the automaton (DEAD = the word stops being a
-/// trace). The language is the set of words with a complete live run.
+/// the discrimination tree (all accepting), and a missing edge means the
+/// word stops being a trace. The Dfa's name table is the learning alphabet;
+/// its root is state 0, the empty access word's leaf.
 struct Hypothesis {
-  static constexpr std::uint32_t DEAD = 0xffffffffu;
-
-  /// Sorted learning alphabet; succ columns index into it.
-  std::vector<std::string> alphabet;
-  std::uint32_t root = 0;
-  /// succ[state][sym] = target state, or DEAD.
-  std::vector<std::vector<std::uint32_t>> succ;
+  conform::Dfa dfa;
   /// Access word of each state (the leaf's access string; access[root]
   /// is empty).
   std::vector<Word> access;
 
-  std::size_t state_count() const { return succ.size(); }
-  std::size_t transition_count() const;
-
-  /// Number of events of `word` the hypothesis runs through live — the
-  /// hypothesis-side accepted_prefix. member iff == word.size().
-  std::size_t accepted_prefix(const Word& word) const;
   bool member(const Word& word) const {
-    return accepted_prefix(word) == word.size();
+    return accepted_prefix(dfa, word) == word.size();
   }
 };
 

@@ -19,7 +19,17 @@ std::size_t common_prefix(const Word& word, const Word& obs) {
 
 }  // namespace
 
-AutomatonOracle::AutomatonOracle(conform::SymAutomaton automaton,
+std::size_t accepted_prefix(const conform::Dfa& dfa, const Word& word) {
+  std::uint32_t state = dfa.root;
+  std::size_t k = 0;
+  for (; k < word.size(); ++k) {
+    state = dfa.step(state, dfa.symbol(word[k]));
+    if (state == conform::Dfa::NONE) break;
+  }
+  return k;
+}
+
+AutomatonOracle::AutomatonOracle(conform::Dfa automaton,
                                  std::vector<std::string> alphabet)
     : automaton_(std::move(automaton)), alphabet_(std::move(alphabet)) {}
 
@@ -27,13 +37,7 @@ std::size_t AutomatonOracle::lookup(const Word& word) {
   auto it = cache_.find(word);
   if (it != cache_.end()) return it->second;
   ++evaluations_;
-  std::uint32_t node = automaton_.root;
-  std::size_t k = 0;
-  for (; k < word.size(); ++k) {
-    const conform::SymEdge* edge = automaton_.edge(node, word[k]);
-    if (edge == nullptr) break;
-    node = edge->target;
-  }
+  const std::size_t k = learn::accepted_prefix(automaton_, word);
   cache_.emplace(word, k);
   return k;
 }

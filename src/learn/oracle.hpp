@@ -36,6 +36,12 @@ namespace ecucsp::learn {
 /// ("send.SwInventoryReq", "rec.UpdReport", ...).
 using Word = std::vector<std::string>;
 
+/// Number of events of `word` a walk of `dfa` from its root runs through:
+/// every state accepts, and a name outside the table or without an edge
+/// stops the walk. The length-k prefix of `word` is in the walk language
+/// iff k <= the result.
+std::size_t accepted_prefix(const conform::Dfa& dfa, const Word& word);
+
 class MembershipOracle {
  public:
   virtual ~MembershipOracle() = default;
@@ -88,8 +94,7 @@ class AutomatonOracle final : public MembershipOracle {
  public:
   /// `alphabet` must be sorted; words are judged by walking `automaton`
   /// (which the oracle copies, so the source may die).
-  AutomatonOracle(conform::SymAutomaton automaton,
-                  std::vector<std::string> alphabet);
+  AutomatonOracle(conform::Dfa automaton, std::vector<std::string> alphabet);
 
   const std::vector<std::string>& alphabet() const override {
     return alphabet_;
@@ -99,7 +104,7 @@ class AutomatonOracle final : public MembershipOracle {
   std::size_t lookup(const Word& word) override;
 
  private:
-  conform::SymAutomaton automaton_;
+  conform::Dfa automaton_;
   std::vector<std::string> alphabet_;
   std::map<Word, std::size_t> cache_;
 };

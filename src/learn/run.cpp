@@ -1,7 +1,6 @@
 #include "learn/run.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <set>
 #include <sstream>
@@ -14,6 +13,7 @@
 #include "conform/requirements.hpp"
 #include "core/cancel.hpp"
 #include "core/context.hpp"
+#include "core/json.hpp"
 #include "learn/cache.hpp"
 #include "learn/compile.hpp"
 #include "learn/equiv.hpp"
@@ -28,45 +28,6 @@ namespace ecucsp::learn {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_string_list(const std::vector<std::string>& xs) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "\"" + json_escape(xs[i]) + "\"";
-  }
-  return out + "]";
-}
-
 std::vector<std::string> learning_alphabet(
     const conform::FrameCodec& codec,
     const std::vector<conform::TraceOracle>& requirements) {
@@ -76,7 +37,7 @@ std::vector<std::string> learning_alphabet(
   std::set<std::string> sigma;
   for (const auto& [event, frame] : codec.stimulus_frames) sigma.insert(event);
   for (const conform::TraceOracle& r : requirements) {
-    for (const std::string& e : r.alphabet) {
+    for (const std::string& e : r.automaton.names) {
       if (e.starts_with(codec.rx_channel + ".")) sigma.insert(e);
     }
   }
@@ -105,18 +66,6 @@ std::vector<Word> harvest_extra_words(const std::string& cache_dir) {
     if (!tc) continue;
     if (!seen.insert(tc->events).second) continue;
     out.push_back(tc->events);
-  }
-  return out;
-}
-
-std::vector<std::string> counterexample_events(const Context& ctx,
-                                               const Counterexample& cex) {
-  std::vector<std::string> out;
-  out.reserve(cex.trace.size() + 1);
-  for (EventId e : cex.trace) out.push_back(ctx.event_name(e));
-  if (cex.kind == Counterexample::Kind::TraceViolation ||
-      cex.kind == Counterexample::Kind::Nondeterminism) {
-    out.push_back(ctx.event_name(cex.event));
   }
   return out;
 }
@@ -224,19 +173,21 @@ LearnReport run_ota_learn(const LearnRunOptions& opt) {
   rep.membership_queries = oracle.queries();
   rep.harness_runs = oracle.evaluations();
 
-  // 5. The Check phase: R01–R05 against the *learned* model. One Context
-  // holds the hypothesis process and every requirement spec; the
-  // verification cache (when a directory was given) serves repeat verdicts.
-  std::optional<store::VerificationCache> vcache;
-  std::optional<ScopedCheckCache> scoped;
-  if (!opt.cache_dir.empty()) {
-    vcache.emplace(std::filesystem::path(opt.cache_dir));
-    scoped.emplace(&*vcache);
-  }
-
+  // 5. The Check phase: R01–R05 against the *learned* model, on machines
+  // laid out straight from the Dfas. One Context interns the events in a
+  // fixed order — the hypothesis's edge labels in row order, then per
+  // requirement its edge labels and the names it hides — so EventIds, and
+  // with them the canonical counterexample's tie-break, are a function of
+  // the automata alone.
   Context ctx;
-  const conform::SymAutomaton hyp_auto = to_sym_automaton(rep.hypothesis);
-  const ProcessRef learned = to_process(ctx, hyp_auto, "LEARNED");
+  const auto intern = [&ctx](const std::string& name) {
+    return ctx.event(ctx.channel(name));
+  };
+  const conform::Dfa& learned = rep.hypothesis.dfa;
+  std::vector<EventId> learned_events(learned.names.size(), TAU);
+  for (const std::uint32_t label : learned.labels) {
+    learned_events[label] = intern(learned.names[label]);
+  }
 
   bool any_fail = false;
   for (const conform::TraceOracle& r : requirements) {
@@ -252,20 +203,28 @@ LearnReport run_ota_learn(const LearnRunOptions& opt) {
       rep.checks.push_back(std::move(c));
       continue;
     }
-    // Spec: the requirement automaton as a process. Impl: the learned
-    // model restricted to the requirement's alphabet by hiding everything
-    // else (standard alphabetised trace refinement).
-    const ProcessRef spec = to_process(ctx, r.automaton, "SPEC_" + r.name);
-    std::vector<EventId> hide;
-    for (const std::string& e : rep.hypothesis.alphabet) {
-      if (!r.alphabet.contains(e)) hide.push_back(ctx.event(ctx.channel(e)));
+    // Spec: the requirement automaton. Impl: the learned model restricted
+    // to the requirement's alphabet by turning every other name into TAU
+    // (standard alphabetised trace refinement).
+    const conform::Dfa& spec = r.automaton;
+    std::vector<EventId> spec_events(spec.names.size(), TAU);
+    for (const std::uint32_t label : spec.labels) {
+      spec_events[label] = intern(spec.names[label]);
     }
-    const ProcessRef impl = ctx.hide(learned, EventSet(hide));
+    std::vector<EventId> impl_events = learned_events;
+    for (std::uint32_t k = 0; k < learned.names.size(); ++k) {
+      if (spec.symbol(learned.names[k]) != conform::Dfa::NONE) continue;
+      intern(learned.names[k]);
+      impl_events[k] = TAU;
+    }
     CancelToken token;
     if (opt.timeout) token.set_timeout(*opt.timeout);
     try {
-      const CheckResult res = check_refinement(ctx, spec, impl, Model::Traces,
-                                               opt.max_states, &token);
+      const NormLts norm =
+          normalize(to_machine(spec, spec_events), /*with_divergence=*/false,
+                    &token);
+      const CheckResult res = check_refinement_compiled(
+          norm, to_machine(learned, impl_events), Model::Traces, &token);
       if (res.passed) {
         c.verdict = "PASS";
       } else {
@@ -273,7 +232,7 @@ LearnReport run_ota_learn(const LearnRunOptions& opt) {
         any_fail = true;
         if (res.counterexample) {
           c.reason = res.counterexample->describe(ctx);
-          c.counterexample = counterexample_events(ctx, *res.counterexample);
+          c.counterexample = res.counterexample->trace_names(ctx);
           // Close the loop: the refinement counterexample must replay to a
           // rejection on the requirement's own trace oracle.
           const conform::OracleVerdict v = r.judge(c.counterexample);
@@ -304,9 +263,9 @@ std::string render_text(const LearnReport& r) {
       << r.membership_queries << " membership queries, " << r.harness_runs
       << " harness runs, " << r.splits << " splits"
       << (r.from_cache ? ", from cache" : "") << ")\n";
-  out << "hypothesis: " << r.hypothesis.state_count() << " states, "
-      << r.hypothesis.transition_count() << " transitions over "
-      << r.hypothesis.alphabet.size() << " events\n";
+  out << "hypothesis: " << r.hypothesis.dfa.state_count() << " states, "
+      << r.hypothesis.dfa.edge_count() << " transitions over "
+      << r.hypothesis.dfa.names.size() << " events\n";
   if (r.mutation) {
     out << "mutation: " << r.mutation->description << " [ECU:"
         << r.mutation->line << ":" << r.mutation->column << " ("
@@ -347,9 +306,9 @@ std::string render_json(const LearnReport& r, bool with_timing) {
   out << ",\"queries\":{\"membership\":" << r.membership_queries
       << ",\"harness_runs\":" << r.harness_runs << ",\"splits\":" << r.splits
       << "}";
-  out << ",\"hypothesis\":{\"states\":" << r.hypothesis.state_count()
-      << ",\"transitions\":" << r.hypothesis.transition_count()
-      << ",\"alphabet\":" << json_string_list(r.hypothesis.alphabet) << "}";
+  out << ",\"hypothesis\":{\"states\":" << r.hypothesis.dfa.state_count()
+      << ",\"transitions\":" << r.hypothesis.dfa.edge_count()
+      << ",\"alphabet\":" << json_string_list(r.hypothesis.dfa.names) << "}";
   if (r.mutation) {
     out << ",\"mutation\":{\"seed\":" << *r.mutation_seed
         << ",\"description\":\"" << json_escape(r.mutation->description)

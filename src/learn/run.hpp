@@ -34,11 +34,11 @@ struct LearnRunOptions {
   std::size_t max_len = 12;
   /// Mutate the ECU CAPL with this seed before learning (conform/mutate).
   std::optional<std::uint64_t> mutate;
-  /// On-disk store: learned-model cache + verification cache + harvested
-  /// counterexamples. Empty = no persistence.
+  /// On-disk store: the learned-model cache, plus counterexamples stored
+  /// by ecucsp_check harvested as equivalence probes. Empty = no
+  /// persistence.
   std::string cache_dir;
   std::optional<std::chrono::milliseconds> timeout;  // per refinement check
-  std::size_t max_states = 1u << 20;
 };
 
 struct LearnCheckReport {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/json.hpp"
+
 namespace ecucsp::lint {
 
 std::string_view to_string(Severity s) {
@@ -70,26 +72,6 @@ void append_caret_block(std::string& out, std::string_view src_line,
   out += '\n';
 }
 
-void json_escape(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 std::string render_text(const std::vector<Diagnostic>& diags,
@@ -140,15 +122,15 @@ std::string render_json(const std::vector<Diagnostic>& diags) {
     if (!first) out += ',';
     first = false;
     out += "{\"rule\":\"";
-    json_escape(out, d.rule);
+    json_escape_to(out, d.rule);
     out += "\",\"severity\":\"";
     out += to_string(d.severity);
     out += "\",\"file\":\"";
-    json_escape(out, d.file);
+    json_escape_to(out, d.file);
     out += "\",\"line\":" + std::to_string(d.span.line) +
            ",\"column\":" + std::to_string(d.span.column) +
            ",\"length\":" + std::to_string(d.span.length) + ",\"message\":\"";
-    json_escape(out, d.message);
+    json_escape_to(out, d.message);
     out += '"';
     if (!d.chain.empty()) {
       out += ",\"chain\":[";
@@ -160,7 +142,7 @@ std::string render_json(const std::vector<Diagnostic>& diags) {
                ",\"column\":" + std::to_string(step.span.column) +
                ",\"length\":" + std::to_string(step.span.length) +
                ",\"note\":\"";
-        json_escape(out, step.note);
+        json_escape_to(out, step.note);
         out += "\"}";
       }
       out += ']';

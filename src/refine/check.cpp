@@ -104,6 +104,17 @@ std::string Counterexample::describe(const Context& ctx) const {
   return out;
 }
 
+std::vector<std::string> Counterexample::trace_names(
+    const Context& ctx) const {
+  std::vector<std::string> out;
+  out.reserve(trace.size() + 1);
+  for (EventId e : trace) out.push_back(ctx.event_name(e));
+  if (kind == Kind::TraceViolation || kind == Kind::Nondeterminism) {
+    out.push_back(ctx.event_name(event));
+  }
+  return out;
+}
+
 namespace {
 
 EventSet visible_initials(const CompactLts& lts, StateId s) {

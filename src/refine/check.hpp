@@ -48,6 +48,9 @@ struct Counterexample {
   EventSet impl_acceptance;
 
   std::string describe(const Context& ctx) const;
+  /// The violating trace as event names: the visible trace, plus the
+  /// offending event of a TraceViolation or Nondeterminism.
+  std::vector<std::string> trace_names(const Context& ctx) const;
 };
 
 struct CheckStats {

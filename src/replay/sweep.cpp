@@ -62,31 +62,14 @@ CompiledOracle compile_for_trace(const conform::TraceOracle& oracle,
                                  const std::vector<std::string>& names) {
   CompiledOracle out;
   out.source = &oracle;
-  out.nodes = static_cast<std::uint32_t>(
-      std::max<std::size_t>(oracle.automaton.succ.size(),
-                            static_cast<std::size_t>(oracle.automaton.root) + 1));
+  out.nodes = static_cast<std::uint32_t>(oracle.automaton.state_count());
   out.n_events = static_cast<std::uint32_t>(names.size());
-  out.step.assign(static_cast<std::size_t>(out.nodes) * out.n_events, 0);
+  out.step.resize(static_cast<std::size_t>(out.nodes) * out.n_events);
   for (std::uint32_t e = 0; e < out.n_events; ++e) {
-    const std::string& name = names[e];
-    std::uint32_t column;
-    if (oracle.ignored.contains(name)) {
-      column = CompiledOracle::kSkip;
-    } else if (!oracle.alphabet.contains(name)) {
-      column = oracle.strict ? CompiledOracle::kRejectAlphabet
-                             : CompiledOracle::kSkip;
-    } else {
-      column = 0;  // per-node edge lookup below
-    }
+    const std::uint32_t resolved = oracle.resolve(names[e]);
     for (std::uint32_t n = 0; n < out.nodes; ++n) {
-      std::uint32_t v = column;
-      if (column == 0) {
-        const conform::SymEdge* edge =
-            n < oracle.automaton.succ.size() ? oracle.automaton.edge(n, name)
-                                             : nullptr;
-        v = edge != nullptr ? edge->target : CompiledOracle::kRejectStuck;
-      }
-      out.step[static_cast<std::size_t>(n) * out.n_events + e] = v;
+      out.step[static_cast<std::size_t>(n) * out.n_events + e] =
+          oracle.advance(n, resolved);
     }
   }
   return out;
@@ -110,12 +93,11 @@ StartOutcome walk_chunk(const CompiledOracle& o, const std::uint32_t* events,
   so.end = from;
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint32_t v = o.at(so.end, events[i]);
-    if (v == CompiledOracle::kSkip) continue;
-    if (v >= CompiledOracle::kRejectStuck) {
+    if (v == conform::TraceOracle::kSkip) continue;
+    if (v >= conform::TraceOracle::kRejectStuck) {
       // Skip-and-continue: report, leave the node unchanged, move on.
       if (so.divergences.size() < cap) {
-        so.divergences.push_back(
-            {base + i, so.end, v == CompiledOracle::kRejectAlphabet});
+        so.divergences.push_back({base + i, so.end, v});
       } else {
         so.more = true;
       }

@@ -44,13 +44,10 @@ struct DecodedTrace {
 DecodedTrace decode_trace(ParsedLog& log, const conform::FrameCodec& codec);
 
 /// A TraceOracle compiled against one trace's interned event ids: a dense
-/// node × event step table, so the per-chunk walks are branch-light array
-/// lookups instead of string set probes.
+/// node × event table of TraceOracle::advance outcomes, built from the
+/// oracle's CSR rows with its step rule, so the per-chunk walks are
+/// branch-light array lookups instead of string probes.
 struct CompiledOracle {
-  static constexpr std::uint32_t kSkip = 0xffffffffu;
-  static constexpr std::uint32_t kRejectAlphabet = 0xfffffffeu;
-  static constexpr std::uint32_t kRejectStuck = 0xfffffffdu;
-
   const conform::TraceOracle* source = nullptr;  // offered() at divergences
   std::uint32_t nodes = 0;
   std::uint32_t n_events = 0;
@@ -67,7 +64,7 @@ CompiledOracle compile_for_trace(const conform::TraceOracle& oracle,
 struct SweepDivergence {
   std::size_t event_index = 0;  // into DecodedTrace::events
   std::uint32_t node = 0;       // oracle node at the divergence point
-  bool outside_alphabet = false;  // vs "spec offers no such event here"
+  std::uint32_t why = 0;        // TraceOracle rejection code
 };
 
 struct OracleSweep {

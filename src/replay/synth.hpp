@@ -1,9 +1,9 @@
 // Seeded synthetic candump logs: honest OTA dialogues plus optional
 // injected attacks with a known ground-truth divergence index.
 //
-// One generator feeds both the replay tests and bench_replay, so "the
-// injected frame is exactly the reported first divergence" is checkable at
-// any log size. Honest logs satisfy R01–R05 by construction (request/report
+// One generator feeds both the replay tests and the benchmark's replay
+// workload, so "the injected frame is exactly the reported first
+// divergence" is checkable at any log size. Honest logs satisfy R01–R05 by construction (request/report
 // pairs, inventory first); the two attacks are the paper's bus-level
 // threats: Replay re-transmits a byte-identical copy of an earlier genuine
 // UpdReport, Masquerade fabricates a fresh one. Both abstract to a spurious

@@ -6,6 +6,7 @@
 #include <map>
 #include <span>
 
+#include "core/json.hpp"
 #include "store/serialize.hpp"
 
 namespace ecucsp::serve {
@@ -418,29 +419,6 @@ Msg decode_json_line(std::string_view line) {
 }
 
 }  // namespace
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(static_cast<char>(c));
-        }
-    }
-  }
-  return out;
-}
 
 std::vector<std::uint8_t> encode(const CheckRequest& req, bool json) {
   if (!json) {

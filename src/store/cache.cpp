@@ -221,14 +221,7 @@ std::vector<std::vector<std::string>> scan_stored_counterexamples(
       continue;  // LTS object, foreign format, or incompatible model
     }
     if (result.passed || !result.counterexample) continue;
-    const Counterexample& cex = *result.counterexample;
-    std::vector<std::string> trace;
-    trace.reserve(cex.trace.size() + 1);
-    for (EventId e : cex.trace) trace.push_back(ctx.event_name(e));
-    if (cex.kind == Counterexample::Kind::TraceViolation ||
-        cex.kind == Counterexample::Kind::Nondeterminism) {
-      trace.push_back(ctx.event_name(cex.event));
-    }
+    std::vector<std::string> trace = result.counterexample->trace_names(ctx);
     if (!trace.empty()) out.push_back(std::move(trace));
   }
   return out;

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <random>
+#include <stdexcept>
 
 #include "conform/generate.hpp"
 #include "conform/oracle.hpp"
@@ -138,13 +139,62 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OracleProps, ::testing::Range(0u, 16u));
 // --- directed unit tests ----------------------------------------------------
 
 TraceOracle toy_oracle() {
-  TraceOracle o;
-  o.name = "toy";
-  o.alphabet = {"x", "y"};
-  o.automaton.add_edge(0, "x", 1);
-  o.automaton.add_edge(1, "y", 0);
-  o.automaton.sort_edges();
-  return o;
+  conform::DfaBuilder dfa({"x", "y"});
+  dfa.edge("x", 1);
+  dfa.end_state();
+  dfa.edge("y", 0);
+  dfa.end_state();
+  return {"toy", std::move(dfa).finish(0), {}, false};
+}
+
+TEST(Dfa, BuilderSortsTheTableAndEachRow) {
+  // Names arrive unsorted and the row's edges in reverse: the table is
+  // sorted, names that label no edge stay, and the row is in name order.
+  conform::DfaBuilder b({"send.b", "idle", "rec.a", "idle"});
+  b.edge("send.b", 1);
+  b.edge("rec.a", 0);
+  b.end_state();
+  b.end_state();
+  const conform::Dfa dfa = std::move(b).finish(0);
+  EXPECT_EQ(dfa.names, (std::vector<std::string>{"idle", "rec.a", "send.b"}));
+  EXPECT_EQ(dfa.state_count(), 2u);
+  EXPECT_EQ(dfa.edge_count(), 2u);
+  EXPECT_EQ(dfa.offered(0), (std::vector<std::string>{"rec.a", "send.b"}));
+  EXPECT_TRUE(dfa.offered(1).empty());
+  EXPECT_EQ(dfa.step(0, dfa.symbol("send.b")), 1u);
+  EXPECT_EQ(dfa.step(0, dfa.symbol("idle")), conform::Dfa::NONE);
+  EXPECT_EQ(dfa.symbol("unknown"), conform::Dfa::NONE);
+  EXPECT_EQ(dfa.step(0, conform::Dfa::NONE), conform::Dfa::NONE);
+}
+
+TEST(Dfa, BuilderRejectsMalformedAutomata) {
+  const auto build = [](auto&& fill, std::uint32_t root) {
+    conform::DfaBuilder b({"a", "b"});
+    fill(b);
+    return std::move(b).finish(root);
+  };
+  // Two edges under one name.
+  EXPECT_THROW(build(
+                   [](conform::DfaBuilder& b) {
+                     b.edge("a", 0);
+                     b.edge("a", 0);
+                     b.end_state();
+                   },
+                   0),
+               std::invalid_argument);
+  // A name outside the table.
+  EXPECT_THROW(build([](conform::DfaBuilder& b) { b.edge("c", 0); }, 0),
+               std::invalid_argument);
+  // A target, or the root, that names no state.
+  EXPECT_THROW(build(
+                   [](conform::DfaBuilder& b) {
+                     b.edge("a", 1);
+                     b.end_state();
+                   },
+                   0),
+               std::invalid_argument);
+  EXPECT_THROW(build([](conform::DfaBuilder& b) { b.end_state(); }, 1),
+               std::invalid_argument);
 }
 
 TEST(Oracle, EmptyTraceAccepted) {

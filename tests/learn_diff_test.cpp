@@ -14,8 +14,9 @@
 //     byte-identical across --jobs in {1,2,4}.
 #include <gtest/gtest.h>
 
-#include <set>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "can/dbc.hpp"
@@ -33,20 +34,14 @@
 namespace ecucsp::learn {
 namespace {
 
-std::vector<std::string> sorted_alphabet(const conform::TraceOracle& oracle) {
-  // The oracle's declared alphabet; events it never allows are legitimate
-  // learning symbols that must map to DEAD everywhere.
-  return {oracle.alphabet.begin(), oracle.alphabet.end()};
-}
-
 /// Learn `target` back through a membership oracle, driven by the exact
 /// equivalence oracle. Returns the converged hypothesis automaton.
-conform::SymAutomaton learn_exactly(const conform::SymAutomaton& target,
-                                    const std::vector<std::string>& sigma,
-                                    std::size_t max_iterations = 64) {
+conform::Dfa learn_exactly(const conform::Dfa& target,
+                           const std::vector<std::string>& sigma,
+                           std::size_t max_iterations = 64) {
   AutomatonOracle oracle(target, sigma);
   TreeLearner learner(oracle);
-  conform::SymAutomaton hyp = to_sym_automaton(learner.hypothesis());
+  conform::Dfa hyp = learner.hypothesis().dfa;
   for (std::size_t i = 0; i < max_iterations; ++i) {
     const auto cex = exact_counterexample(target, hyp, sigma);
     if (!cex) return hyp;
@@ -54,7 +49,7 @@ conform::SymAutomaton learn_exactly(const conform::SymAutomaton& target,
         << "exact counterexample rejected by the learner";
     while (learner.refine(*cex)) {
     }
-    hyp = to_sym_automaton(learner.hypothesis());
+    hyp = learner.hypothesis().dfa;
   }
   ADD_FAILURE() << "learning did not converge within " << max_iterations
                 << " iterations";
@@ -64,8 +59,10 @@ conform::SymAutomaton learn_exactly(const conform::SymAutomaton& target,
 TEST(LearnDiff, RequirementAutomataLearnBackToBisimEquivalence) {
   for (const conform::TraceOracle& r : conform::ota_requirement_oracles()) {
     SCOPED_TRACE(r.name);
-    const std::vector<std::string> sigma = sorted_alphabet(r);
-    const conform::SymAutomaton learned = learn_exactly(r.automaton, sigma);
+    // The oracle's whole name table: events it never allows are legitimate
+    // learning symbols that must stay edgeless everywhere.
+    const std::vector<std::string>& sigma = r.automaton.names;
+    const conform::Dfa learned = learn_exactly(r.automaton, sigma);
     EXPECT_TRUE(strong_bisim_equivalent(learned, r.automaton));
     EXPECT_EQ(exact_counterexample(r.automaton, learned, sigma), std::nullopt);
   }
@@ -73,9 +70,8 @@ TEST(LearnDiff, RequirementAutomataLearnBackToBisimEquivalence) {
 
 TEST(LearnDiff, ModelAutomatonLearnsBackToBisimEquivalence) {
   const conform::TraceOracle model = conform::ota_model_oracle();
-  const std::set<std::string> events = model.automaton.event_alphabet();
-  const std::vector<std::string> sigma(events.begin(), events.end());
-  const conform::SymAutomaton learned = learn_exactly(model.automaton, sigma);
+  const conform::Dfa learned =
+      learn_exactly(model.automaton, model.automaton.names);
   EXPECT_TRUE(strong_bisim_equivalent(learned, model.automaton));
   // One state per Myhill-Nerode class: the learned automaton never exceeds
   // the target's state count.
@@ -86,9 +82,7 @@ TEST(LearnDiff, ApproximateEquivalenceMatchesExactOnModelAutomaton) {
   // The approximate (suite-based) equivalence path must reach the same
   // fixpoint as the exact product-BFS on a small white-box target.
   const conform::TraceOracle model = conform::ota_model_oracle();
-  const std::set<std::string> events = model.automaton.event_alphabet();
-  const std::vector<std::string> sigma(events.begin(), events.end());
-  AutomatonOracle oracle(model.automaton, sigma);
+  AutomatonOracle oracle(model.automaton, model.automaton.names);
   TreeLearner learner(oracle);
   Hypothesis hyp = learner.hypothesis();
   bool converged = false;
@@ -106,38 +100,48 @@ TEST(LearnDiff, ApproximateEquivalenceMatchesExactOnModelAutomaton) {
     hyp = learner.hypothesis();
   }
   ASSERT_TRUE(converged);
-  EXPECT_TRUE(strong_bisim_equivalent(to_sym_automaton(hyp), model.automaton));
+  EXPECT_TRUE(strong_bisim_equivalent(hyp.dfa, model.automaton));
 }
 
 TEST(LearnDiff, EcuLearningConvergesToTestableProjectionOfModel) {
   // Black-box half: the hypothesis learned from the *simulated* ECU, with
   // the ignored forged-frame self-loops stripped, is strong-bisim
-  // equivalent to the testable projection of the white-box model automaton.
-  const LearnReport rep = run_ota_learn({});
-  ASSERT_TRUE(rep.converged);
-  ASSERT_TRUE(rep.ok);
-
+  // equivalent to the testable projection of the white-box model
+  // automaton, at every equivalence budget (eq-tests, max-len) and seed.
   const can::DbcDatabase db =
       can::parse_dbc(std::string(ota::ota_dbc_text()));
   const conform::FrameCodec codec = conform::ota_codec(db);
   const conform::TraceOracle model = conform::ota_model_oracle();
-  const conform::SymAutomaton projection = testable_projection(
+  const conform::Dfa projection = testable_projection(
       model.automaton,
       [&codec](const std::string& e) {
         return codec.concretize(e).has_value();
       },
       [](const std::string& e) { return e.starts_with("rec."); });
 
-  const StripResult stripped = strip_ignored_self_loops(
-      to_sym_automaton(rep.hypothesis), model.ignored);
-  ASSERT_TRUE(stripped.lossless)
-      << "faithful ECU must not react to ignored events";
-  EXPECT_TRUE(strong_bisim_equivalent(stripped.automaton, projection));
+  for (const auto& [eq_tests, max_len] :
+       {std::pair<std::size_t, std::size_t>{16, 8}, {64, 12}, {128, 16}}) {
+    for (const std::uint64_t seed : {1u, 2u}) {
+      SCOPED_TRACE("eq_tests " + std::to_string(eq_tests) + " max_len " +
+                   std::to_string(max_len) + " seed " + std::to_string(seed));
+      LearnRunOptions opt;
+      opt.seed = seed;
+      opt.eq_tests = eq_tests;
+      opt.max_len = max_len;
+      const LearnReport rep = run_ota_learn(opt);
+      ASSERT_TRUE(rep.converged);
+      ASSERT_TRUE(rep.ok);
 
-  const std::set<std::string> events = projection.event_alphabet();
-  const std::vector<std::string> sigma(events.begin(), events.end());
-  EXPECT_EQ(exact_counterexample(projection, stripped.automaton, sigma),
-            std::nullopt);
+      const StripResult stripped =
+          strip_ignored_self_loops(rep.hypothesis.dfa, model.ignored);
+      ASSERT_TRUE(stripped.lossless)
+          << "faithful ECU must not react to ignored events";
+      EXPECT_TRUE(strong_bisim_equivalent(stripped.automaton, projection));
+      EXPECT_EQ(exact_counterexample(projection, stripped.automaton,
+                                     projection.names),
+                std::nullopt);
+    }
+  }
 }
 
 TEST(LearnDiff, ReportsByteIdenticalAcrossJobs) {
@@ -172,9 +176,7 @@ TEST(LearnDiff, HypothesisSurvivesCacheRoundTrip) {
   const auto blob = encode_hypothesis(rep.hypothesis);
   const auto back = decode_hypothesis(blob);
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->alphabet, rep.hypothesis.alphabet);
-  EXPECT_EQ(back->root, rep.hypothesis.root);
-  EXPECT_EQ(back->succ, rep.hypothesis.succ);
+  EXPECT_EQ(back->dfa, rep.hypothesis.dfa);
   EXPECT_EQ(back->access, rep.hypothesis.access);
 
   // Corruption is a miss, never a crash.
@@ -184,22 +186,78 @@ TEST(LearnDiff, HypothesisSurvivesCacheRoundTrip) {
   EXPECT_EQ(decode_hypothesis({blob.data(), blob.size() - 3}), std::nullopt);
 }
 
+TEST(LearnDiff, HypothesisBytesArePinned) {
+  // The learned-model payload, byte for byte: the name table, root and
+  // state count, one entry per (state, name) — 0 for no edge, target + 1
+  // otherwise — then the access words. Stores on disk are read with this
+  // format at kStoreFormatVersion 3, so changing it means bumping the
+  // version. send.halt labels no edge, every other column has a dead
+  // entry, and two access words are non-empty.
+  conform::DfaBuilder dfa({"rec.ack", "send.go", "send.halt"});
+  dfa.edge("send.go", 1);
+  dfa.end_state();
+  dfa.edge("rec.ack", 2);
+  dfa.end_state();
+  dfa.edge("send.go", 0);
+  dfa.end_state();
+  Hypothesis h;
+  h.dfa = std::move(dfa).finish(0);
+  h.access = {{}, {"send.go"}, {"send.go", "rec.ack"}};
+  const std::vector<std::uint8_t> pinned = {
+      0x45, 0x43, 0x53, 0x50, 0x03, 0x03, 0x41, 0x03, 0x07, 0x72, 0x65, 0x63,
+      0x2e, 0x61, 0x63, 0x6b, 0x07, 0x73, 0x65, 0x6e, 0x64, 0x2e, 0x67, 0x6f,
+      0x09, 0x73, 0x65, 0x6e, 0x64, 0x2e, 0x68, 0x61, 0x6c, 0x74, 0x00, 0x03,
+      0x00, 0x02, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x01, 0x07,
+      0x73, 0x65, 0x6e, 0x64, 0x2e, 0x67, 0x6f, 0x02, 0x07, 0x73, 0x65, 0x6e,
+      0x64, 0x2e, 0x67, 0x6f, 0x07, 0x72, 0x65, 0x63, 0x2e, 0x61, 0x63, 0x6b,
+      0x46, 0xa1, 0x00, 0x98, 0xd7, 0xf3, 0x6b, 0x75, 0x26, 0x20, 0x53, 0xe6,
+      0x7b, 0xc6, 0xd6, 0x81,
+  };
+  EXPECT_EQ(store::kStoreFormatVersion, 3u);
+  EXPECT_EQ(encode_hypothesis(h), pinned);
+  const auto back = decode_hypothesis(pinned);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->dfa, h.dfa);
+  EXPECT_EQ(back->access, h.access);
+}
+
+/// Decode a sealed LearnedModel envelope around a payload of varints; the
+/// name "a" is its length 1 and the byte 'a'.
+std::optional<Hypothesis> decode_payload(
+    std::initializer_list<std::uint64_t> varints) {
+  store::ByteWriter w;
+  for (const std::uint64_t v : varints) w.uv(v);
+  return decode_hypothesis(
+      store::seal(store::ArtifactKind::LearnedModel, w.take()));
+}
+
 TEST(LearnDiff, OversizedHypothesisCountsAreAMiss) {
   // Counts beyond the payload's remaining bytes are corrupt: a miss, never
-  // an allocation sized by them (bad_alloc / length_error). Payloads are
-  // varints; the name "a" is its length 1 and the byte 'a'.
-  const auto decode = [](std::initializer_list<std::uint64_t> vs) {
-    store::ByteWriter w;
-    for (const std::uint64_t v : vs) w.uv(v);
-    return decode_hypothesis(
-        store::seal(store::ArtifactKind::LearnedModel, w.take()));
-  };
+  // an allocation sized by them (bad_alloc / length_error).
   for (const std::uint64_t huge :
        {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
-    EXPECT_EQ(decode({huge, 1, 'a'}), std::nullopt);             // names
-    EXPECT_EQ(decode({1, 1, 'a', 0, huge, 0}), std::nullopt);     // states
-    EXPECT_EQ(decode({1, 1, 'a', 0, 1, 0, huge}), std::nullopt);  // a word
+    EXPECT_EQ(decode_payload({huge, 1, 'a'}), std::nullopt);          // names
+    EXPECT_EQ(decode_payload({1, 1, 'a', 0, huge, 0}), std::nullopt);  // states
+    EXPECT_EQ(decode_payload({1, 1, 'a', 0, 1, 0, huge}),
+              std::nullopt);  // a word
   }
+}
+
+TEST(LearnDiff, MalformedHypothesisTablesAreAMiss) {
+  // No states, so no root state: a forged model that must not reach the
+  // check phase.
+  EXPECT_EQ(decode_payload({0, 5, 0}), std::nullopt);
+  EXPECT_EQ(decode_payload({1, 1, 'a', 0, 0}), std::nullopt);
+  // A name table that is not strictly ascending: {"b", "a"} with only the
+  // "a" entry live, and {"a", "a"}. Entries are positional, so either
+  // would put edges under the wrong names.
+  EXPECT_EQ(decode_payload({2, 1, 'b', 1, 'a', 0, 1, 0, 1, 0}), std::nullopt);
+  EXPECT_EQ(decode_payload({2, 1, 'a', 1, 'a', 0, 1, 0, 1, 0}), std::nullopt);
+  // The well-formed twin decodes: {"a", "b"} with the "a" entry live.
+  const auto ok = decode_payload({2, 1, 'a', 1, 'b', 0, 1, 1, 0, 0});
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_TRUE(ok->member({"a", "a"}));
+  EXPECT_FALSE(ok->member({"b"}));
 }
 
 TEST(LearnDiff, CacheKeyDigestSeparatesParameters) {

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -281,22 +282,35 @@ TEST_F(SynthTest, InjectedAttackIsTheFirstDivergence) {
     EXPECT_EQ(synth.events[synth.injected_index], "rec.UpdReport");
 
     const TempFile f(synth.text, "synth-attack");
-    ReplayOptions ropt;
-    ropt.logs = {f.path};
-    const ReplayReport rep = run_replay(ropt);
-    EXPECT_FALSE(rep.ok());
-    bool r04_pinned = false;
-    for (const OracleReport& o : rep.oracles) {
-      if (o.name != "R04") {
-        continue;
+    // One worker over one chunk, then four workers over 64-event chunks:
+    // the same divergence, and the same report bytes.
+    std::string reference_json;
+    for (const auto& [jobs, chunk] :
+         {std::pair<unsigned, std::size_t>{1, 1u << 16}, {4, 64}}) {
+      ReplayOptions ropt;
+      ropt.logs = {f.path};
+      ropt.jobs = jobs;
+      ropt.chunk = chunk;
+      const ReplayReport rep = run_replay(ropt);
+      EXPECT_FALSE(rep.ok());
+      bool r04_pinned = false;
+      for (const OracleReport& o : rep.oracles) {
+        if (o.name != "R04") {
+          continue;
+        }
+        ASSERT_FALSE(o.divergences.empty());
+        EXPECT_EQ(o.divergences[0].event_index, synth.injected_index)
+            << rep.render_text();
+        EXPECT_EQ(o.divergences[0].event, "rec.UpdReport");
+        r04_pinned = true;
       }
-      ASSERT_FALSE(o.divergences.empty());
-      EXPECT_EQ(o.divergences[0].event_index, synth.injected_index)
-          << rep.render_text();
-      EXPECT_EQ(o.divergences[0].event, "rec.UpdReport");
-      r04_pinned = true;
+      EXPECT_TRUE(r04_pinned);
+      if (reference_json.empty()) {
+        reference_json = rep.render_json();
+      } else {
+        EXPECT_EQ(rep.render_json(), reference_json) << "jobs " << jobs;
+      }
     }
-    EXPECT_TRUE(r04_pinned);
   }
 }
 
