@@ -26,13 +26,11 @@
 // --no-cache disables both.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/cli.hpp"
 #include "cspm/eval.hpp"
 #include "lint/lint.hpp"
 #include "store/cache.hpp"
@@ -42,60 +40,6 @@
 using namespace ecucsp;
 
 namespace {
-
-std::string slurp(const char* path) {
-  std::error_code ec;
-  if (!std::filesystem::is_regular_file(path, ec) || ec) {
-    throw std::runtime_error(std::string("cannot read '") + path +
-                             "': not a regular file");
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error(std::string("cannot open '") + path + "'");
-  std::ostringstream out;
-  out << in.rdbuf();
-  if (in.bad() || out.fail()) {
-    throw std::runtime_error(std::string("read error on '") + path + "'");
-  }
-  return out.str();
-}
-
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [options] <script.csp> [script2.csp ...]\n"
-      "       %s [options] --matrix\n"
-      "Runs every 'assert' in the given CSPm scripts, or the built-in OTA\n"
-      "requirement x attacker matrix.\n"
-      "  --jobs N        run checks in parallel on N workers (0 = all cores;\n"
-      "                  default: sequential single-Context mode)\n"
-      "  --timeout MS    per-check wall-clock budget in milliseconds\n"
-      "  --max-states N  per-check state budget (default 2^22)\n"
-      "  --dilate K      (--matrix) interleave K hidden cyclers per cell,\n"
-      "                  growing each state space ~3^K without changing\n"
-      "                  verdicts\n"
-      "  --cache-dir D   persist verdicts and compiled LTSes under D\n"
-      "                  (default: $ECUCSP_CACHE_DIR if set)\n"
-      "  --shards N      split the cache into N digest-addressed shards\n"
-      "                  (default 1 = the flat layout; must match the shard\n"
-      "                  count the directory was written with, e.g. by\n"
-      "                  ecucsp_serve --shards N)\n"
-      "  --no-cache      disable the verification cache entirely\n"
-      "  --cache-stats   print cache counters after the run\n"
-      "  --no-lint       skip the fail-fast static-analysis pre-flight over\n"
-      "                  the input scripts\n"
-      "  --inject-alphabet-mismatch\n"
-      "                  (--matrix) fault injection: rename the system under\n"
-      "                  test onto a primed alphabet so passing cells become\n"
-      "                  vacuous — exercises the vacuity detector\n"
-      "  --prune=M       static pruning of vacuous-PASS cells: none | static\n"
-      "                  (default none). 'static' certifies cells whose\n"
-      "                  implementation can never reach a constrained event\n"
-      "                  and skips their exploration; verdicts and vacuity\n"
-      "                  flags are byte-identical to an unpruned run, and\n"
-      "                  pruned cells are marked (pruned)\n",
-      argv0, argv0);
-  return 2;
-}
 
 int report(const verify::BatchResult& batch) {
   int unexpected = 0;
@@ -178,7 +122,7 @@ int main(int argc, char** argv) {
   std::size_t dilation = 0;
   std::optional<std::filesystem::path> cache_dir;
   unsigned cache_shards = 1;
-  std::vector<const char*> paths;
+  std::vector<std::string> paths;
 
   // Read once at startup before any thread exists, so the mt-unsafety of
   // getenv cannot bite.
@@ -187,63 +131,93 @@ int main(int argc, char** argv) {
     cache_dir = env;
   }
 
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      parallel = true;
-      jobs = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--timeout") == 0 && i + 1 < argc) {
-      timeout = std::chrono::milliseconds(std::atol(argv[++i]));
-    } else if (std::strcmp(argv[i], "--max-states") == 0 && i + 1 < argc) {
-      max_states = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--dilate") == 0 && i + 1 < argc) {
-      dilation = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--cache-dir") == 0 && i + 1 < argc) {
-      cache_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      cache_shards = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--no-cache") == 0) {
-      no_cache = true;
-    } else if (std::strcmp(argv[i], "--cache-stats") == 0) {
-      cache_stats = true;
-    } else if (std::strcmp(argv[i], "--matrix") == 0) {
-      matrix = true;
-    } else if (std::strcmp(argv[i], "--no-lint") == 0) {
-      no_lint = true;
-    } else if (std::strcmp(argv[i], "--inject-alphabet-mismatch") == 0) {
-      inject_mismatch = true;
-    } else if (std::strncmp(argv[i], "--prune=", 8) == 0) {
-      const char* mode = argv[i] + 8;
-      if (std::strcmp(mode, "static") == 0) {
-        prune = true;
-      } else if (std::strcmp(mode, "none") == 0) {
-        prune = false;
-      } else {
-        return usage(argv[0]);
-      }
-    } else if (argv[i][0] == '-') {
-      return usage(argv[0]);
-    } else {
-      paths.push_back(argv[i]);
+  const cli::Tool tool{
+      .synopsis = {"[options] <script.csp> [script2.csp ...]",
+                   "[options] --matrix"},
+      .about = "Runs every 'assert' in the given CSPm scripts, or the "
+               "built-in OTA requirement x attacker matrix.",
+      .options =
+          {cli::number("--jobs", "N",
+                       "run checks in parallel on N workers (0 = all cores; "
+                       "default: sequential single-Context mode)",
+                       [&](std::uint64_t n) {
+                         parallel = true;
+                         jobs = static_cast<unsigned>(n);
+                       },
+                       0, cli::kMaxJobs),
+           cli::number("--timeout", "MS",
+                       "per-check wall-clock budget in milliseconds",
+                       [&](std::uint64_t ms) {
+                         timeout = std::chrono::milliseconds(ms);
+                       },
+                       0, cli::kMaxTimeoutMs),
+           cli::number("--max-states", "N",
+                       "per-check state budget (default 2^22)", max_states),
+           cli::number("--dilate", "K",
+                       "(--matrix) interleave K hidden cyclers per cell, "
+                       "growing each state space ~3^K without changing "
+                       "verdicts",
+                       dilation, 0, 64),
+           cli::value("--cache-dir", "D",
+                      "persist verdicts and compiled LTSes under D (default: "
+                      "$ECUCSP_CACHE_DIR if set)",
+                      [&](std::string_view d) { cache_dir = d; }),
+           cli::number("--shards", "N",
+                       "split the cache into N digest-addressed shards "
+                       "(default 1 = the flat layout; 0 counts as 1; must "
+                       "match the shard count the directory was written "
+                       "with, e.g. by ecucsp_serve --shards N)",
+                       cache_shards, 0, 256),
+           cli::flag("--no-cache", "disable the verification cache entirely",
+                     no_cache),
+           cli::flag("--cache-stats", "print cache counters after the run",
+                     cache_stats),
+           cli::flag("--matrix",
+                     "run the built-in OTA requirement x attacker matrix",
+                     matrix),
+           cli::flag("--no-lint",
+                     "skip the fail-fast static-analysis pre-flight over the "
+                     "input scripts",
+                     no_lint),
+           cli::flag("--inject-alphabet-mismatch",
+                     "(--matrix) fault injection: rename the system under "
+                     "test onto a primed alphabet so passing cells become "
+                     "vacuous, which exercises the vacuity detector",
+                     inject_mismatch),
+           cli::choice("--prune", "M",
+                       "static pruning of vacuous-PASS cells (default none). "
+                       "'static' certifies cells whose implementation can "
+                       "never reach a constrained event and skips their "
+                       "exploration; verdicts and vacuity flags are "
+                       "byte-identical to an unpruned run, and pruned cells "
+                       "are marked (pruned)",
+                       {"none", "static"},
+                       [&](std::string_view m) { prune = m == "static"; })},
+      .positional = [&](std::string_view p) { paths.emplace_back(p); },
+  };
+
+  return cli::run(argc, argv, tool, [&]() -> int {
+    if (!matrix && paths.empty()) {
+      throw cli::UsageError("no input scripts (give some, or --matrix)");
     }
-  }
-  if (!matrix && paths.empty()) return usage(argv[0]);
 
-  // The cache outlives the scheduler (workers may still be storing results
-  // while the batch drains), and Scoped installation guarantees the global
-  // hook never dangles past main.
-  std::optional<store::VerificationCache> cache;
-  std::optional<ScopedCheckCache> installed;
-  if (!no_cache) {
-    cache.emplace(cache_dir, cache_shards);
-    installed.emplace(&*cache);
-  }
+    // The cache outlives the scheduler (workers may still be storing
+    // results while the batch drains), and Scoped installation guarantees
+    // the global hook never dangles past the run.
+    std::optional<store::VerificationCache> cache;
+    std::optional<ScopedCheckCache> installed;
+    if (!no_cache) {
+      cache.emplace(cache_dir, cache_shards);
+      installed.emplace(&*cache);
+    }
 
-  try {
     // Fail-fast pre-flight: undefined names, misused channels and vacuous
     // assertion shapes are reported before any LTS is compiled.
     if (!no_lint && !paths.empty()) {
       lint::LintRequest lreq;
-      for (const char* p : paths) lreq.cspm.push_back({p, slurp(p)});
+      for (const std::string& p : paths) {
+        lreq.cspm.push_back({p, cli::read_file(p)});
+      }
       const lint::LintReport rep = lint::run_lint(lreq);
       if (!rep.diagnostics.empty()) {
         std::fputs(lint::render_text(rep.diagnostics, rep.sources).c_str(),
@@ -279,7 +253,7 @@ int main(int argc, char** argv) {
       // One task per assertion; every worker re-loads the scripts into its
       // own Context. Count the assertions with a throwaway evaluator first.
       std::vector<std::string> sources;
-      for (const char* p : paths) sources.push_back(slurp(p));
+      for (const std::string& p : paths) sources.push_back(cli::read_file(p));
       std::size_t n_asserts = 0;
       {
         Context ctx;
@@ -311,9 +285,9 @@ int main(int argc, char** argv) {
       // Sequential legacy mode: one shared Context, assertions in order.
       Context ctx;
       cspm::Evaluator ev(ctx);
-      for (const char* p : paths) {
-        ev.load_source(slurp(p));
-        std::printf("loaded %s\n", p);
+      for (const std::string& p : paths) {
+        ev.load_source(cli::read_file(p));
+        std::printf("loaded %s\n", p.c_str());
       }
       const auto results = ev.check_assertions(max_states);
       if (results.empty()) {
@@ -324,7 +298,8 @@ int main(int argc, char** argv) {
       for (const cspm::AssertionResult& r : results) {
         std::printf("assert %-58.58s ", r.description.c_str());
         if (r.result.passed) {
-          std::printf("passed  (%zu states)%s%s\n", r.result.stats.impl_states,
+          std::printf("passed  (%zu states)%s%s\n",
+                      r.result.stats.impl_states,
                       r.result.from_cache ? "  (cached)" : "",
                       r.result.vacuous ? "  VACUOUS" : "");
           if (r.result.vacuous) {
@@ -345,8 +320,5 @@ int main(int argc, char** argv) {
     }
     if (cache_stats && cache) print_cache_stats(*cache);
     return exit_code;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  });
 }

@@ -17,57 +17,17 @@
 // out); 2 usage or connection error; 3 the daemon rejected a request
 // (overloaded / shutting down / bad request).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/cli.hpp"
 #include "serve/client.hpp"
 
 using namespace ecucsp;
 
 namespace {
-
-std::string slurp(const char* path) {
-  std::error_code ec;
-  if (!std::filesystem::is_regular_file(path, ec) || ec) {
-    throw std::runtime_error(std::string("cannot read '") + path +
-                             "': not a regular file");
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error(std::string("cannot open '") + path + "'");
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s (--sock PATH | --tcp PORT) [options] [script.csp ...]\n"
-      "  --sock PATH     connect to a Unix-domain socket\n"
-      "  --tcp PORT      connect to 127.0.0.1:PORT\n"
-      "  --assert N      check assertion #N (1-based; default 1)\n"
-      "  --asserts N     check assertions #1..#N as pipelined requests\n"
-      "  --fanout K      send K identical copies of the request, all\n"
-      "                  before reading any response (coalescing driver)\n"
-      "  --each          one request per script file (distinct load)\n"
-      "  --timeout MS    per-request deadline\n"
-      "  --max-states N  per-request state budget\n"
-      "  --json          speak the JSON-lines framing instead of binary\n"
-      "  --stats         fetch and print the daemon's /stats JSON\n"
-      "  --ping          liveness probe\n",
-      argv0);
-  return 2;
-}
-
-struct Printed {
-  serve::ServeStatus status;
-};
 
 /// ecucsp_check-compatible verdict line plus transport annotations.
 void print_response(const std::string& name, const serve::CheckResponse& r) {
@@ -105,44 +65,54 @@ int main(int argc, char** argv) {
   bool want_ping = false;
   std::uint32_t timeout_ms = 0;
   std::uint64_t max_states = 1ull << 22;
-  std::vector<const char*> paths;
+  std::vector<std::string> paths;
 
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--sock") == 0 && i + 1 < argc) {
-      sock = argv[++i];
-    } else if (std::strcmp(argv[i], "--tcp") == 0 && i + 1 < argc) {
-      tcp = static_cast<std::uint16_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--assert") == 0 && i + 1 < argc) {
-      const int n = std::atoi(argv[++i]);
-      if (n < 1) return usage(argv[0]);
-      assert_index = static_cast<std::uint32_t>(n - 1);
-    } else if (std::strcmp(argv[i], "--asserts") == 0 && i + 1 < argc) {
-      asserts = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--fanout") == 0 && i + 1 < argc) {
-      fanout = static_cast<std::size_t>(std::atoll(argv[++i]));
-      if (fanout == 0) return usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--each") == 0) {
-      each = true;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else if (std::strcmp(argv[i], "--stats") == 0) {
-      want_stats = true;
-    } else if (std::strcmp(argv[i], "--ping") == 0) {
-      want_ping = true;
-    } else if (std::strcmp(argv[i], "--timeout") == 0 && i + 1 < argc) {
-      timeout_ms = static_cast<std::uint32_t>(std::atol(argv[++i]));
-    } else if (std::strcmp(argv[i], "--max-states") == 0 && i + 1 < argc) {
-      max_states = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (argv[i][0] == '-') {
-      return usage(argv[0]);
-    } else {
-      paths.push_back(argv[i]);
+  const cli::Tool tool{
+      .synopsis = {"(--sock PATH | --tcp PORT) [options] [script.csp ...]"},
+      .about = "Sends CSPm checks to an ecucsp_serve daemon and prints "
+               "ecucsp_check-style verdict lines.",
+      .options =
+          {cli::value("--sock", "PATH", "connect to a Unix-domain socket",
+                      [&](std::string_view p) { sock = p; }),
+           cli::number("--tcp", "PORT", "connect to 127.0.0.1:PORT",
+                       [&](std::uint64_t port) {
+                         tcp = static_cast<std::uint16_t>(port);
+                       },
+                       1, cli::kMaxPort),
+           cli::number("--assert", "N",
+                       "check assertion #N (1-based; default 1)",
+                       [&](std::uint64_t n) {
+                         assert_index = static_cast<std::uint32_t>(n - 1);
+                       },
+                       1, std::uint64_t{1} << 32),
+           cli::number("--asserts", "N",
+                       "check assertions #1..#N as pipelined requests",
+                       asserts, 0, 65536),
+           cli::number("--fanout", "K",
+                       "send K identical copies of the request, all before "
+                       "reading any response (coalescing driver)",
+                       fanout, 1, 65536),
+           cli::flag("--each", "one request per script file (distinct load)",
+                     each),
+           cli::number("--timeout", "MS",
+                       "per-request deadline (0 = the daemon's default)",
+                       timeout_ms, 0, cli::kMaxTimeoutMs),
+           cli::number("--max-states", "N", "per-request state budget",
+                       max_states),
+           cli::flag("--json",
+                     "speak the JSON-lines framing instead of binary", json),
+           cli::flag("--stats", "fetch and print the daemon's /stats JSON",
+                     want_stats),
+           cli::flag("--ping", "liveness probe", want_ping)},
+      .positional = [&](std::string_view p) { paths.emplace_back(p); },
+  };
+
+  return cli::run(argc, argv, tool, [&]() -> int {
+    if (!sock && !tcp) throw cli::UsageError("give --sock PATH or --tcp PORT");
+    if (paths.empty() && !want_stats && !want_ping) {
+      throw cli::UsageError("nothing to do: give scripts, --stats or --ping");
     }
-  }
-  if (!sock && !tcp) return usage(argv[0]);
-  if (paths.empty() && !want_stats && !want_ping) return usage(argv[0]);
 
-  try {
     serve::Client client = sock ? serve::Client::connect_unix(*sock)
                                 : serve::Client::connect_tcp("127.0.0.1", *tcp);
 
@@ -175,14 +145,16 @@ int main(int argc, char** argv) {
         }
       };
       if (each) {
-        for (const char* path : paths) {
-          add({slurp(path)}, assert_index,
+        for (const std::string& path : paths) {
+          add({cli::read_file(path)}, assert_index,
               "assert #" + std::to_string(assert_index + 1) + " " +
                   std::filesystem::path(path).filename().string());
         }
       } else {
         std::vector<std::string> sources;
-        for (const char* path : paths) sources.push_back(slurp(path));
+        for (const std::string& path : paths) {
+          sources.push_back(cli::read_file(path));
+        }
         const std::uint32_t first = asserts != 0 ? 0 : assert_index;
         const std::uint32_t last = asserts != 0 ? asserts - 1 : assert_index;
         for (std::uint32_t a = first; a <= last; ++a) {
@@ -208,10 +180,7 @@ int main(int argc, char** argv) {
         print_response(p.name, r);
         if (serve::is_rejection(r.status)) {
           ++rejected;
-        } else if (r.status != serve::ServeStatus::Passed &&
-                   r.status != serve::ServeStatus::Failed) {
-          ++not_passed;
-        } else if (r.status == serve::ServeStatus::Failed) {
+        } else if (r.status != serve::ServeStatus::Passed) {
           ++not_passed;
         }
       }
@@ -226,8 +195,5 @@ int main(int argc, char** argv) {
 
     if (want_stats) std::printf("%s\n", client.stats(json).c_str());
     return exit_code;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  });
 }

@@ -9,13 +9,11 @@
 // receives on). One node emits a standalone model; several emit a composed
 // SYSTEM. '--assert LINE' appends assertion (or any other) lines verbatim.
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "capl/parser.hpp"
+#include "core/cli.hpp"
 #include "lint/lint.hpp"
 #include "translate/dbc_to_cspm.hpp"
 #include "translate/extractor.hpp"
@@ -23,21 +21,6 @@
 using namespace ecucsp;
 
 namespace {
-
-std::string slurp(const std::string& path) {
-  std::error_code ec;
-  if (!std::filesystem::is_regular_file(path, ec) || ec) {
-    throw std::runtime_error("cannot read '" + path + "': not a regular file");
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open '" + path + "'");
-  std::ostringstream out;
-  out << in.rdbuf();
-  if (in.bad() || out.fail()) {
-    throw std::runtime_error("read error on '" + path + "'");
-  }
-  return out.str();
-}
 
 struct NodeArg {
   std::string name = "NODE";
@@ -80,47 +63,46 @@ int main(int argc, char** argv) {
   bool emit_fingerprint = false;
   bool no_lint = false;
 
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--dbc") == 0 && i + 1 < argc) {
-      dbc_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--assert") == 0 && i + 1 < argc) {
-      extra_lines.push_back(argv[++i]);
-    } else if (std::strcmp(argv[i], "--dbc-decls") == 0) {
-      emit_dbc_decls = true;
-    } else if (std::strcmp(argv[i], "--fingerprint") == 0) {
-      emit_fingerprint = true;
-    } else if (std::strcmp(argv[i], "--no-lint") == 0) {
-      no_lint = true;
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf(
-          "usage: %s [--dbc FILE] [--dbc-decls] [--fingerprint] [--no-lint] "
-          "[--assert LINE]... NAME:TX:RX=FILE...\n"
-          "  --fingerprint  prefix the output with a comment carrying the\n"
-          "                 content digest of the generated script (the\n"
-          "                 identity the verification cache keys on)\n"
-          "  --no-lint      skip the fail-fast static-analysis pre-flight\n"
-          "                 over the CAPL inputs and the CANdb\n",
-          argv[0]);
-      return 0;
-    } else {
-      try {
-        nodes.push_back(parse_node_arg(argv[i]));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 2;
-      }
-    }
-  }
-  if (nodes.empty()) {
-    std::fprintf(stderr, "error: no CAPL input files (try --help)\n");
-    return 2;
-  }
+  const cli::Tool tool{
+      .synopsis = {"[options] NAME:TX:RX=FILE..."},
+      .about = "Extracts a CSPm model from CAPL node programs (and an "
+               "optional CANdb). One node emits a standalone model; several "
+               "emit a composed SYSTEM.",
+      .options =
+          {cli::value("--dbc", "FILE", "the CANdb the nodes exchange frames of",
+                      [&](std::string_view f) { dbc_path = f; }),
+           cli::value("--assert", "LINE",
+                      "append LINE to the model verbatim (repeatable)",
+                      [&](std::string_view l) { extra_lines.emplace_back(l); }),
+           cli::flag("--dbc-decls",
+                     "(with --dbc) prefix the model with the CANdb's CSPm "
+                     "declarations",
+                     emit_dbc_decls),
+           cli::flag("--fingerprint",
+                     "prefix the output with a comment carrying the content "
+                     "digest of the generated script (the identity the "
+                     "verification cache keys on)",
+                     emit_fingerprint),
+           cli::flag("--no-lint",
+                     "skip the fail-fast static-analysis pre-flight over the "
+                     "CAPL inputs and the CANdb",
+                     no_lint)},
+      .positional =
+          [&](std::string_view a) {
+            nodes.push_back(parse_node_arg(std::string(a)));
+          },
+  };
 
-  try {
-    const std::string dbc_text = dbc_path.empty() ? "" : slurp(dbc_path);
+  return cli::run(argc, argv, tool, [&] {
+    if (nodes.empty()) throw cli::UsageError("no CAPL input files");
+
+    const std::string dbc_text =
+        dbc_path.empty() ? "" : cli::read_file(dbc_path);
     std::vector<std::string> capl_texts;
     capl_texts.reserve(nodes.size());
-    for (const NodeArg& n : nodes) capl_texts.push_back(slurp(n.file));
+    for (const NodeArg& n : nodes) {
+      capl_texts.push_back(cli::read_file(n.file));
+    }
 
     // Fail-fast pre-flight: a handler for a frame the CANdb does not know,
     // an inconsistent database, or plain parse errors all stop the
@@ -189,8 +171,5 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "note: %s\n", w.c_str());
     }
     return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  });
 }

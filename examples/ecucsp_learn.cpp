@@ -19,113 +19,57 @@
 // errors. Reports are byte-identical for a fixed --seed at any --jobs
 // (timing opt-in via --timing).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "core/cli.hpp"
 #include "learn/run.hpp"
 
 using namespace ecucsp;
-
-namespace {
-
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [options]\n"
-      "Learns a model of the simulated ECU via membership queries through\n"
-      "the conformance harness, then checks R01-R05 against the learned\n"
-      "model.\n"
-      "  --seed N        learning + harness base seed (default 1)\n"
-      "  --jobs N        parallel membership-query workers (0 = all cores)\n"
-      "  --rounds N      max equivalence rounds (default 16)\n"
-      "  --eq-tests N    per-round equivalence tests per family (default 64)\n"
-      "  --max-len N     equivalence word length cap (default 12)\n"
-      "  --timeout MS    per-refinement-check wall-clock budget\n"
-      "  --json          machine-readable learn_format:1 report on stdout\n"
-      "  --timing        include wall-clock fields in the JSON report\n"
-      "  --mutate SEED   learn a seeded ECU mutant instead of the faithful\n"
-      "                  ECU -- the requirement battery must catch it\n"
-      "  --cache-dir D   persist learned models; also replays\n"
-      "                  counterexamples stored by ecucsp_check as\n"
-      "                  equivalence probes\n",
-      argv0);
-  return 2;
-}
-
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   learn::LearnRunOptions opt;
   bool json = false;
   bool timing = false;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    // Every value option accepts both `--opt V` and `--opt=V`.
-    std::string head;
-    const char* inline_value = nullptr;
-    if (std::strncmp(arg, "--", 2) == 0) {
-      if (const char* eq = std::strchr(arg, '=')) {
-        head.assign(arg, eq);
-        inline_value = eq + 1;
-        arg = head.c_str();
-      }
-    }
-    auto value = [&]() -> const char* {
-      if (inline_value) return inline_value;
-      return (i + 1 < argc) ? argv[++i] : nullptr;
-    };
-    std::uint64_t n = 0;
-    if (std::strcmp(arg, "--seed") == 0) {
-      const char* v = value();
-      if (!v || !parse_u64(v, opt.seed)) return usage(argv[0]);
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      const char* v = value();
-      if (!v || !parse_u64(v, n)) return usage(argv[0]);
-      opt.jobs = static_cast<unsigned>(n);
-    } else if (std::strcmp(arg, "--rounds") == 0) {
-      const char* v = value();
-      if (!v || !parse_u64(v, n) || n == 0) return usage(argv[0]);
-      opt.rounds = static_cast<std::size_t>(n);
-    } else if (std::strcmp(arg, "--eq-tests") == 0) {
-      const char* v = value();
-      if (!v || !parse_u64(v, n) || n == 0) return usage(argv[0]);
-      opt.eq_tests = static_cast<std::size_t>(n);
-    } else if (std::strcmp(arg, "--max-len") == 0) {
-      const char* v = value();
-      if (!v || !parse_u64(v, n) || n == 0) return usage(argv[0]);
-      opt.max_len = static_cast<std::size_t>(n);
-    } else if (std::strcmp(arg, "--timeout") == 0) {
-      const char* v = value();
-      if (!v || !parse_u64(v, n) || n == 0) return usage(argv[0]);
-      opt.timeout = std::chrono::milliseconds(n);
-    } else if (std::strcmp(arg, "--json") == 0) {
-      json = true;
-    } else if (std::strcmp(arg, "--timing") == 0) {
-      timing = true;
-    } else if (std::strcmp(arg, "--mutate") == 0) {
-      const char* v = value();
-      if (!v || !parse_u64(v, n)) return usage(argv[0]);
-      opt.mutate = n;
-    } else if (std::strcmp(arg, "--cache-dir") == 0) {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      opt.cache_dir = v;
-    } else {
-      std::fprintf(stderr, "unknown option '%s'\n", arg);
-      return usage(argv[0]);
-    }
-  }
+  const cli::Tool tool{
+      .synopsis = {"[options]"},
+      .about = "Learns a model of the simulated ECU via membership queries "
+               "through the conformance harness, then checks R01-R05 "
+               "against the learned model.",
+      .options =
+          {cli::number("--seed", "N",
+                       "learning + harness base seed (default 1)", opt.seed),
+           cli::number("--jobs", "N",
+                       "parallel membership-query workers (0 = all cores)",
+                       opt.jobs, 0, cli::kMaxJobs),
+           cli::number("--rounds", "N", "max equivalence rounds (default 16)",
+                       opt.rounds, 1, 65536),
+           cli::number("--eq-tests", "N",
+                       "per-round equivalence tests per family (default 64)",
+                       opt.eq_tests, 1, 65536),
+           cli::number("--max-len", "N",
+                       "equivalence word length cap (default 12)",
+                       opt.max_len, 1, 65536),
+           cli::number("--timeout", "MS",
+                       "per-refinement-check wall-clock budget",
+                       [&](std::uint64_t ms) {
+                         opt.timeout = std::chrono::milliseconds(ms);
+                       },
+                       1, cli::kMaxTimeoutMs),
+           cli::flag("--json",
+                     "machine-readable learn_format:1 report on stdout", json),
+           cli::flag("--timing", "include wall-clock fields in the JSON report",
+                     timing),
+           cli::number("--mutate", "SEED",
+                       "learn a seeded ECU mutant instead of the faithful "
+                       "ECU; the requirement battery must catch it",
+                       [&](std::uint64_t seed) { opt.mutate = seed; }),
+           cli::value("--cache-dir", "D",
+                      "persist learned models; also replays counterexamples "
+                      "stored by ecucsp_check as equivalence probes",
+                      [&](std::string_view d) { opt.cache_dir = d; })},
+  };
 
-  try {
+  return cli::run(argc, argv, tool, [&] {
     const learn::LearnReport rep = learn::run_ota_learn(opt);
     if (json) {
       std::printf("%s\n", learn::render_json(rep, timing).c_str());
@@ -133,8 +77,5 @@ int main(int argc, char** argv) {
       std::fputs(learn::render_text(rep).c_str(), stdout);
     }
     return rep.ok ? 0 : 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "ecucsp_learn: %s\n", e.what());
-    return 2;
-  }
+  });
 }

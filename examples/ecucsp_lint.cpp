@@ -12,14 +12,14 @@
 // codes: 0 clean (warnings allowed), 1 findings of error severity (or any
 // finding under --werror), 2 usage or I/O failure.
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "capl/parser.hpp"
+#include "core/cli.hpp"
 #include "lint/baseline.hpp"
 #include "lint/lint.hpp"
 #include "ota/ota.hpp"
@@ -28,45 +28,6 @@
 using namespace ecucsp;
 
 namespace {
-
-std::string slurp(const std::string& path) {
-  std::error_code ec;
-  if (!std::filesystem::is_regular_file(path, ec) || ec) {
-    throw std::runtime_error("cannot read '" + path + "': not a regular file");
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open '" + path + "'");
-  std::ostringstream out;
-  out << in.rdbuf();
-  if (in.bad() || out.fail()) {
-    throw std::runtime_error("read error on '" + path + "'");
-  }
-  return out.str();
-}
-
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [options] <file>...\n"
-      "Static analysis for CAPL (.can/.capl), CANdb (.dbc) and CSPm\n"
-      "(.csp/.cspm) inputs; CAPL checks cross-reference the database when\n"
-      "one is given.\n"
-      "  --capl FILE   treat FILE as CAPL regardless of extension\n"
-      "  --dbc FILE    treat FILE as the CANdb (at most one)\n"
-      "  --cspm FILE   treat FILE as CSPm\n"
-      "  --json        machine-readable report on stdout\n"
-      "  --werror      any finding (warnings included) fails the run\n"
-      "  --baseline F  suppress the findings fingerprinted in baseline file\n"
-      "                F; only new findings are reported / fail the run\n"
-      "  --write-baseline F\n"
-      "                write the current findings to F as a baseline and\n"
-      "                exit 0 (adopt-the-linter mode)\n"
-      "  --ota         lint the built-in OTA case study (embedded CAPL +\n"
-      "                CANdb + the CSPm model extracted from them)\n"
-      "  --list-rules  print the rule catalogue and exit\n",
-      argv0);
-  return 2;
-}
 
 int list_rules() {
   for (const lint::RuleInfo& r : lint::all_rules()) {
@@ -109,94 +70,100 @@ int main(int argc, char** argv) {
   bool json = false;
   bool werror = false;
   bool ota = false;
-  const char* baseline_path = nullptr;
-  const char* write_baseline_path = nullptr;
+  bool list = false;
+  std::optional<std::string> baseline_path;
+  std::optional<std::string> write_baseline_path;
   lint::LintRequest req;
 
-  for (int i = 1; i < argc; ++i) {
-    const auto flag_with_file = [&](const char* name) -> const char* {
-      if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) return argv[++i];
-      return nullptr;
-    };
-    if (const char* f = flag_with_file("--capl")) {
-      req.capl.push_back({f, {}});
-    } else if (const char* f = flag_with_file("--cspm")) {
-      req.cspm.push_back({f, {}});
-    } else if (const char* f = flag_with_file("--dbc")) {
-      if (req.dbc) {
-        std::fprintf(stderr, "error: more than one CANdb given\n");
-        return 2;
-      }
-      req.dbc = lint::SourceFile{f, {}};
-    } else if (const char* f = flag_with_file("--baseline")) {
-      baseline_path = f;
-    } else if (const char* f = flag_with_file("--write-baseline")) {
-      write_baseline_path = f;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else if (std::strcmp(argv[i], "--werror") == 0) {
-      werror = true;
-    } else if (std::strcmp(argv[i], "--ota") == 0) {
-      ota = true;
-    } else if (std::strcmp(argv[i], "--list-rules") == 0) {
-      return list_rules();
-    } else if (argv[i][0] == '-') {
-      return usage(argv[0]);
-    } else {
-      const std::filesystem::path p(argv[i]);
-      const std::string ext = p.extension().string();
-      if (ext == ".can" || ext == ".capl") {
-        req.capl.push_back({argv[i], {}});
-      } else if (ext == ".dbc") {
-        if (req.dbc) {
-          std::fprintf(stderr, "error: more than one CANdb given\n");
-          return 2;
-        }
-        req.dbc = lint::SourceFile{argv[i], {}};
-      } else if (ext == ".csp" || ext == ".cspm") {
-        req.cspm.push_back({argv[i], {}});
-      } else {
-        std::fprintf(stderr,
-                     "error: cannot classify '%s' (use --capl/--dbc/--cspm)\n",
-                     argv[i]);
-        return 2;
-      }
-    }
-  }
+  const auto add_capl = [&](std::string_view f) {
+    req.capl.push_back({std::string(f), {}});
+  };
+  const auto add_cspm = [&](std::string_view f) {
+    req.cspm.push_back({std::string(f), {}});
+  };
+  const auto set_dbc = [&](std::string_view f) {
+    if (req.dbc) throw std::runtime_error("more than one CANdb given");
+    req.dbc = lint::SourceFile{std::string(f), {}};
+  };
+  const cli::Tool tool{
+      .synopsis = {"[options] <file>..."},
+      .about = "Static analysis for CAPL (.can/.capl), CANdb (.dbc) and CSPm "
+               "(.csp/.cspm) inputs; CAPL checks cross-reference the "
+               "database when one is given.",
+      .options =
+          {cli::value("--capl", "FILE",
+                      "treat FILE as CAPL regardless of extension", add_capl),
+           cli::value("--dbc", "FILE", "treat FILE as the CANdb (at most one)",
+                      set_dbc),
+           cli::value("--cspm", "FILE", "treat FILE as CSPm", add_cspm),
+           cli::flag("--json", "machine-readable report on stdout", json),
+           cli::flag("--werror",
+                     "any finding (warnings included) fails the run", werror),
+           cli::value("--baseline", "F",
+                      "suppress the findings fingerprinted in baseline file "
+                      "F; only new findings are reported / fail the run",
+                      [&](std::string_view f) { baseline_path = f; }),
+           cli::value("--write-baseline", "F",
+                      "write the current findings to F as a baseline and "
+                      "exit 0 (adopt-the-linter mode)",
+                      [&](std::string_view f) { write_baseline_path = f; }),
+           cli::flag("--ota",
+                     "lint the built-in OTA case study (embedded CAPL + "
+                     "CANdb + the CSPm model extracted from them)",
+                     ota),
+           cli::flag("--list-rules", "print the rule catalogue and exit",
+                     list)},
+      .positional =
+          [&](std::string_view f) {
+            const std::string ext =
+                std::filesystem::path(f).extension().string();
+            if (ext == ".can" || ext == ".capl") {
+              add_capl(f);
+            } else if (ext == ".dbc") {
+              set_dbc(f);
+            } else if (ext == ".csp" || ext == ".cspm") {
+              add_cspm(f);
+            } else {
+              throw std::runtime_error("cannot classify '" + std::string(f) +
+                                       "' (use --capl/--dbc/--cspm)");
+            }
+          },
+  };
 
-  try {
+  return cli::run(argc, argv, tool, [&] {
+    if (list) return list_rules();
     if (ota) {
       if (!req.capl.empty() || req.dbc || !req.cspm.empty()) {
-        std::fprintf(stderr, "error: --ota takes no input files\n");
-        return 2;
+        throw cli::UsageError("--ota takes no input files");
       }
       req = ota_request();
     } else {
       if (req.capl.empty() && !req.dbc && req.cspm.empty()) {
-        return usage(argv[0]);
+        throw cli::UsageError("no input files (or --ota)");
       }
-      for (auto& f : req.capl) f.text = slurp(f.path);
-      if (req.dbc) req.dbc->text = slurp(req.dbc->path);
-      for (auto& f : req.cspm) f.text = slurp(f.path);
+      for (auto& f : req.capl) f.text = cli::read_file(f.path);
+      if (req.dbc) req.dbc->text = cli::read_file(req.dbc->path);
+      for (auto& f : req.cspm) f.text = cli::read_file(f.path);
     }
 
     lint::LintReport report = lint::run_lint(req);
     if (write_baseline_path) {
       const lint::Baseline base =
           lint::Baseline::from_diagnostics(report.diagnostics);
-      std::ofstream out(write_baseline_path, std::ios::binary);
+      std::ofstream out(*write_baseline_path, std::ios::binary);
       out << base.serialize();
       if (!out) {
-        std::fprintf(stderr, "error: cannot write baseline '%s'\n",
-                     write_baseline_path);
-        return 2;
+        throw std::runtime_error("cannot write baseline '" +
+                                 *write_baseline_path + "'");
       }
       std::printf("wrote %zu baseline entr%s to %s\n", base.size(),
-                  base.size() == 1 ? "y" : "ies", write_baseline_path);
+                  base.size() == 1 ? "y" : "ies",
+                  write_baseline_path->c_str());
       return 0;
     }
     if (baseline_path) {
-      const lint::Baseline base = lint::Baseline::parse(slurp(baseline_path));
+      const lint::Baseline base =
+          lint::Baseline::parse(cli::read_file(*baseline_path));
       report.diagnostics =
           lint::filter_baselined(std::move(report.diagnostics), base);
     }
@@ -210,8 +177,5 @@ int main(int argc, char** argv) {
     if (report.has_errors()) return 1;
     if (werror && !report.diagnostics.empty()) return 1;
     return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  });
 }

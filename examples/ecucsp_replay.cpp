@@ -15,115 +15,55 @@
 // Exit code 0 when every oracle accepts (and, under --strict, the ingest
 // was clean), 1 on any violation, 2 for usage errors.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "core/cli.hpp"
 #include "replay/replay.hpp"
 
 using namespace ecucsp;
 
-namespace {
-
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [options] [log...]\n"
-      "Checks logged CAN traffic (candump -L format) against the OTA spec\n"
-      "oracles offline. Verdicts are independent of --jobs and --chunk.\n"
-      "  --log FILE      a candump log (repeatable; bare args work too)\n"
-      "  --dbc FILE      DBC database (default: built-in X.1373 OTA)\n"
-      "  --spec S        R01..R05 | model | all (repeatable;\n"
-      "                  default R01..R05)\n"
-      "  --jobs N        parallel workers (0 = all cores)\n"
-      "  --chunk N       events per sweep chunk (0 = whole log;\n"
-      "                  default 65536)\n"
-      "  --max-diverge N divergences reported per oracle (default 1)\n"
-      "  --max-states N  model-oracle compile budget (default 2^20)\n"
-      "  --strict        ingest diagnostics fail the run\n"
-      "  --lenient       diagnostics are reported but don't fail (default)\n"
-      "  --json          deterministic replay_format:1 report on stdout\n",
-      argv0);
-  return 2;
-}
-
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   replay::ReplayOptions opt;
   bool json = false;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    // Every value option accepts both `--opt V` and `--opt=V`.
-    std::string head;
-    const char* inline_value = nullptr;
-    if (std::strncmp(arg, "--", 2) == 0) {
-      if (const char* eq = std::strchr(arg, '=')) {
-        head.assign(arg, eq);
-        inline_value = eq + 1;
-        arg = head.c_str();
-      }
-    }
-    auto value = [&]() -> const char* {
-      if (inline_value) return inline_value;
-      return (i + 1 < argc) ? argv[++i] : nullptr;
-    };
-    std::uint64_t n = 0;
-    if (std::strcmp(arg, "--log") == 0) {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      opt.logs.emplace_back(v);
-    } else if (std::strcmp(arg, "--dbc") == 0) {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      opt.dbc = std::filesystem::path(v);
-    } else if (std::strcmp(arg, "--spec") == 0) {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      opt.specs.emplace_back(v);
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      const char* v = value();
-      if (!v || !parse_u64(v, n)) return usage(argv[0]);
-      opt.jobs = static_cast<unsigned>(n);
-    } else if (std::strcmp(arg, "--chunk") == 0) {
-      const char* v = value();
-      if (!v || !parse_u64(v, n)) return usage(argv[0]);
-      opt.chunk = static_cast<std::size_t>(n);
-    } else if (std::strcmp(arg, "--max-diverge") == 0) {
-      const char* v = value();
-      if (!v || !parse_u64(v, n) || n == 0) return usage(argv[0]);
-      opt.max_diverge = static_cast<std::size_t>(n);
-    } else if (std::strcmp(arg, "--max-states") == 0) {
-      const char* v = value();
-      if (!v || !parse_u64(v, n) || n == 0) return usage(argv[0]);
-      opt.max_states = static_cast<std::size_t>(n);
-    } else if (std::strcmp(arg, "--strict") == 0) {
-      opt.strict = true;
-    } else if (std::strcmp(arg, "--lenient") == 0) {
-      opt.strict = false;
-    } else if (std::strcmp(arg, "--json") == 0) {
-      json = true;
-    } else if (std::strncmp(arg, "--", 2) == 0) {
-      std::fprintf(stderr, "unknown option '%s'\n", arg);
-      return usage(argv[0]);
-    } else {
-      opt.logs.emplace_back(arg);
-    }
-  }
-  if (opt.logs.empty()) {
-    std::fprintf(stderr, "no log files given\n");
-    return usage(argv[0]);
-  }
+  const auto add_log = [&](std::string_view f) { opt.logs.emplace_back(f); };
+  const cli::Tool tool{
+      .synopsis = {"[options] [log...]"},
+      .about = "Checks logged CAN traffic (candump -L format) against the OTA "
+               "spec oracles offline. Verdicts are independent of --jobs and "
+               "--chunk.",
+      .options =
+          {cli::value("--log", "FILE",
+                      "a candump log (repeatable; bare args work too)",
+                      add_log),
+           cli::value("--dbc", "FILE",
+                      "DBC database (default: built-in X.1373 OTA)",
+                      [&](std::string_view f) { opt.dbc = f; }),
+           cli::value("--spec", "S",
+                      "R01..R05 | model | all (repeatable; default R01..R05)",
+                      [&](std::string_view s) { opt.specs.emplace_back(s); }),
+           cli::number("--jobs", "N", "parallel workers (0 = all cores)",
+                       opt.jobs, 0, cli::kMaxJobs),
+           cli::number("--chunk", "N",
+                       "events per sweep chunk (0 = whole log; default 65536)",
+                       opt.chunk),
+           cli::number("--max-diverge", "N",
+                       "divergences reported per oracle (default 1)",
+                       opt.max_diverge, 1),
+           cli::number("--max-states", "N",
+                       "model-oracle compile budget (default 2^20)",
+                       opt.max_states, 1),
+           cli::flag("--strict", "ingest diagnostics fail the run",
+                     [&] { opt.strict = true; }),
+           cli::flag("--lenient",
+                     "diagnostics are reported but don't fail (default)",
+                     [&] { opt.strict = false; }),
+           cli::flag("--json", "deterministic replay_format:1 report on stdout",
+                     json)},
+      .positional = add_log,
+  };
 
-  try {
+  return cli::run(argc, argv, tool, [&] {
+    if (opt.logs.empty()) throw cli::UsageError("no log files given");
     const replay::ReplayReport rep = replay::run_replay(opt);
     if (json) {
       std::fputs(rep.render_json().c_str(), stdout);
@@ -131,8 +71,5 @@ int main(int argc, char** argv) {
       std::fputs(rep.render_text().c_str(), stdout);
     }
     return rep.ok() ? 0 : 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "ecucsp_replay: %s\n", e.what());
-    return 2;
-  }
+  });
 }

@@ -13,11 +13,10 @@
 // means every in-flight check finished (nothing was cancelled).
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 
+#include "core/cli.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 
@@ -32,68 +31,69 @@ void on_signal(int) {
   if (g_server) g_server->request_stop();
 }
 
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s (--sock PATH | --tcp PORT) [options]\n"
-      "Long-running CSPm verification daemon with request coalescing.\n"
-      "  --sock PATH        listen on a Unix-domain socket at PATH\n"
-      "  --tcp PORT         listen on 127.0.0.1:PORT\n"
-      "  --jobs N           scheduler workers (0 = all cores; default 0)\n"
-      "  --cache-dir D      persistent verification store directory\n"
-      "  --shards N         store shards (default 1; see ecucsp_check)\n"
-      "  --max-queue N      flights allowed to queue behind the running\n"
-      "                     ones before load is shed (default 8 x jobs)\n"
-      "  --memo N           response-memo entries (default 4096; 0 = off)\n"
-      "  --timeout MS       default per-check deadline for requests that\n"
-      "                     carry none (default: none)\n"
-      "  --max-states N     server-side ceiling on request state budgets\n"
-      "  --drain-timeout MS grace for in-flight checks on SIGINT/SIGTERM\n"
-      "                     before they are cancelled (default 10000)\n",
-      argv0);
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   serve::ServiceOptions service_opts;
   serve::ServerOptions server_opts;
 
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--sock") == 0 && i + 1 < argc) {
-      server_opts.unix_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--tcp") == 0 && i + 1 < argc) {
-      server_opts.tcp_port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      service_opts.jobs = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--cache-dir") == 0 && i + 1 < argc) {
-      service_opts.cache_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      service_opts.cache_shards = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--max-queue") == 0 && i + 1 < argc) {
-      service_opts.max_queue = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--memo") == 0 && i + 1 < argc) {
-      service_opts.memo_capacity =
-          static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--timeout") == 0 && i + 1 < argc) {
-      service_opts.default_timeout_ms =
-          static_cast<std::uint32_t>(std::atol(argv[++i]));
-    } else if (std::strcmp(argv[i], "--max-states") == 0 && i + 1 < argc) {
-      service_opts.max_states_limit =
-          static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--drain-timeout") == 0 && i + 1 < argc) {
-      server_opts.drain_timeout = std::chrono::milliseconds(std::atol(argv[++i]));
-    } else {
-      return usage(argv[0]);
+  const cli::Tool tool{
+      .synopsis = {"(--sock PATH | --tcp PORT) [options]"},
+      .about = "Long-running CSPm verification daemon with request "
+               "coalescing.",
+      .options =
+          {cli::value("--sock", "PATH",
+                      "listen on a Unix-domain socket at PATH",
+                      [&](std::string_view p) { server_opts.unix_path = p; }),
+           cli::number("--tcp", "PORT", "listen on 127.0.0.1:PORT",
+                       [&](std::uint64_t port) {
+                         server_opts.tcp_port =
+                             static_cast<std::uint16_t>(port);
+                       },
+                       0, cli::kMaxPort),
+           cli::number("--jobs", "N",
+                       "scheduler workers (0 = all cores; default 0)",
+                       service_opts.jobs, 0, cli::kMaxJobs),
+           cli::value("--cache-dir", "D",
+                      "persistent verification store directory",
+                      [&](std::string_view d) { service_opts.cache_dir = d; }),
+           cli::number("--shards", "N",
+                       "store shards (default 1; 0 counts as 1; see "
+                       "ecucsp_check)",
+                       service_opts.cache_shards, 0, 256),
+           cli::number("--max-queue", "N",
+                       "flights allowed to queue behind the running ones "
+                       "before load is shed (default 8 x jobs)",
+                       service_opts.max_queue, 0, std::uint64_t{1} << 20),
+           cli::number("--memo", "N",
+                       "response-memo entries (default 4096; 0 = off)",
+                       service_opts.memo_capacity),
+           cli::number("--timeout", "MS",
+                       "default per-check deadline for requests that carry "
+                       "none (default 0 = none)",
+                       service_opts.default_timeout_ms, 0,
+                       cli::kMaxTimeoutMs),
+           cli::number("--max-states", "N",
+                       "server-side ceiling on request state budgets",
+                       service_opts.max_states_limit),
+           cli::number("--drain-timeout", "MS",
+                       "grace for in-flight checks on SIGINT/SIGTERM before "
+                       "they are cancelled (default 10000)",
+                       [&](std::uint64_t ms) {
+                         server_opts.drain_timeout =
+                             std::chrono::milliseconds(ms);
+                       },
+                       0, cli::kMaxTimeoutMs)},
+  };
+
+  return cli::run(argc, argv, tool, [&] {
+    if (!server_opts.unix_path && !server_opts.tcp_port) {
+      throw cli::UsageError("give --sock PATH or --tcp PORT");
     }
-  }
-  if (!server_opts.unix_path && !server_opts.tcp_port) return usage(argv[0]);
 
-  // A client that disconnects mid-write must not kill the daemon.
-  std::signal(SIGPIPE, SIG_IGN);
+    // A client that disconnects mid-write must not kill the daemon.
+    std::signal(SIGPIPE, SIG_IGN);
 
-  try {
     serve::VerifyService service(service_opts);
     serve::Server server(service, server_opts);
     server.listen();
@@ -113,8 +113,5 @@ int main(int argc, char** argv) {
     std::printf("ecucsp_serve: drained %s\n",
                 clean ? "cleanly" : "with cancellations");
     return clean ? 0 : 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  });
 }

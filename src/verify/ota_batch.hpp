@@ -30,8 +30,8 @@ struct OtaMatrixOptions {
   /// Interleave this many hidden three-phase cycler processes with the
   /// system under test before checking. Verdicts are unchanged (the cyclers
   /// are invisible and independent) but the explored state space grows by
-  /// ~3^dilation — the knob bench_parallel_checks uses to give each task
-  /// enough work for parallel speedup to be measurable.
+  /// ~3^dilation — the knob `ecucsp_check --dilate` uses to give each task
+  /// enough work for parallel speedup and caching to be measurable.
   std::size_t dilation = 0;
   std::optional<std::chrono::milliseconds> timeout;
   std::size_t max_states = 1u << 22;

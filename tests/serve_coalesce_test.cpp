@@ -103,6 +103,20 @@ store::Digest key_of(std::uint64_t n) { return store::Digest{n, ~n}; }
 
 TEST(ServeCoalesceTest, KIdenticalSubmissionsOneEngineRunAcrossGrid) {
   constexpr int K = 6;
+  // What one uncoalesced submission of the same task answers.
+  std::string solo_block;
+  {
+    ServiceOptions opts;
+    opts.jobs = 1;
+    VerifyService service(opts);
+    Gate gate;
+    gate.open_up();
+    Collector solo;
+    service.submit_keyed(key_of(1), gated_task(gate), 1, solo.sink());
+    solo.wait(1);
+    EXPECT_FALSE(solo.got[0].coalesced);
+    solo_block = solo.got[0].verdict_block();
+  }
   for (const unsigned jobs : {1u, 2u, 4u}) {
     ServiceOptions opts;
     opts.jobs = jobs;
@@ -129,6 +143,7 @@ TEST(ServeCoalesceTest, KIdenticalSubmissionsOneEngineRunAcrossGrid) {
     ASSERT_EQ(out.got.size(), static_cast<std::size_t>(K));
     const std::string block = out.got[0].verdict_block();
     std::vector<bool> seen(K + 1, false);
+    EXPECT_EQ(block, solo_block) << "jobs=" << jobs;
     for (const CheckResponse& r : out.got) {
       EXPECT_EQ(r.status, ServeStatus::Failed);
       EXPECT_EQ(r.verdict_block(), block);
@@ -161,8 +176,12 @@ TEST(ServeCoalesceTest, DistinctKeysDoNotCoalesce) {
   gate.open_up();
   out.wait(N);
   EXPECT_EQ(gate.runs.load(), N);
+  EXPECT_EQ(service.stats().engine_runs.load(), static_cast<std::uint64_t>(N));
   EXPECT_EQ(service.stats().coalesced.load(), 0u);
-  for (const CheckResponse& r : out.got) EXPECT_FALSE(r.coalesced);
+  for (const CheckResponse& r : out.got) {
+    EXPECT_FALSE(r.coalesced);
+    EXPECT_FALSE(r.from_cache);  // no store or memo answered distinct keys
+  }
 }
 
 TEST(ServeCoalesceTest, DepartedWaiterNeverAbortsTheSharedFlight) {

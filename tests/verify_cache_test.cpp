@@ -70,6 +70,7 @@ TEST(VerifyCache, WarmMatrixHitsEveryCellAtAnyJobCount) {
 
   const BatchResult cold = VerifyScheduler({.jobs = 4}).run(suite);
   EXPECT_EQ(fingerprint(cold), fingerprint(reference));
+  EXPECT_EQ(cached_count(cold), 0u);  // nothing served from an empty cache
 
   for (const unsigned jobs : {1u, 4u}) {
     const BatchResult warm = VerifyScheduler({.jobs = jobs}).run(suite);
@@ -78,12 +79,15 @@ TEST(VerifyCache, WarmMatrixHitsEveryCellAtAnyJobCount) {
   }
 
   // Zero LTS recompilations while warm: every lookup during the warm runs
-  // was answered, so the miss counters did not move after the cold run.
+  // was answered, so the miss and store counters did not move after the
+  // cold run.
   const auto verdict_misses = cache.stats().verdict_misses.load();
   const auto lts_misses = cache.stats().lts_misses.load();
+  const auto stores = cache.stats().stores.load();
   VerifyScheduler({.jobs = 4}).run(suite);
   EXPECT_EQ(cache.stats().verdict_misses.load(), verdict_misses);
   EXPECT_EQ(cache.stats().lts_misses.load(), lts_misses);
+  EXPECT_EQ(cache.stats().stores.load(), stores);
 }
 
 TEST(VerifyCache, DiskTierCarriesHitsAcrossRestart) {
@@ -93,19 +97,21 @@ TEST(VerifyCache, DiskTierCarriesHitsAcrossRestart) {
   std::filesystem::remove_all(dir);
 
   const std::vector<CheckTask> suite = full_suite();
-  std::vector<std::string> cold_print;
+  const std::vector<std::string> reference =
+      fingerprint(VerifyScheduler({.jobs = 4}).run(suite));  // uncached
   {
     store::VerificationCache cache(dir);
     ScopedCheckCache installed(&cache);
-    cold_print = fingerprint(VerifyScheduler({.jobs = 4}).run(suite));
+    EXPECT_EQ(fingerprint(VerifyScheduler({.jobs = 4}).run(suite)), reference);
   }
   {
     // "Restarted process": a brand-new cache over the same directory.
     store::VerificationCache cache(dir);
     ScopedCheckCache installed(&cache);
     const BatchResult warm = VerifyScheduler({.jobs = 4}).run(suite);
-    EXPECT_EQ(fingerprint(warm), cold_print);
+    EXPECT_EQ(fingerprint(warm), reference);
     EXPECT_EQ(cached_count(warm), suite.size());
+    EXPECT_EQ(cache.stats().verdict_misses.load(), 0u);
     EXPECT_EQ(cache.stats().lts_misses.load(), 0u);
     EXPECT_EQ(cache.stats().stores.load(), 0u);  // nothing recomputed
     EXPECT_GE(cache.stats().disk_hits.load(), suite.size());
