@@ -90,9 +90,7 @@ void print_cache_stats(const store::VerificationCache& cache) {
   std::printf("cache: %llu from memory, %llu from disk\n",
               static_cast<unsigned long long>(s.memory_hits.load()),
               static_cast<unsigned long long>(s.disk_hits.load()));
-  for (unsigned i = 0; i < cache.shard_count(); ++i) {
-    const store::ObjectStore* disk = cache.disk(i);
-    if (!disk) break;  // memory-only: no shard has a disk tier
+  if (const store::ObjectStore* disk = cache.disk()) {
     const store::ObjectStoreStats& d = disk->stats();
     std::printf(
         "cache: disk dir %s: %llu read(s) (%llu bytes), %llu write(s) "
@@ -121,7 +119,6 @@ int main(int argc, char** argv) {
   std::size_t max_states = 1u << 22;
   std::size_t dilation = 0;
   std::optional<std::filesystem::path> cache_dir;
-  unsigned cache_shards = 1;
   std::vector<std::string> paths;
 
   // Read once at startup before any thread exists, so the mt-unsafety of
@@ -162,12 +159,6 @@ int main(int argc, char** argv) {
                       "persist verdicts and compiled LTSes under D (default: "
                       "$ECUCSP_CACHE_DIR if set)",
                       [&](std::string_view d) { cache_dir = d; }),
-           cli::number("--shards", "N",
-                       "split the cache into N digest-addressed shards "
-                       "(default 1 = the flat layout; 0 counts as 1; must "
-                       "match the shard count the directory was written "
-                       "with, e.g. by ecucsp_serve --shards N)",
-                       cache_shards, 0, 256),
            cli::flag("--no-cache", "disable the verification cache entirely",
                      no_cache),
            cli::flag("--cache-stats", "print cache counters after the run",
@@ -207,7 +198,7 @@ int main(int argc, char** argv) {
     std::optional<store::VerificationCache> cache;
     std::optional<ScopedCheckCache> installed;
     if (!no_cache) {
-      cache.emplace(cache_dir, cache_shards);
+      cache.emplace(cache_dir);
       installed.emplace(&*cache);
     }
 

@@ -7,9 +7,9 @@
 // Ingests candump -L logs (mmap'd, tolerant of malformed lines — every bad
 // line becomes a diagnostic, never an abort), merges them into one
 // timestamp-ordered stream, decodes frames to CSP events through the DBC
-// codec, and sweeps the requirement oracles over the trace in parallel
-// chunks. Verdicts and divergence indices are byte-identical at any --jobs
-// and --chunk; the first divergence is reported with the offending frame's
+// codec, and walks each requirement oracle once over the trace, the oracles
+// in parallel. Verdicts and divergence indices are byte-identical at any
+// --jobs; the first divergence is reported with the offending frame's
 // timestamp, channel, raw bytes and byte offset.
 //
 // Exit code 0 when every oracle accepts (and, under --strict, the ingest
@@ -29,8 +29,7 @@ int main(int argc, char** argv) {
   const cli::Tool tool{
       .synopsis = {"[options] [log...]"},
       .about = "Checks logged CAN traffic (candump -L format) against the OTA "
-               "spec oracles offline. Verdicts are independent of --jobs and "
-               "--chunk.",
+               "spec oracles offline. Verdicts are independent of --jobs.",
       .options =
           {cli::value("--log", "FILE",
                       "a candump log (repeatable; bare args work too)",
@@ -41,11 +40,9 @@ int main(int argc, char** argv) {
            cli::value("--spec", "S",
                       "R01..R05 | model | all (repeatable; default R01..R05)",
                       [&](std::string_view s) { opt.specs.emplace_back(s); }),
-           cli::number("--jobs", "N", "parallel workers (0 = all cores)",
+           cli::number("--jobs", "N",
+                       "parallel workers, one oracle each (0 = all cores)",
                        opt.jobs, 0, cli::kMaxJobs),
-           cli::number("--chunk", "N",
-                       "events per sweep chunk (0 = whole log; default 65536)",
-                       opt.chunk),
            cli::number("--max-diverge", "N",
                        "divergences reported per oracle (default 1)",
                        opt.max_diverge, 1),

@@ -1,7 +1,7 @@
 // ecucsp_serve: the long-running verification daemon.
 //
 //   $ ./ecucsp_serve --sock /tmp/ecucsp.sock --jobs 8
-//         --cache-dir /var/cache/ecucsp --shards 16      (one command line)
+//         --cache-dir /var/cache/ecucsp                  (one command line)
 //   $ ./ecucsp_serve --tcp 7777 --jobs 4
 //
 // Accepts CheckRequests (length-prefixed binary frames or JSON lines — see
@@ -57,10 +57,6 @@ int main(int argc, char** argv) {
            cli::value("--cache-dir", "D",
                       "persistent verification store directory",
                       [&](std::string_view d) { service_opts.cache_dir = d; }),
-           cli::number("--shards", "N",
-                       "store shards (default 1; 0 counts as 1; see "
-                       "ecucsp_check)",
-                       service_opts.cache_shards, 0, 256),
            cli::number("--max-queue", "N",
                        "flights allowed to queue behind the running ones "
                        "before load is shed (default 8 x jobs)",
@@ -101,11 +97,9 @@ int main(int argc, char** argv) {
     std::signal(SIGINT, on_signal);
     std::signal(SIGTERM, on_signal);
 
-    std::printf(
-        "ecucsp_serve: listening on %s (%u worker(s), capacity %zu, "
-        "%u shard(s))\n",
-        server.bound_description().c_str(), service.jobs(), service.capacity(),
-        service.cache().shard_count());
+    std::printf("ecucsp_serve: listening on %s (%u worker(s), capacity %zu)\n",
+                server.bound_description().c_str(), service.jobs(),
+                service.capacity());
     std::fflush(stdout);
 
     const bool clean = server.run();

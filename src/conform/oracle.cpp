@@ -1,7 +1,5 @@
 #include "conform/oracle.hpp"
 
-#include <algorithm>
-
 #include "refine/lts.hpp"
 #include "refine/normalize.hpp"
 
@@ -40,40 +38,14 @@ OracleVerdict TraceOracle::rejection(std::size_t at, const std::string& event,
 }
 
 OracleVerdict TraceOracle::judge(const std::vector<std::string>& events) const {
-  OracleCursor cur = start();
-  return judge_resume(cur, events);
-}
-
-OracleVerdict TraceOracle::judge_resume(OracleCursor& cur,
-                                        const std::vector<std::string>& events,
-                                        std::size_t end) const {
-  const std::size_t stop = std::min(end, events.size());
-  for (; cur.next < stop; ++cur.next) {
-    const std::uint32_t to = next(cur.node, events[cur.next]);
+  std::uint32_t node = automaton.root;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const std::uint32_t to = next(node, events[i]);
     if (to == kSkip) continue;
-    if (to >= kRejectStuck) {
-      return rejection(cur.next, events[cur.next], cur.node, to);
-    }
-    cur.node = to;
+    if (to >= kRejectStuck) return rejection(i, events[i], node, to);
+    node = to;
   }
   return {};
-}
-
-bool OracleSession::step(const std::string& event) {
-  // Sticky rejection: a dead session still counts the event, so
-  // cursor().next stays the number of consumed events, but moves neither
-  // the node nor the verdict.
-  const std::size_t at = cur_.next++;
-  if (!alive_) return false;
-  const std::uint32_t to = oracle_->next(cur_.node, event);
-  if (to == TraceOracle::kSkip) return true;
-  if (to >= TraceOracle::kRejectStuck) {
-    alive_ = false;
-    verdict_ = oracle_->rejection(at, event, cur_.node, to);
-    return false;
-  }
-  cur_.node = to;
-  return true;
 }
 
 TraceOracle compile_oracle(Context& ctx, std::string name, ProcessRef spec,

@@ -225,7 +225,8 @@ std::string read_file(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open " + shown);
   std::ostringstream out;
-  out << in.rdbuf();
+  // Inserting an empty streambuf sets failbit, so an empty file skips it.
+  if (in.peek() != std::ifstream::traits_type::eof()) out << in.rdbuf();
   if (in.bad() || out.fail()) {
     throw std::runtime_error("read error on " + shown);
   }

@@ -47,7 +47,7 @@ struct Diagnostic {
   Span span;
   std::string message;
   /// Source→sink provenance for flow rules (T0xx); empty for point rules.
-  std::vector<ChainStep> chain;
+  std::vector<ChainStep> chain{};
 
   /// Deterministic rendering/report order — a strict *total* order over
   /// every field, so the (unstable) sort in DiagnosticSink::finalize cannot

@@ -85,7 +85,6 @@ ReplayReport run_replay(const ReplayOptions& opt) {
   ReplayReport report;
   report.strict = opt.strict;
   report.jobs_used = sched.jobs();
-  report.chunk = opt.chunk;
   for (const auto& p : opt.logs) {
     report.logs.push_back(p.string());
     report.diagnostic_files.push_back(p.string());
@@ -116,7 +115,6 @@ ReplayReport run_replay(const ReplayOptions& opt) {
     compiled.push_back(compile_for_trace(o, trace.names));
   }
   SweepOptions sweep_opt;
-  sweep_opt.chunk = opt.chunk;
   sweep_opt.max_diverge = opt.max_diverge;
   const std::vector<OracleSweep> sweeps =
       sweep_trace(compiled, trace.events, sweep_opt, sched);
@@ -162,13 +160,8 @@ std::string ReplayReport::render_text() const {
       << logs.size() << (logs.size() == 1 ? " log (" : " logs (") << lines
       << " lines, " << channels << (channels == 1 ? " channel)" : " channels)")
       << "\n";
-  out << "  jobs " << jobs_used << ", chunk ";
-  if (chunk == 0) {
-    out << "whole-log";
-  } else {
-    out << chunk;
-  }
-  out << ", wall " << static_cast<long long>(wall_ms) << " ms\n";
+  out << "  jobs " << jobs_used << ", wall " << static_cast<long long>(wall_ms)
+      << " ms\n";
   if (diagnostic_count > 0) {
     out << "  " << diagnostic_count << " ingest diagnostic"
         << (diagnostic_count == 1 ? "" : "s")

@@ -8,7 +8,7 @@
 // instead of a simulated one. The report is reproducible evidence — the
 // JSON rendering (replay_format 1) deliberately carries no timing and no
 // worker-count echo, so two runs over the same logs are byte-identical at
-// any --jobs/--chunk setting (CI diffs them).
+// any --jobs setting (CI diffs them).
 #pragma once
 
 #include <cstdint>
@@ -29,10 +29,11 @@ struct ReplayOptions {
   /// Spec oracles: "R01".."R05", "model" (CAPL-extracted ECU model),
   /// "all". Empty = R01..R05.
   std::vector<std::string> specs;
-  unsigned jobs = 0;             // scheduler workers; 0 = hardware
-  std::size_t chunk = 1u << 16;  // events per sweep chunk; 0 = whole log
-  bool strict = false;           // any ingest diagnostic fails the run
-  std::size_t max_diverge = 1;   // divergences reported per oracle
+  unsigned jobs = 0;  // scheduler workers; 0 = hardware
+  /// Ignored: each oracle is one walk. Frozen until the benchmark drops it.
+  std::size_t chunk = 1u << 16;
+  bool strict = false;          // any ingest diagnostic fails the run
+  std::size_t max_diverge = 1;  // divergences reported per oracle
   std::size_t max_states = 1u << 20;  // model-oracle compile budget
 };
 
@@ -74,9 +75,8 @@ struct ReplayReport {
   std::vector<OracleReport> oracles;
 
   // Run facts that must NOT leak into render_json(): they vary run-to-run
-  // or with the parallelism settings, and the JSON is diffed across both.
+  // or with the worker count, and the JSON is diffed across both.
   unsigned jobs_used = 1;
-  std::size_t chunk = 0;
   double wall_ms = 0.0;
 
   /// Every oracle accepted, and (under strict) the ingest was clean.
@@ -84,7 +84,7 @@ struct ReplayReport {
 
   std::string render_text() const;
   /// Deterministic "replay_format":1 document — byte-identical for the
-  /// same logs and spec set at any jobs/chunk configuration.
+  /// same logs and spec set at any worker count.
   std::string render_json() const;
 };
 

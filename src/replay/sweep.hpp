@@ -1,16 +1,13 @@
-// Chunked parallel oracle sweeps over a decoded event trace.
+// Oracle sweeps over a decoded event trace.
 //
 // A trace oracle is sequential by nature: the automaton node after event i
-// depends on every event before it. The sweep still parallelises by the
-// classic function-composition trick — each chunk is evaluated as a *total
-// map* from every possible oracle start node to (end node, divergences),
-// and a cheap sequential fold then threads the real start node through the
-// per-chunk maps. Because each chunk map is a pure function of the chunk's
-// events and the walk itself is deterministic, verdicts and divergence
-// indices are byte-identical at any chunk size and any worker count; the
-// state-sets carried across chunk boundaries are exactly the OracleCursor
-// nodes of conform/oracle.hpp (tests/replay_diff_test.cpp pins the
-// equivalence against one-shot TraceOracle::judge).
+// depends on every event before it. So each oracle is one walk over the
+// whole trace from its root, and the parallelism is across oracles: one
+// scheduler task per oracle. A walk reads nothing but its own step table
+// and the shared events, so verdicts and divergence indices are
+// byte-identical at any worker count; the count only picks which thread
+// walks which oracle (tests/replay_diff_test.cpp pins the walk against a
+// skip-and-continue reference over TraceOracle::next).
 //
 // Divergence semantics are skip-and-continue: a rejected event is reported
 // and then skipped (the oracle node is unchanged), so a single sweep can
@@ -45,11 +42,10 @@ DecodedTrace decode_trace(ParsedLog& log, const conform::FrameCodec& codec);
 
 /// A TraceOracle compiled against one trace's interned event ids: a dense
 /// node × event table of TraceOracle::advance outcomes, built from the
-/// oracle's CSR rows with its step rule, so the per-chunk walks are
-/// branch-light array lookups instead of string probes.
+/// oracle's CSR rows with its step rule, so the walk is a branch-light
+/// array lookup per event instead of a string probe.
 struct CompiledOracle {
   const conform::TraceOracle* source = nullptr;  // offered() at divergences
-  std::uint32_t nodes = 0;
   std::uint32_t n_events = 0;
   std::vector<std::uint32_t> step;  // nodes × n_events
 
@@ -75,12 +71,13 @@ struct OracleSweep {
 };
 
 struct SweepOptions {
-  std::size_t chunk = 1u << 16;  // events per chunk; 0 = whole trace
-  std::size_t max_diverge = 1;   // reported divergences per oracle
+  /// Ignored: each oracle is one walk. Frozen until the benchmark drops it.
+  std::size_t chunk = 1u << 16;
+  std::size_t max_diverge = 1;  // reported divergences per oracle
 };
 
-/// Sweep every oracle over the trace, chunk tasks on `sched`. Returns one
-/// OracleSweep per input oracle, in order.
+/// Walk every oracle over the trace, one task per oracle on `sched`.
+/// Returns one OracleSweep per input oracle, in order.
 std::vector<OracleSweep> sweep_trace(const std::vector<CompiledOracle>& oracles,
                                      const std::vector<std::uint32_t>& events,
                                      const SweepOptions& opt,

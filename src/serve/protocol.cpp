@@ -579,10 +579,12 @@ namespace {
 // strerror_r comes in two flavours — GNU returns char* (possibly a static
 // string, ignoring the buffer), POSIX returns int and fills the buffer.
 // Overload resolution picks the right reading without feature-test macros.
-const char* strerror_result(const char* returned, const char*) {
+// The overload the platform does not pick is unused.
+[[maybe_unused]] const char* strerror_result(const char* returned,
+                                            const char*) {
   return returned;
 }
-const char* strerror_result(int rc, const char* buf) {
+[[maybe_unused]] const char* strerror_result(int rc, const char* buf) {
   return rc == 0 ? buf : "unknown error";
 }
 

@@ -38,8 +38,7 @@ bool memoisable(ServeStatus s) {
 
 VerifyService::VerifyService(ServiceOptions options)
     : options_(options),
-      cache_(std::make_unique<store::VerificationCache>(
-          options.cache_dir, std::max(1u, options.cache_shards))) {
+      cache_(std::make_unique<store::VerificationCache>(options.cache_dir)) {
   cache_install_.emplace(cache_.get());
   verify::SchedulerOptions sched;
   sched.jobs = options.jobs;
@@ -310,8 +309,8 @@ std::string VerifyService::stats_json() const {
   char buf[2048];
   std::snprintf(
       buf, sizeof buf,
-      "{\"serve_format\":2,"
-      "\"jobs\":%u,\"shards\":%u,\"capacity\":%zu,"
+      "{\"serve_format\":3,"
+      "\"jobs\":%u,\"capacity\":%zu,"
       "\"draining\":%s,"
       "\"received\":%llu,\"engine_runs\":%llu,\"coalesced\":%llu,"
       "\"memo_hits\":%llu,\"shed\":%llu,\"rejected_draining\":%llu,"
@@ -324,7 +323,7 @@ std::string VerifyService::stats_json() const {
       "\"cache\":{\"verdict_hits\":%llu,\"verdict_misses\":%llu,"
       "\"lts_hits\":%llu,\"lts_misses\":%llu,\"hit_ratio\":%.4f,"
       "\"memory_hits\":%llu,\"disk_hits\":%llu,\"stores\":%llu}}",
-      jobs(), cache_->shard_count(), capacity_,
+      jobs(), capacity_,
       draining() ? "true" : "false",
       static_cast<unsigned long long>(stats_.received.load()),
       static_cast<unsigned long long>(stats_.engine_runs.load()),

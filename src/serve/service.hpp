@@ -32,7 +32,7 @@
 // deterministic outcomes (Passed/Failed/StateLimit/Error) are memoised —
 // TimedOut and Cancelled depend on deadlines and daemon lifecycle, and
 // rejections are never cached. The engine-level verification store
-// (structural term digests, sharded on disk) sits below and catches
+// (structural term digests, persisted on disk) sits below and catches
 // textually-different-but-structurally-equal models the memo cannot.
 #pragma once
 
@@ -63,8 +63,6 @@ struct ServiceOptions {
 
   /// Persistent verification store; memory-only when unset.
   std::optional<std::filesystem::path> cache_dir;
-  /// Disk/memory shards of the store (1 = the PR 2 single-directory layout).
-  unsigned cache_shards = 1;
 
   /// Flights allowed to wait behind the `jobs` running ones before
   /// admission control sheds; 0 means 8 × effective jobs.

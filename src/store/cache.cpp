@@ -1,7 +1,6 @@
 #include "store/cache.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <iterator>
 
@@ -10,30 +9,8 @@
 
 namespace ecucsp::store {
 
-namespace {
-
-std::filesystem::path shard_dir(const std::filesystem::path& base,
-                                unsigned shard) {
-  char name[16];
-  std::snprintf(name, sizeof name, "shard-%02u", shard);
-  return base / name;
-}
-
-}  // namespace
-
-VerificationCache::VerificationCache(std::optional<std::filesystem::path> dir,
-                                     unsigned shards) {
-  const unsigned n = std::max(1u, shards);
-  shards_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    auto s = std::make_unique<Shard>();
-    if (dir) {
-      s->disk = std::make_unique<ObjectStore>(n == 1 ? *dir
-                                                     : shard_dir(*dir, i));
-    }
-    shards_.push_back(std::move(s));
-  }
-}
+VerificationCache::VerificationCache(std::optional<std::filesystem::path> dir)
+    : disk_(dir ? std::make_unique<ObjectStore>(*dir) : nullptr) {}
 
 Digest VerificationCache::check_key(Context& ctx, ProcessRef spec,
                                     ProcessRef impl, CheckOp op, Model model,
@@ -63,42 +40,39 @@ Digest VerificationCache::lts_key(Context& ctx, ProcessRef root,
 
 VerificationCache::Blob VerificationCache::fetch(const Digest& key,
                                                  bool& from_disk) {
-  Shard& s = shard(key);
   from_disk = false;
   {
-    std::lock_guard lock(s.mu);
-    if (auto it = s.memory.find(key); it != s.memory.end()) return it->second;
+    std::lock_guard lock(mu_);
+    if (auto it = memory_.find(key); it != memory_.end()) return it->second;
   }
-  if (!s.disk) return nullptr;
-  auto blob = s.disk->get(key);
+  if (!disk_) return nullptr;
+  auto blob = disk_->get(key);
   if (!blob) return nullptr;
   from_disk = true;
   auto shared =
       std::make_shared<const std::vector<std::uint8_t>>(std::move(*blob));
-  std::lock_guard lock(s.mu);
+  std::lock_guard lock(mu_);
   // A racing fetch may have promoted the same object already; either copy
   // is identical, keep the first.
-  return s.memory.try_emplace(key, std::move(shared)).first->second;
+  return memory_.try_emplace(key, std::move(shared)).first->second;
 }
 
 void VerificationCache::insert(const Digest& key,
                                std::vector<std::uint8_t> blob) {
-  Shard& s = shard(key);
   auto shared =
       std::make_shared<const std::vector<std::uint8_t>>(std::move(blob));
-  if (s.disk) s.disk->put(key, *shared);
-  std::lock_guard lock(s.mu);
-  s.memory.try_emplace(key, std::move(shared));
+  if (disk_) disk_->put(key, *shared);
+  std::lock_guard lock(mu_);
+  memory_.try_emplace(key, std::move(shared));
   stats_.stores.fetch_add(1, std::memory_order_relaxed);
 }
 
 void VerificationCache::evict(const Digest& key) {
-  Shard& s = shard(key);
   {
-    std::lock_guard lock(s.mu);
-    s.memory.erase(key);
+    std::lock_guard lock(mu_);
+    memory_.erase(key);
   }
-  if (s.disk) s.disk->drop(key);
+  if (disk_) disk_->drop(key);
   stats_.decode_failures.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -162,21 +136,12 @@ void VerificationCache::store_lts(Context& ctx, ProcessRef root,
 }
 
 void VerificationCache::clear_memory() {
-  for (auto& s : shards_) {
-    std::lock_guard lock(s->mu);
-    s->memory.clear();
-  }
+  std::lock_guard lock(mu_);
+  memory_.clear();
 }
 
 std::size_t VerificationCache::trim(std::uint64_t max_bytes) {
-  // Keys spread uniformly over shards, so an even per-shard budget keeps
-  // the aggregate bound while letting each shard trim independently.
-  const std::uint64_t per_shard = max_bytes / shards_.size();
-  std::size_t evicted = 0;
-  for (auto& s : shards_) {
-    if (s->disk) evicted += s->disk->trim(per_shard);
-  }
-  return evicted;
+  return disk_ ? disk_->trim(max_bytes) : 0;
 }
 
 std::vector<std::vector<std::string>> scan_stored_counterexamples(
@@ -184,27 +149,13 @@ std::vector<std::vector<std::string>> scan_stored_counterexamples(
   namespace fs = std::filesystem;
   std::error_code ec;
 
-  // Both store layouts: the flat <dir>/objects tree and sharded
-  // <dir>/shard-NN/objects trees.
-  std::vector<fs::path> roots;
-  if (fs::is_directory(dir / "objects", ec)) roots.push_back(dir / "objects");
-  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
-       it.increment(ec)) {
-    if (!it->is_directory(ec)) continue;
-    const std::string name = it->path().filename().string();
-    if (name.rfind("shard-", 0) != 0) continue;
-    if (fs::is_directory(it->path() / "objects", ec)) {
-      roots.push_back(it->path() / "objects");
-    }
-  }
-  if (roots.empty()) return {};
+  const fs::path root = dir / "objects";
+  if (!fs::is_directory(root, ec)) return {};
 
   std::vector<fs::path> files;
-  for (const fs::path& root : roots) {
-    for (fs::recursive_directory_iterator it(root, ec), end;
-         !ec && it != end; it.increment(ec)) {
-      if (it->is_regular_file(ec)) files.push_back(it->path());
-    }
+  for (fs::recursive_directory_iterator it(root, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    if (it->is_regular_file(ec)) files.push_back(it->path());
   }
   std::sort(files.begin(), files.end());
 

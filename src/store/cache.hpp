@@ -51,18 +51,9 @@ struct CacheStats {
 class VerificationCache final : public CheckCache {
  public:
   /// Memory-only when `dir` is empty; otherwise tier 2 persists under
-  /// `dir` (created lazily on first store).
-  ///
-  /// `shards` splits both tiers by key digest: shard i keeps its own memory
-  /// map + mutex (concurrent readers on different shards never contend) and
-  /// its own disk subtree. shards == 1 keeps the original single-directory
-  /// layout (`dir/objects/...`); shards > 1 places shard i's objects under
-  /// `dir/shard-NN/objects/...`. shard_of() is a pure function of the key,
-  /// so any process opening the directory with the same shard count finds
-  /// every object — the layouts differ, the digests and blobs do not.
+  /// `dir/objects/...` (created lazily on first store).
   explicit VerificationCache(
-      std::optional<std::filesystem::path> dir = std::nullopt,
-      unsigned shards = 1);
+      std::optional<std::filesystem::path> dir = std::nullopt);
 
   // CheckCache interface — thread-safe, each call decodes into the
   // caller's Context.
@@ -87,22 +78,8 @@ class VerificationCache final : public CheckCache {
   std::size_t trim(std::uint64_t max_bytes);
 
   const CacheStats& stats() const { return stats_; }
-  /// Shard 0's disk store; null for a memory-only cache. With one shard
-  /// (the default) this is *the* disk tier, exactly as before sharding.
-  const ObjectStore* disk() const { return shards_[0]->disk.get(); }
-  /// Shard i's disk store (i < shard_count()); null when memory-only.
-  const ObjectStore* disk(unsigned shard) const {
-    return shards_[shard]->disk.get();
-  }
-  unsigned shard_count() const {
-    return static_cast<unsigned>(shards_.size());
-  }
-
-  /// Deterministic key → shard mapping (stable across processes/machines:
-  /// a function of the digest bits only).
-  static unsigned shard_of(const Digest& key, unsigned shards) {
-    return shards <= 1 ? 0 : static_cast<unsigned>(key.hi % shards);
-  }
+  /// The disk tier; null for a memory-only cache.
+  const ObjectStore* disk() const { return disk_.get(); }
 
   // Key derivation, exposed for tests asserting invalidation behaviour.
   static Digest check_key(Context& ctx, ProcessRef spec, ProcessRef impl,
@@ -112,29 +89,19 @@ class VerificationCache final : public CheckCache {
  private:
   using Blob = std::shared_ptr<const std::vector<std::uint8_t>>;
 
-  /// One slice of both tiers; independent lock, map and disk subtree.
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<Digest, Blob, DigestHash> memory;
-    std::unique_ptr<ObjectStore> disk;
-  };
-
-  Shard& shard(const Digest& key) {
-    return *shards_[shard_of(key, shard_count())];
-  }
-
   /// Memory first, then disk (promoting a disk hit). Null on miss.
   Blob fetch(const Digest& key, bool& from_disk);
   void insert(const Digest& key, std::vector<std::uint8_t> blob);
   void evict(const Digest& key);
 
-  std::vector<std::unique_ptr<Shard>> shards_;  // size ≥ 1, fixed at build
+  std::mutex mu_;  // guards memory_
+  std::unordered_map<Digest, Blob, DigestHash> memory_;
+  std::unique_ptr<ObjectStore> disk_;
   CacheStats stats_;
 };
 
-/// Harvest counterexamples from a persistent store directory (both layouts
-/// VerificationCache writes: <dir>/objects/<hex[0:2]>/<hex[2:]> and the
-/// sharded <dir>/shard-NN/objects/...): every
+/// Harvest counterexamples from a persistent store directory (the layout
+/// VerificationCache writes, <dir>/objects/<hex[0:2]>/<hex[2:]>): every
 /// object that decodes as a *failed* check verdict in `ctx` contributes
 /// its violating trace, rendered to event names (for trace violations the
 /// offending event is appended — it is the attack step). Objects that are

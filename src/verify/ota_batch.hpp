@@ -33,7 +33,7 @@ struct OtaMatrixOptions {
   /// ~3^dilation — the knob `ecucsp_check --dilate` uses to give each task
   /// enough work for parallel speedup and caching to be measurable.
   std::size_t dilation = 0;
-  std::optional<std::chrono::milliseconds> timeout;
+  std::optional<std::chrono::milliseconds> timeout{};
   std::size_t max_states = 1u << 22;
   /// Fault injection for the vacuity detector: rename the system under test
   /// onto a fresh primed alphabet before checking, the same effect as an

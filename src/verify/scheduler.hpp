@@ -35,7 +35,7 @@ struct SchedulerOptions {
   /// Worker count; 0 means std::thread::hardware_concurrency().
   unsigned jobs = 0;
   /// Applied to tasks that do not carry their own timeout.
-  std::optional<std::chrono::milliseconds> default_timeout;
+  std::optional<std::chrono::milliseconds> default_timeout{};
 };
 
 class VerifyScheduler {

@@ -27,7 +27,6 @@ usage_error() {
 # Malformed numbers that the tools used to read through atoi/strtoull.
 usage_error ecucsp_check --matrix --no-cache --jobs abc
 usage_error ecucsp_check --matrix --no-cache --max-states abc
-usage_error ecucsp_check --matrix --shards -1
 usage_error ecucsp_serve --tcp 70000
 usage_error ecucsp_replay --max-diverge -1 "$corpus/mini.log"
 # Documented bounds and zero-rejecting rows.
@@ -44,7 +43,6 @@ usage_error ecucsp_learn --eq-tests -1
 usage_error ecucsp_learn --rounds 0
 usage_error ecucsp_replay --jobs 18446744073709551616 "$corpus/mini.log"
 usage_error ecucsp_serve --tcp 0 --jobs 257
-usage_error ecucsp_serve --tcp 0 --shards 257
 # An unknown flag, then a value flag whose value is missing at the end.
 usage_error ecucsp_check --matrix --no-cache --bogus
 usage_error ecucsp_check --matrix --no-cache --jobs
@@ -62,6 +60,11 @@ usage_error ecucsp_replay "$corpus/mini.log" --bogus
 usage_error ecucsp_replay "$corpus/mini.log" --log
 usage_error ecucsp_serve --tcp 0 --bogus
 usage_error ecucsp_serve --tcp 0 --memo
+# No chunk or shard options: replay walks each oracle once and the store
+# has one layout.
+usage_error ecucsp_replay --chunk 16 "$corpus/mini.log"
+usage_error ecucsp_check --matrix --no-cache --shards 4
+usage_error ecucsp_serve --tcp 0 --shards 4
 
 help_lists() {
   tool=$1
@@ -87,8 +90,8 @@ help_lists() {
 }
 
 help_lists ecucsp_check --jobs --timeout --max-states --dilate --cache-dir \
-  --shards --no-cache --cache-stats --matrix --no-lint \
-  --inject-alphabet-mismatch --prune
+  --no-cache --cache-stats --matrix --no-lint --inject-alphabet-mismatch \
+  --prune
 help_lists ecucsp_client --sock --tcp --assert --asserts --fanout --each \
   --json --stats --ping --timeout --max-states
 help_lists ecucsp_conform --suite --seed --tests --max-len --jobs --timeout \
@@ -98,10 +101,10 @@ help_lists ecucsp_learn --seed --jobs --rounds --eq-tests --max-len \
   --timeout --json --timing --mutate --cache-dir
 help_lists ecucsp_lint --capl --dbc --cspm --json --werror --baseline \
   --write-baseline --ota --list-rules
-help_lists ecucsp_replay --log --dbc --spec --jobs --chunk --max-diverge \
+help_lists ecucsp_replay --log --dbc --spec --jobs --max-diverge \
   --max-states --strict --lenient --json
-help_lists ecucsp_serve --sock --tcp --jobs --cache-dir --shards \
-  --max-queue --memo --timeout --max-states --drain-timeout
+help_lists ecucsp_serve --sock --tcp --jobs --cache-dir --max-queue --memo \
+  --timeout --max-states --drain-timeout
 
 rm -f "$err" "$out"
 exit $fail

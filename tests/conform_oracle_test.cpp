@@ -19,9 +19,7 @@
 #include <random>
 #include <stdexcept>
 
-#include "conform/generate.hpp"
 #include "conform/oracle.hpp"
-#include "conform/requirements.hpp"
 #include "refine/check.hpp"
 
 namespace ecucsp {
@@ -238,139 +236,6 @@ TEST(Oracle, AlphabetEventTheSpecNeverAllowsRejects) {
   const OracleVerdict v = toy_oracle().judge({"y"});
   ASSERT_FALSE(v.accepted);
   EXPECT_EQ(v.divergence_index, 0u);
-}
-
-// --- resumable cursors (the offline replay contract) -------------------------
-
-std::vector<std::string> seeded_ota_trace(std::uint64_t seed,
-                                          std::size_t len) {
-  static const std::vector<std::string> vocab = {
-      "send.SwInventoryReq", "rec.SwReport", "send.UpdApplyReq",
-      "send.UpdApplyReqBad", "rec.UpdReport", "foreign.Noise"};
-  std::vector<std::string> out;
-  out.reserve(len);
-  std::uint64_t rng = seed;
-  for (std::size_t i = 0; i < len; ++i) {
-    out.push_back(vocab[conform::splitmix64(rng) % vocab.size()]);
-  }
-  return out;
-}
-
-TEST(OracleCursor, SplitAtEveryIndexEqualsOneShot) {
-  // Judging [0, k) then resuming [k, n) must reproduce one-shot judge()
-  // exactly, for every split point k — the invariant that makes chunked
-  // replay sweeps verdict-preserving at any chunk geometry.
-  for (conform::TraceOracle& oracle : conform::ota_requirement_oracles()) {
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      const auto events = seeded_ota_trace(seed * 977, 40);
-      const OracleVerdict want = oracle.judge(events);
-      for (std::size_t k = 0; k <= events.size(); ++k) {
-        conform::OracleCursor cur = oracle.start();
-        OracleVerdict got = oracle.judge_resume(cur, events, k);
-        if (got.accepted) {
-          EXPECT_EQ(cur.next, k);
-          got = oracle.judge_resume(cur, events);
-        }
-        ASSERT_EQ(got.accepted, want.accepted)
-            << oracle.name << " seed " << seed << " split " << k;
-        if (!want.accepted) {
-          EXPECT_EQ(got.divergence_index, want.divergence_index);
-          EXPECT_EQ(got.event, want.event);
-          EXPECT_EQ(got.reason, want.reason);
-          EXPECT_EQ(got.offered, want.offered);
-          // The cursor parks AT the offending event with the node intact.
-          EXPECT_EQ(cur.next, want.divergence_index);
-        }
-      }
-    }
-  }
-}
-
-TEST(OracleCursor, RejectionLeavesCursorAtOffendingEvent) {
-  const TraceOracle o = toy_oracle();
-  conform::OracleCursor cur = o.start();
-  const OracleVerdict v = o.judge_resume(cur, {"x", "x", "y"});
-  ASSERT_FALSE(v.accepted);
-  EXPECT_EQ(cur.next, 1u);
-  EXPECT_EQ(cur.node, 1u);  // node unchanged by the rejected event
-
-  // Skip-and-continue: stepping over the offender resumes cleanly, and the
-  // remainder ("y" from node 1) is accepted.
-  ++cur.next;
-  EXPECT_TRUE(o.judge_resume(cur, {"x", "x", "y"}).accepted);
-  EXPECT_EQ(cur.next, 3u);
-  EXPECT_EQ(cur.node, 0u);
-}
-
-TEST(OracleSession, SteppedWalkEqualsOneShotJudge) {
-  // The learner-facing session: stepping a trace one event at a time must
-  // reproduce judge() byte for byte — same verdict, divergence index,
-  // event, offered set and reason — and stay sticky-dead after rejection.
-  for (conform::TraceOracle& oracle : conform::ota_requirement_oracles()) {
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      const auto events = seeded_ota_trace(seed * 1409, 40);
-      const OracleVerdict want = oracle.judge(events);
-      conform::OracleSession session(oracle);
-      bool alive = true;
-      for (const std::string& e : events) alive = session.step(e);
-      ASSERT_EQ(session.alive(), want.accepted)
-          << oracle.name << " seed " << seed;
-      EXPECT_EQ(alive, want.accepted);
-      EXPECT_EQ(session.cursor().next, events.size());
-      if (!want.accepted) {
-        const OracleVerdict& got = session.verdict();
-        EXPECT_EQ(got.divergence_index, want.divergence_index);
-        EXPECT_EQ(got.event, want.event);
-        EXPECT_EQ(got.offered, want.offered);
-        EXPECT_EQ(got.reason, want.reason);
-        // The node does not advance on refusal, so the session's offered
-        // set is still the divergence-point offer.
-        EXPECT_EQ(session.offered(), want.offered);
-      }
-      // reset() rewinds to a fresh session.
-      session.reset();
-      EXPECT_TRUE(session.alive());
-      EXPECT_EQ(session.cursor(), oracle.start());
-    }
-  }
-}
-
-TEST(OracleSession, OfferedSetTracksCurrentNode) {
-  const TraceOracle o = toy_oracle();
-  conform::OracleSession s(o);
-  EXPECT_EQ(s.offered(), std::vector<std::string>{"x"});
-  EXPECT_TRUE(s.step("x"));
-  EXPECT_EQ(s.offered(), std::vector<std::string>{"y"});
-  EXPECT_TRUE(s.step("y"));
-  EXPECT_EQ(s.offered(), std::vector<std::string>{"x"});
-  // Refusal: offered set freezes at the divergence node.
-  EXPECT_FALSE(s.step("y"));
-  EXPECT_FALSE(s.alive());
-  EXPECT_EQ(s.offered(), std::vector<std::string>{"x"});
-  // Sticky: even an event the node would accept cannot revive the session.
-  EXPECT_FALSE(s.step("x"));
-}
-
-TEST(OracleCursor, SkipAndContinueEnumeratesEveryDivergence) {
-  // A trace with three spurious UpdReports: repeated judge/skip cycles
-  // surface each one, in order, against R04's counting automaton.
-  const std::vector<std::string> events = {
-      "rec.UpdReport",                      // 0: nothing outstanding
-      "send.UpdApplyReq", "rec.UpdReport",  // 1, 2: a legitimate pair
-      "rec.UpdReport",                      // 3: spurious again
-      "send.UpdApplyReq", "rec.UpdReport",  // 4, 5: legitimate
-      "rec.UpdReport",                      // 6: spurious
-  };
-  conform::TraceOracle r04 = conform::requirement_oracle("R04");
-  std::vector<std::size_t> indices;
-  conform::OracleCursor cur = r04.start();
-  for (;;) {
-    const OracleVerdict v = r04.judge_resume(cur, events);
-    if (v.accepted) break;
-    indices.push_back(v.divergence_index);
-    ++cur.next;
-  }
-  EXPECT_EQ(indices, (std::vector<std::size_t>{0, 3, 6}));
 }
 
 }  // namespace

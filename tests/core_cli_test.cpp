@@ -230,6 +230,9 @@ TEST(CoreCli, ReadFileReturnsBytesAndRejectsNonRegularPaths) {
     out << bytes;
   }
   EXPECT_EQ(cli::read_file(p), bytes);
+  // An empty file is zero bytes, not a read error.
+  std::ofstream(p, std::ios::binary | std::ios::trunc).close();
+  EXPECT_EQ(cli::read_file(p), "");
   std::filesystem::remove(p);
   EXPECT_THROW(cli::read_file(p), std::runtime_error);
   EXPECT_THROW(cli::read_file(std::filesystem::temp_directory_path()),

@@ -1,10 +1,11 @@
 // Differential property tests pinning the offline replay checker to the
 // live TraceOracle semantics: seeded random event traces are rendered to
-// synthetic candump logs, replayed offline at every --jobs x --chunk
-// combination, and the verdicts, divergence indices and full JSON reports
-// must be byte-identical to each other and equal to direct
-// TraceOracle::judge / judge_resume runs over the same events. This is the
-// tentpole's determinism contract: chunked parallel sweeping is invisible
+// synthetic candump logs and replayed offline at every --jobs, for two spec
+// sets and two divergence caps. The rendered reports must be byte-identical
+// across worker counts, and every oracle's verdict must equal a
+// skip-and-continue reference walk written here over TraceOracle::next,
+// independently of replay's compiled step tables. Each oracle is one walk;
+// the worker count only picks which thread walks it, and that is invisible
 // in the output.
 #include <gtest/gtest.h>
 
@@ -55,27 +56,51 @@ struct TempFile {
   ~TempFile() { std::filesystem::remove(path); }
 };
 
-/// The reference multi-divergence walk: judge, record, skip the offending
-/// event, resume — the exact discipline the chunked sweep composes.
-struct SkipWalk {
-  std::vector<std::size_t> indices;
-  bool truncated = false;
-};
-
-SkipWalk skip_walk(const conform::TraceOracle& oracle,
-                   const std::vector<std::string>& events, std::size_t cap) {
-  SkipWalk out;
-  conform::OracleCursor cur = oracle.start();
-  for (;;) {
-    const conform::OracleVerdict v = oracle.judge_resume(cur, events);
-    if (v.accepted) break;
-    if (out.indices.size() < cap) {
-      out.indices.push_back(v.divergence_index);
-      ++cur.next;  // step over the offending event, node unchanged
-    } else {
-      out.truncated = true;
-      break;
+/// The reference walk: step each event with TraceOracle::next; on a
+/// rejection record the verdict and skip the event, node unchanged. Stops
+/// at the first divergence past `cap`, which only marks the walk
+/// truncated. Returns the report replay must give for a log with one frame
+/// per line (event i comes from line i + 1), in the fields render() reads.
+OracleReport skip_walk(const conform::TraceOracle& oracle,
+                       const std::vector<std::string>& events,
+                       std::size_t cap) {
+  OracleReport out;
+  out.name = oracle.name;
+  std::uint32_t node = oracle.automaton.root;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const std::uint32_t to = oracle.next(node, events[i]);
+    if (to == conform::TraceOracle::kSkip) continue;
+    if (to >= conform::TraceOracle::kRejectStuck) {
+      if (out.divergences.size() == cap) {
+        out.truncated = true;
+        break;
+      }
+      conform::OracleVerdict v = oracle.rejection(i, events[i], node, to);
+      ReplayDivergence d;
+      d.event_index = i;
+      d.event = std::move(v.event);
+      d.offered = std::move(v.offered);
+      d.reason = std::move(v.reason);
+      d.frame.line = static_cast<std::uint32_t>(i + 1);
+      out.divergences.push_back(std::move(d));
+      continue;
     }
+    node = to;
+  }
+  out.accepted = out.divergences.empty();
+  return out;
+}
+
+/// The verdict facts of one oracle, one line each, compared as strings.
+std::string render(const OracleReport& o) {
+  std::string out = o.name + (o.accepted ? " accepted" : " rejected") +
+                    (o.truncated ? " truncated\n" : "\n");
+  for (const ReplayDivergence& d : o.divergences) {
+    out += std::to_string(d.event_index) + " line " +
+           std::to_string(d.frame.line) + " " + d.event + ": " + d.reason +
+           "; offered";
+    for (const std::string& e : d.offered) out += " " + e;
+    out += "\n";
   }
   return out;
 }
@@ -87,12 +112,11 @@ class ReplayDiffTest : public ::testing::Test {
         codec_(conform::ota_codec(db_)) {}
 
   ReplayReport replay_file(const std::filesystem::path& log, unsigned jobs,
-                           std::size_t chunk, std::size_t max_diverge = 1,
+                           std::size_t max_diverge = 1,
                            std::vector<std::string> specs = {}) {
     ReplayOptions opt;
     opt.logs = {log};
     opt.jobs = jobs;
-    opt.chunk = chunk;
     opt.max_diverge = max_diverge;
     opt.specs = std::move(specs);
     return run_replay(opt);
@@ -102,51 +126,47 @@ class ReplayDiffTest : public ::testing::Test {
   conform::FrameCodec codec_;
 };
 
-TEST_F(ReplayDiffTest, OfflineVerdictsMatchDirectOracleAtEveryJobsByChunk) {
-  const std::vector<conform::TraceOracle> oracles =
-      conform::ota_requirement_oracles();
-  const unsigned jobs_grid[] = {1, 2, 4};
-  const std::size_t chunk_grid[] = {16, 4096, 0};
+TEST_F(ReplayDiffTest, MultiDivergenceMatchesSkipAndContinueReference) {
+  std::vector<conform::TraceOracle> all = conform::ota_requirement_oracles();
+  all.push_back(conform::ota_model_oracle());
+  const std::vector<conform::TraceOracle> r04 = {
+      conform::requirement_oracle("R04")};
+  struct SpecSet {
+    std::string spec;
+    const std::vector<conform::TraceOracle>* oracles;
+  };
+  const SpecSet spec_sets[] = {{"R04", &r04}, {"all", &all}};
 
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     std::uint64_t rng = seed;
     const std::size_t len = 20 + conform::splitmix64(rng) % 300;
     const std::vector<std::string> events = random_trace(rng, len);
     const TempFile log(render_candump(codec_, events, "can0", 1'000'000));
 
-    std::string reference_json;
-    for (const unsigned jobs : jobs_grid) {
-      for (const std::size_t chunk : chunk_grid) {
-        const ReplayReport rep = replay_file(log.path, jobs, chunk);
-        SCOPED_TRACE("seed " + std::to_string(seed) + " jobs " +
-                     std::to_string(jobs) + " chunk " + std::to_string(chunk));
-
-        // The whole rendered report is byte-identical across the grid.
-        const std::string json = rep.render_json();
-        if (reference_json.empty()) {
-          reference_json = json;
-        } else {
-          ASSERT_EQ(json, reference_json);
+    for (const SpecSet& set : spec_sets) {
+      for (const std::size_t cap : {1u, 3u}) {
+        std::string want;
+        for (const conform::TraceOracle& o : *set.oracles) {
+          want += render(skip_walk(o, events, cap));
         }
+        std::string reference_json;
+        for (const unsigned jobs : {1u, 2u, 4u}) {
+          SCOPED_TRACE("seed " + std::to_string(seed) + " spec " + set.spec +
+                       " cap " + std::to_string(cap) + " jobs " +
+                       std::to_string(jobs));
+          const ReplayReport rep =
+              replay_file(log.path, jobs, cap, {set.spec});
+          ASSERT_EQ(rep.events, events.size());
+          std::string got;
+          for (const OracleReport& o : rep.oracles) got += render(o);
+          ASSERT_EQ(got, want);
 
-        // And it equals the live oracle judging the same event list.
-        ASSERT_EQ(rep.events, events.size());
-        ASSERT_EQ(rep.oracles.size(), oracles.size());
-        for (std::size_t oi = 0; oi < oracles.size(); ++oi) {
-          const conform::OracleVerdict want = oracles[oi].judge(events);
-          const OracleReport& got = rep.oracles[oi];
-          ASSERT_EQ(got.name, oracles[oi].name);
-          ASSERT_EQ(got.accepted, want.accepted);
-          if (!want.accepted) {
-            ASSERT_FALSE(got.divergences.empty());
-            EXPECT_EQ(got.divergences[0].event_index, want.divergence_index);
-            EXPECT_EQ(got.divergences[0].event, want.event);
-            EXPECT_EQ(got.divergences[0].reason, want.reason);
-            EXPECT_EQ(got.divergences[0].offered, want.offered);
-            // Provenance: the divergent frame is the log line the event
-            // came from (one frame per line, one event per frame here).
-            EXPECT_EQ(got.divergences[0].frame.line,
-                      static_cast<std::uint32_t>(want.divergence_index + 1));
+          // The whole rendered report is byte-identical across jobs.
+          const std::string json = rep.render_json();
+          if (reference_json.empty()) {
+            reference_json = json;
+          } else {
+            ASSERT_EQ(json, reference_json);
           }
         }
       }
@@ -154,40 +174,34 @@ TEST_F(ReplayDiffTest, OfflineVerdictsMatchDirectOracleAtEveryJobsByChunk) {
   }
 }
 
-TEST_F(ReplayDiffTest, MultiDivergenceMatchesSkipAndContinueReference) {
-  const std::vector<conform::TraceOracle> oracles =
-      conform::ota_requirement_oracles();
-  constexpr std::size_t kCap = 4;
-
-  for (std::uint64_t seed = 100; seed < 108; ++seed) {
-    std::uint64_t rng = seed;
-    const std::vector<std::string> events = random_trace(rng, 200);
-    const TempFile log(render_candump(codec_, events, "can0", 1'000'000));
-
-    std::string reference_json;
-    for (const unsigned jobs : {1u, 4u}) {
-      for (const std::size_t chunk : {16u, 0u}) {
-        const ReplayReport rep = replay_file(log.path, jobs, chunk, kCap);
-        SCOPED_TRACE("seed " + std::to_string(seed) + " jobs " +
-                     std::to_string(jobs) + " chunk " + std::to_string(chunk));
-        const std::string json = rep.render_json();
-        if (reference_json.empty()) {
-          reference_json = json;
-        } else {
-          ASSERT_EQ(json, reference_json);
-        }
-        for (std::size_t oi = 0; oi < oracles.size(); ++oi) {
-          const SkipWalk want = skip_walk(oracles[oi], events, kCap);
-          const OracleReport& got = rep.oracles[oi];
-          ASSERT_EQ(got.divergences.size(), want.indices.size());
-          for (std::size_t k = 0; k < want.indices.size(); ++k) {
-            EXPECT_EQ(got.divergences[k].event_index, want.indices[k]);
-          }
-          EXPECT_EQ(got.truncated, want.truncated);
-        }
-      }
+TEST_F(ReplayDiffTest, SkipAndContinueEnumeratesEveryR04Divergence) {
+  // Three spurious UpdReports against R04's counting automaton: the walk
+  // reports each one, in order, and a cap below three truncates.
+  const std::vector<std::string> events = {
+      "rec.UpdReport",                      // 0: nothing outstanding
+      "send.UpdApplyReq", "rec.UpdReport",  // 1, 2: a legitimate pair
+      "rec.UpdReport",                      // 3: spurious again
+      "send.UpdApplyReq", "rec.UpdReport",  // 4, 5: legitimate
+      "rec.UpdReport",                      // 6: spurious
+  };
+  const TempFile log(render_candump(codec_, events, "can0", 1'000'000));
+  const auto indices = [](const OracleReport& o) {
+    std::vector<std::size_t> out;
+    for (const ReplayDivergence& d : o.divergences) {
+      out.push_back(d.event_index);
     }
-  }
+    return out;
+  };
+
+  const ReplayReport three = replay_file(log.path, 2, 3, {"R04"});
+  ASSERT_EQ(three.oracles.size(), 1u);
+  EXPECT_EQ(indices(three.oracles[0]), (std::vector<std::size_t>{0, 3, 6}));
+  EXPECT_FALSE(three.oracles[0].truncated);
+
+  const ReplayReport two = replay_file(log.path, 2, 2, {"R04"});
+  ASSERT_EQ(two.oracles.size(), 1u);
+  EXPECT_EQ(indices(two.oracles[0]), (std::vector<std::size_t>{0, 3}));
+  EXPECT_TRUE(two.oracles[0].truncated);
 }
 
 TEST_F(ReplayDiffTest, StrictModelOracleMatchesOffline) {
@@ -202,7 +216,7 @@ TEST_F(ReplayDiffTest, StrictModelOracleMatchesOffline) {
   const conform::OracleVerdict want = model.judge(events);
   std::string reference_json;
   for (const unsigned jobs : {1u, 4u}) {
-    const ReplayReport rep = replay_file(log.path, jobs, 16, 1, {"model"});
+    const ReplayReport rep = replay_file(log.path, jobs, 1, {"model"});
     const std::string json = rep.render_json();
     if (reference_json.empty()) {
       reference_json = json;
@@ -220,9 +234,9 @@ TEST_F(ReplayDiffTest, StrictModelOracleMatchesOffline) {
   }
 }
 
-TEST_F(ReplayDiffTest, ChunkResumeEqualsOneShotOnLongSynthTraces) {
-  // A longer honest + attacked pair through extreme chunkings: the verdict
-  // (and the injected index) cannot depend on the chunk geometry.
+TEST_F(ReplayDiffTest, LongSynthTracePinsTheInjectedIndexAtEveryJobs) {
+  // A longer attacked log: the verdict, and the injected index, cannot
+  // depend on the worker count.
   SynthOptions sopt;
   sopt.seed = 3;
   sopt.frames = 5000;
@@ -232,13 +246,13 @@ TEST_F(ReplayDiffTest, ChunkResumeEqualsOneShotOnLongSynthTraces) {
   const TempFile log(synth.text);
 
   std::string reference_json;
-  for (const std::size_t chunk : {1u, 7u, 1024u, 0u}) {
-    const ReplayReport rep = replay_file(log.path, 4, chunk);
+  for (const unsigned jobs : {1u, 2u, 4u}) {
+    const ReplayReport rep = replay_file(log.path, jobs);
     const std::string json = rep.render_json();
     if (reference_json.empty()) {
       reference_json = json;
     } else {
-      ASSERT_EQ(json, reference_json) << "chunk " << chunk;
+      ASSERT_EQ(json, reference_json) << "jobs " << jobs;
     }
     EXPECT_FALSE(rep.ok());
     for (const OracleReport& o : rep.oracles) {

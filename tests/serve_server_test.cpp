@@ -109,13 +109,13 @@ TEST_F(ServerFixture, StatsSurfaceIsLiveJson) {
   ASSERT_TRUE(c.ping());
   (void)c.check(request(kScript, 1));
   const std::string stats = c.stats();
-  EXPECT_NE(stats.find("\"serve_format\":2"), std::string::npos);
+  EXPECT_NE(stats.find("\"serve_format\":3"), std::string::npos);
   EXPECT_NE(stats.find("\"received\":"), std::string::npos);
   EXPECT_NE(stats.find("\"coalesced\":"), std::string::npos);
   EXPECT_NE(stats.find("\"latency_ms\":"), std::string::npos);
   // The JSON framing serves the same object.
   const std::string stats_json = c.stats(/*json=*/true);
-  EXPECT_NE(stats_json.find("\"serve_format\":2"), std::string::npos);
+  EXPECT_NE(stats_json.find("\"serve_format\":3"), std::string::npos);
 }
 
 TEST_F(ServerFixture, PipelinedIdenticalRequestsCoalesce) {

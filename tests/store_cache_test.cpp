@@ -250,6 +250,34 @@ TEST(VerificationCacheTest, DiskTierSurvivesClearAndNewInstance) {
   EXPECT_EQ(reopened.stats().disk_hits.load(), 1u);
 }
 
+TEST(VerificationCacheTest, FreshInstanceServesAFailedVerdictFromDisk) {
+  TempDir tmp("reopen");
+  Terms t;
+  const CheckResult res =
+      check_refinement(t.ctx, t.spec, t.impl, Model::Traces, 1 << 16);
+  ASSERT_FALSE(res.passed);
+  {
+    VerificationCache writer(tmp.path());
+    writer.store_check(t.ctx, t.spec, t.impl, CheckOp::Refinement,
+                       Model::Traces, 1 << 16, res);
+    writer.store_lts(t.ctx, t.impl, 1 << 16, compile_lts(t.ctx, t.impl));
+  }
+
+  // Simulated restart: a brand-new instance (cold memory tier) over the
+  // same directory serves both objects, counterexample included, from disk.
+  VerificationCache reader(tmp.path());
+  Terms u;
+  const auto verdict = reader.lookup_check(
+      u.ctx, u.spec, u.impl, CheckOp::Refinement, Model::Traces, 1 << 16);
+  ASSERT_TRUE(verdict.has_value());
+  EXPECT_FALSE(verdict->passed);
+  ASSERT_TRUE(verdict->counterexample.has_value());
+  EXPECT_EQ(verdict->counterexample->describe(u.ctx),
+            res.counterexample->describe(t.ctx));
+  EXPECT_TRUE(reader.lookup_lts(u.ctx, u.impl, 1 << 16).has_value());
+  EXPECT_EQ(reader.stats().disk_hits.load(), 2u);
+}
+
 TEST(VerificationCacheTest, CorruptedObjectIsEvictedNotServed) {
   TempDir tmp("corrupt");
   Terms t;
@@ -338,7 +366,11 @@ TEST(VerificationCacheTest, TrimDelegatesToDisk) {
   const CompactLts lts = compile_lts(t.ctx, t.impl);
   cache.store_lts(t.ctx, t.impl, 1 << 20, lts);
   cache.store_lts(t.ctx, t.spec, 1 << 20, compile_lts(t.ctx, t.spec));
-  EXPECT_GT(cache.trim(0), 0u);
+  // Budget 0: every object goes.
+  EXPECT_EQ(cache.trim(0), 2u);
+  for (const auto& e : fs::recursive_directory_iterator(tmp.path())) {
+    EXPECT_FALSE(e.is_regular_file()) << "left behind: " << e.path();
+  }
 
   VerificationCache memory_only;
   EXPECT_EQ(memory_only.trim(0), 0u);
