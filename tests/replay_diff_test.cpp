@@ -4,9 +4,10 @@
 // sets and two divergence caps. The rendered reports must be byte-identical
 // across worker counts, and every oracle's verdict must equal a
 // skip-and-continue reference walk written here over TraceOracle::next,
-// independently of replay's compiled step tables. Each oracle is one walk;
-// the worker count only picks which thread walks it, and that is invisible
-// in the output.
+// independently of replay's compiled step tables; the first divergence
+// must also equal TraceOracle::judge's. Each oracle is one walk; the worker
+// count only picks which thread walks it, and that is invisible in the
+// output.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -125,6 +126,63 @@ class ReplayDiffTest : public ::testing::Test {
   can::DbcDatabase db_;
   conform::FrameCodec codec_;
 };
+
+TEST_F(ReplayDiffTest, OfflineVerdictsMatchDirectOracleAtEveryJobsByChunk) {
+  // ReplayOptions::chunk is an ignored field kept for source compatibility:
+  // across jobs x chunk the report is byte-identical, and its first
+  // divergence per oracle is the one TraceOracle::judge finds.
+  const std::vector<conform::TraceOracle> oracles =
+      conform::ota_requirement_oracles();
+  const unsigned jobs_grid[] = {1, 2, 4};
+  const std::size_t chunk_grid[] = {16, 4096, 0};
+
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    std::uint64_t rng = seed;
+    const std::size_t len = 20 + conform::splitmix64(rng) % 300;
+    const std::vector<std::string> events = random_trace(rng, len);
+    const TempFile log(render_candump(codec_, events, "can0", 1'000'000));
+
+    std::string reference_json;
+    for (const unsigned jobs : jobs_grid) {
+      for (const std::size_t chunk : chunk_grid) {
+        ReplayOptions opt;
+        opt.logs = {log.path};
+        opt.jobs = jobs;
+        opt.chunk = chunk;
+        const ReplayReport rep = run_replay(opt);
+        SCOPED_TRACE("seed " + std::to_string(seed) + " jobs " +
+                     std::to_string(jobs) + " chunk " + std::to_string(chunk));
+
+        const std::string json = rep.render_json();
+        if (reference_json.empty()) {
+          reference_json = json;
+        } else {
+          ASSERT_EQ(json, reference_json);
+        }
+
+        ASSERT_EQ(rep.events, events.size());
+        ASSERT_EQ(rep.oracles.size(), oracles.size());
+        for (std::size_t oi = 0; oi < oracles.size(); ++oi) {
+          const conform::OracleVerdict want = oracles[oi].judge(events);
+          const OracleReport& got = rep.oracles[oi];
+          ASSERT_EQ(got.name, oracles[oi].name);
+          ASSERT_EQ(got.accepted, want.accepted);
+          if (!want.accepted) {
+            ASSERT_FALSE(got.divergences.empty());
+            EXPECT_EQ(got.divergences[0].event_index, want.divergence_index);
+            EXPECT_EQ(got.divergences[0].event, want.event);
+            EXPECT_EQ(got.divergences[0].reason, want.reason);
+            EXPECT_EQ(got.divergences[0].offered, want.offered);
+            // Provenance: the divergent frame is the log line the event
+            // came from (one frame per line, one event per frame here).
+            EXPECT_EQ(got.divergences[0].frame.line,
+                      static_cast<std::uint32_t>(want.divergence_index + 1));
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST_F(ReplayDiffTest, MultiDivergenceMatchesSkipAndContinueReference) {
   std::vector<conform::TraceOracle> all = conform::ota_requirement_oracles();
