@@ -131,9 +131,12 @@ Workload build(std::int64_t cyclers, bool corrupt_last) {
 std::string cx_key(const CheckResult& r) {
   if (!r.counterexample) return "-";
   std::string key = std::to_string(static_cast<int>(r.counterexample->kind));
-  for (const EventId e : r.counterexample->trace)
-    key += "," + std::to_string(e);
-  key += "!" + std::to_string(r.counterexample->event);
+  for (const EventId e : r.counterexample->trace) {
+    key += ',';
+    key += std::to_string(e);
+  }
+  key += '!';
+  key += std::to_string(r.counterexample->event);
   return key;
 }
 

@@ -93,7 +93,9 @@ void SemanticModelCost(benchmark::State& state) {
     const CheckResult r = check_refinement(ctx, p, p, model);
     if (!r.passed) state.SkipWithError("self-refinement failed");
   }
-  state.SetLabel("[" + to_string(model) + "= on 2^10 states");
+  std::string label = "[";
+  label += to_string(model);
+  state.SetLabel(label + "= on 2^10 states");
 }
 BENCHMARK(SemanticModelCost)
     ->Arg(static_cast<int>(Model::Traces))

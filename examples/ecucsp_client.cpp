@@ -60,7 +60,6 @@ int main(int argc, char** argv) {
   std::uint32_t asserts = 0;
   std::size_t fanout = 1;
   bool each = false;
-  bool json = false;
   bool want_stats = false;
   bool want_ping = false;
   std::uint32_t timeout_ms = 0;
@@ -99,8 +98,6 @@ int main(int argc, char** argv) {
                        timeout_ms, 0, cli::kMaxTimeoutMs),
            cli::number("--max-states", "N", "per-request state budget",
                        max_states),
-           cli::flag("--json",
-                     "speak the JSON-lines framing instead of binary", json),
            cli::flag("--stats", "fetch and print the daemon's /stats JSON",
                      want_stats),
            cli::flag("--ping", "liveness probe", want_ping)},
@@ -116,7 +113,7 @@ int main(int argc, char** argv) {
     serve::Client client = sock ? serve::Client::connect_unix(*sock)
                                 : serve::Client::connect_tcp("127.0.0.1", *tcp);
 
-    if (want_ping && !client.ping(json)) {
+    if (want_ping && !client.ping()) {
       std::fprintf(stderr, "error: daemon did not answer ping\n");
       return 2;
     }
@@ -165,7 +162,7 @@ int main(int argc, char** argv) {
       // Pipeline: every request hits the daemon before any response is
       // read, so identical ones overlap and coalesce server-side.
       for (const Pending& p : pending) {
-        client.send(serve::encode(p.req, json));
+        client.send(serve::encode(p.req));
       }
       std::map<std::uint64_t, serve::CheckResponse> responses;
       while (responses.size() < pending.size()) {
@@ -193,7 +190,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (want_stats) std::printf("%s\n", client.stats(json).c_str());
+    if (want_stats) std::printf("%s\n", client.stats().c_str());
     return exit_code;
   });
 }

@@ -4,7 +4,7 @@
 //         --cache-dir /var/cache/ecucsp                  (one command line)
 //   $ ./ecucsp_serve --tcp 7777 --jobs 4
 //
-// Accepts CheckRequests (length-prefixed binary frames or JSON lines — see
+// Accepts CheckRequests (length-prefixed binary frames, see
 // src/serve/protocol.hpp) over a Unix or loopback TCP socket, coalesces
 // identical concurrent requests into single engine sweeps, answers from
 // the response memo / verification store when it can, and sheds load with

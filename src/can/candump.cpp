@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <limits>
 
 namespace ecucsp::can {
 
@@ -54,8 +55,12 @@ bool parse_timestamp(std::string_view s, std::uint64_t& out,
   if (i >= s.size() || !std::isdigit(static_cast<unsigned char>(s[i]))) {
     return fail(error, "malformed timestamp (no digits)");
   }
+  // The microsecond count must fit in 64 bits; checking each digit keeps
+  // `secs` itself from wrapping.
+  constexpr std::uint64_t kMaxUs = std::numeric_limits<std::uint64_t>::max();
   for (; i < s.size() && std::isdigit(static_cast<unsigned char>(s[i])); ++i) {
     secs = secs * 10 + static_cast<std::uint64_t>(s[i] - '0');
+    if (secs > kMaxUs / 1'000'000) return fail(error, "timestamp out of range");
   }
   std::uint64_t micros = 0;
   if (i < s.size()) {
@@ -69,6 +74,9 @@ bool parse_timestamp(std::string_view s, std::uint64_t& out,
       micros = micros * 10 + static_cast<std::uint64_t>(s[i] - '0');
     }
     for (; digits < 6; ++digits) micros *= 10;
+  }
+  if (micros > kMaxUs - secs * 1'000'000) {
+    return fail(error, "timestamp out of range");
   }
   out = secs * 1'000'000 + micros;
   return true;

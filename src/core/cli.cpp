@@ -26,7 +26,11 @@ std::string range_note(std::uint64_t min, std::uint64_t max) {
     return min == 0 ? "" : "(at least " + std::to_string(min) + ")";
   }
   if (min == 0) return "(at most " + std::to_string(max) + ")";
-  return "(" + std::to_string(min) + " to " + std::to_string(max) + ")";
+  std::string note = "(";
+  note += std::to_string(min);
+  note += " to ";
+  note += std::to_string(max);
+  return note + ")";
 }
 
 std::string joined(const std::vector<std::string>& xs) {
@@ -217,7 +221,9 @@ std::string usage(const Tool& tool, std::string_view program) {
 }
 
 std::string read_file(const std::filesystem::path& path) {
-  const std::string shown = "'" + path.string() + "'";
+  std::string shown = "'";
+  shown += path.string();
+  shown += '\'';
   std::error_code ec;
   if (!std::filesystem::is_regular_file(path, ec) || ec) {
     throw std::runtime_error("cannot read " + shown + ": not a regular file");

@@ -85,7 +85,9 @@ std::string print_expr(const Expr& e) {
       return out + "}";
     }
     case ExprKind::SetComp: {
-      std::string out = "{" + print_expr(*e.kids[0]) + " | ";
+      std::string out = "{";
+      out += print_expr(*e.kids[0]);
+      out += " | ";
       bool first = true;
       for (const Generator& g : e.gens) {
         if (!first) out += ", ";
@@ -97,8 +99,13 @@ std::string print_expr(const Expr& e) {
       }
       return out + "}";
     }
-    case ExprKind::SetRange:
-      return "{" + print_expr(*e.kids[0]) + ".." + print_expr(*e.kids[1]) + "}";
+    case ExprKind::SetRange: {
+      std::string out = "{";
+      out += print_expr(*e.kids[0]);
+      out += "..";
+      out += print_expr(*e.kids[1]);
+      return out + "}";
+    }
     case ExprKind::ChanSet: {
       std::string out = "{|";
       for (std::size_t i = 0; i < e.kids.size(); ++i) {
@@ -140,9 +147,13 @@ std::string print_expr(const Expr& e) {
       for (const CommField& f : e.fields) {
         if (f.kind == CommField::Kind::Input) {
           out += "?" + f.var;
-          if (f.restriction) out += ":" + wrap(*f.restriction);
+          if (f.restriction) {
+            out += ':';
+            out += wrap(*f.restriction);
+          }
         } else {
-          out += "!" + wrap(*f.expr);
+          out += '!';
+          out += wrap(*f.expr);
         }
       }
       return out + " -> " + wrap(*e.kids[0]);

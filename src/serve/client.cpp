@@ -113,8 +113,8 @@ Msg Client::recv() {
   }
 }
 
-CheckResponse Client::check(const CheckRequest& req, bool json) {
-  send(encode(req, json));
+CheckResponse Client::check(const CheckRequest& req) {
+  send(encode(req));
   while (true) {
     Msg msg = recv();
     if (msg.type == MsgType::CheckResponse && msg.response.id == req.id) {
@@ -123,16 +123,16 @@ CheckResponse Client::check(const CheckRequest& req, bool json) {
   }
 }
 
-std::string Client::stats(bool json) {
-  send(encode_stats_request(json));
+std::string Client::stats() {
+  send(encode_stats_request());
   while (true) {
     Msg msg = recv();
     if (msg.type == MsgType::StatsResponse) return std::move(msg.stats_json);
   }
 }
 
-bool Client::ping(bool json) {
-  send(encode_ping(json));
+bool Client::ping() {
+  send(encode_ping());
   Msg msg = recv();
   return msg.type == MsgType::Pong;
 }

@@ -35,10 +35,10 @@ class Client {
   /// malformed stream.
   Msg recv();
 
-  // One-shot request/response helpers. `json` selects the framing.
-  CheckResponse check(const CheckRequest& req, bool json = false);
-  std::string stats(bool json = false);
-  bool ping(bool json = false);
+  // One-shot request/response helpers.
+  CheckResponse check(const CheckRequest& req);
+  std::string stats();
+  bool ping();
 
  private:
   explicit Client(int fd) : fd_(fd) {}

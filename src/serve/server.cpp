@@ -176,21 +176,20 @@ bool Server::read_from(std::uint64_t conn_id, Connection& conn) {
 }
 
 void Server::handle(std::uint64_t conn_id, Connection& conn, Msg msg) {
-  const bool json = msg.json;
   switch (msg.type) {
     case MsgType::Ping:
-      conn.outbox.push_back(encode_pong(json));
+      conn.outbox.push_back(encode_pong());
       return;
     case MsgType::StatsRequest:
-      conn.outbox.push_back(encode_stats_response(service_.stats_json(), json));
+      conn.outbox.push_back(encode_stats_response(service_.stats_json()));
       return;
     case MsgType::CheckRequest: {
       // The callback may run on this thread (memo hit, rejection) or a
       // scheduler worker; both paths go through the completion queue so
       // the loop alone touches connection state.
       service_.submit(std::move(msg.check),
-                      [this, conn_id, json](CheckResponse resp) {
-                        enqueue(conn_id, encode(resp, json));
+                      [this, conn_id](CheckResponse resp) {
+                        enqueue(conn_id, encode(resp));
                       });
       return;
     }

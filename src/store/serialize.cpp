@@ -81,14 +81,13 @@ std::vector<std::uint8_t> seal(ArtifactKind kind,
                                std::vector<std::uint8_t> payload) {
   const Digest d = digest_bytes(std::string_view(
       reinterpret_cast<const char*>(payload.data()), payload.size()));
-  std::vector<std::uint8_t> out;
-  out.reserve(payload.size() + 32);
-  out.insert(out.end(), kMagic, kMagic + 4);
   ByteWriter head;
+  for (const std::uint8_t b : kMagic) head.u8(b);
   head.uv(kStoreFormatVersion);
   head.u8(static_cast<std::uint8_t>(kind));
   head.uv(payload.size());
-  out.insert(out.end(), head.bytes().begin(), head.bytes().end());
+  std::vector<std::uint8_t> out = head.take();
+  out.reserve(out.size() + payload.size() + 16);
   out.insert(out.end(), payload.begin(), payload.end());
   put_u64_raw(out, d.hi);
   put_u64_raw(out, d.lo);

@@ -65,6 +65,8 @@ usage_error ecucsp_serve --tcp 0 --memo
 usage_error ecucsp_replay --chunk 16 "$corpus/mini.log"
 usage_error ecucsp_check --matrix --no-cache --shards 4
 usage_error ecucsp_serve --tcp 0 --shards 4
+# No JSON-lines framing: the daemon speaks one binary framing.
+usage_error ecucsp_client --sock S --json m.csp
 
 help_lists() {
   tool=$1
@@ -93,7 +95,7 @@ help_lists ecucsp_check --jobs --timeout --max-states --dilate --cache-dir \
   --no-cache --cache-stats --matrix --no-lint --inject-alphabet-mismatch \
   --prune
 help_lists ecucsp_client --sock --tcp --assert --asserts --fanout --each \
-  --json --stats --ping --timeout --max-states
+  --stats --ping --timeout --max-states
 help_lists ecucsp_conform --suite --seed --tests --max-len --jobs --timeout \
   --max-states --json --mutate --inject-alphabet-mismatch --cache-dir
 help_lists ecucsp_extract --dbc --assert --dbc-decls --fingerprint --no-lint

@@ -89,6 +89,8 @@ TEST(CandumpLine, RejectsMalformedInput) {
       "(1.0) can0 123#GG",                  // bad payload hex
       "(1.0) can0 123##1AABB",              // CAN FD
       "(1.0) can0 123#R",                   // remote
+      "(18446744073709.551616) can0 104#0100000000000000",  // 2^64 us
+      "(123456789012345678901234567890.0) can0 123#00",     // 30-digit secs
   };
   for (const char* line : bad) {
     std::string error;
@@ -96,6 +98,14 @@ TEST(CandumpLine, RejectsMalformedInput) {
         << "accepted: " << line;
     EXPECT_FALSE(error.empty()) << "no error message for: " << line;
   }
+  std::string error;
+  can::parse_candump_line("(18446744073709.551616) can0 104#00", &error);
+  EXPECT_EQ(error, "timestamp out of range");
+  // The largest microsecond count that fits in 64 bits is still a timestamp.
+  const auto last =
+      can::parse_candump_line("(18446744073709.551615) can0 104#0100000000000000");
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->timestamp_us, 18446744073709551615ull);
 }
 
 TEST(CandumpLine, FormatRoundTrips) {
@@ -164,8 +174,11 @@ TEST(ScanCandump, ParallelScanMatchesSequential) {
   // Big enough to split into several chunks at any worker count.
   std::string text;
   for (int i = 0; i < 5000; ++i) {
-    text += "(" + std::to_string(100 + i / 1000) + "." +
-            std::to_string(100000 + i % 1000) + ") can0 100#00\n";
+    text += '(';
+    text += std::to_string(100 + i / 1000);
+    text += '.';
+    text += std::to_string(100000 + i % 1000);
+    text += ") can0 100#00\n";
     if (i % 37 == 0) text += "not a frame\n";
   }
   ParsedLog seq;

@@ -1,11 +1,13 @@
-// Wire-protocol contract: both framings round-trip every field, the frame
-// reassembler survives arbitrary fragmentation and interleaving, malformed
-// input is a ProtocolError (never a guess), and the request digest keys on
-// exactly the semantic inputs — the deadline is excluded by design.
+// Wire-protocol contract: every message round-trips every field in bytes
+// pinned since format version 1, the frame reassembler survives arbitrary
+// fragmentation and back-to-back messages, malformed input is a
+// ProtocolError (never a guess), and the request digest keys on exactly the
+// semantic inputs — the deadline is excluded by design.
 #include "serve/protocol.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 using namespace ecucsp;
@@ -42,6 +44,29 @@ CheckResponse sample_response() {
   return resp;
 }
 
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static const char* const digits = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += digits[b >> 4];
+    out += digits[b & 15];
+  }
+  return out;
+}
+
+// encode(sample_request()) and encode(sample_response()) as format version 1
+// writes them.
+constexpr const char* kRequestFrame =
+    "ec0177000000ef9bafcdf8acd1910103808040c41302336368616e6e656c2061"
+    "0a50203d2061202d3e20500a6173736572742050203a5b646561646c6f636b20"
+    "66726565205b465d5d0a322d2d207365636f6e64207363726970742c20776974"
+    "68202271756f7465732220616e64205c206261636b736c61736865730a";
+constexpr const char* kResponseFrame =
+    "ec02620000004d010600b960b29204c096b10220303132333435363738396162"
+    "63646566303132333435363738396162636465663253504543205b543d20494d"
+    "504c3a203c73656e642e72657153772c207265632e72707453773e207468656e"
+    "2061747461636b00";
+
 Msg decode_one(const std::vector<std::uint8_t>& bytes) {
   FrameBuffer fb;
   fb.feed(bytes.data(), bytes.size());
@@ -53,65 +78,48 @@ Msg decode_one(const std::vector<std::uint8_t>& bytes) {
 
 TEST(ServeProtocolTest, BinaryRequestRoundTrip) {
   const CheckRequest req = sample_request();
-  const Msg msg = decode_one(encode(req, /*json=*/false));
+  const Msg msg = decode_one(encode(req));
   EXPECT_EQ(msg.type, MsgType::CheckRequest);
-  EXPECT_FALSE(msg.json);
   EXPECT_EQ(msg.check.id, req.id);
   EXPECT_EQ(msg.check.assertion_index, req.assertion_index);
   EXPECT_EQ(msg.check.max_states, req.max_states);
   EXPECT_EQ(msg.check.timeout_ms, req.timeout_ms);
   EXPECT_EQ(msg.check.sources, req.sources);
-}
 
-TEST(ServeProtocolTest, JsonRequestRoundTrip) {
-  const CheckRequest req = sample_request();
-  const std::vector<std::uint8_t> bytes = encode(req, /*json=*/true);
-  ASSERT_FALSE(bytes.empty());
-  EXPECT_EQ(bytes.front(), '{');
-  EXPECT_EQ(bytes.back(), '\n');
-  const Msg msg = decode_one(bytes);
-  EXPECT_EQ(msg.type, MsgType::CheckRequest);
-  EXPECT_TRUE(msg.json);
-  EXPECT_EQ(msg.check.id, req.id);
-  EXPECT_EQ(msg.check.sources, req.sources);
-  EXPECT_EQ(msg.check.timeout_ms, req.timeout_ms);
+  // The frame bytes are the wire format: any change must bump
+  // kServeFormatVersion.
+  EXPECT_EQ(hex(encode(req)), kRequestFrame);
+  EXPECT_EQ(hex(encode(sample_response())), kResponseFrame);
 }
 
 TEST(ServeProtocolTest, ResponseRoundTripBothFramings) {
   const CheckResponse resp = sample_response();
-  for (const bool json : {false, true}) {
-    const Msg msg = decode_one(encode(resp, json));
-    EXPECT_EQ(msg.type, MsgType::CheckResponse);
-    EXPECT_EQ(msg.json, json);
-    EXPECT_EQ(msg.response.id, resp.id);
-    EXPECT_EQ(msg.response.status, resp.status);
-    EXPECT_EQ(msg.response.from_cache, resp.from_cache);
-    EXPECT_EQ(msg.response.coalesced, resp.coalesced);
-    EXPECT_EQ(msg.response.memo_hit, resp.memo_hit);
-    EXPECT_EQ(msg.response.states, resp.states);
-    EXPECT_EQ(msg.response.transitions, resp.transitions);
-    EXPECT_EQ(msg.response.digest_hex, resp.digest_hex);
-    EXPECT_EQ(msg.response.counterexample, resp.counterexample);
-    // The byte-identity surface survives the wire in both framings.
-    EXPECT_EQ(msg.response.verdict_block(), resp.verdict_block());
-  }
+  const Msg msg = decode_one(encode(resp));
+  EXPECT_EQ(msg.type, MsgType::CheckResponse);
+  EXPECT_EQ(msg.response.id, resp.id);
+  EXPECT_EQ(msg.response.status, resp.status);
+  EXPECT_EQ(msg.response.from_cache, resp.from_cache);
+  EXPECT_EQ(msg.response.coalesced, resp.coalesced);
+  EXPECT_EQ(msg.response.memo_hit, resp.memo_hit);
+  EXPECT_EQ(msg.response.states, resp.states);
+  EXPECT_EQ(msg.response.transitions, resp.transitions);
+  EXPECT_EQ(msg.response.digest_hex, resp.digest_hex);
+  EXPECT_EQ(msg.response.counterexample, resp.counterexample);
+  // The byte-identity surface survives the wire.
+  EXPECT_EQ(msg.response.verdict_block(), resp.verdict_block());
 }
 
 TEST(ServeProtocolTest, ControlMessagesRoundTrip) {
-  for (const bool json : {false, true}) {
-    EXPECT_EQ(decode_one(encode_ping(json)).type, MsgType::Ping);
-    EXPECT_EQ(decode_one(encode_pong(json)).type, MsgType::Pong);
-    EXPECT_EQ(decode_one(encode_stats_request(json)).type,
-              MsgType::StatsRequest);
-    const Msg stats =
-        decode_one(encode_stats_response("{\"serve_format\":1}", json));
-    EXPECT_EQ(stats.type, MsgType::StatsResponse);
-    EXPECT_EQ(stats.stats_json, "{\"serve_format\":1}");
-  }
+  EXPECT_EQ(decode_one(encode_ping()).type, MsgType::Ping);
+  EXPECT_EQ(decode_one(encode_pong()).type, MsgType::Pong);
+  EXPECT_EQ(decode_one(encode_stats_request()).type, MsgType::StatsRequest);
+  const Msg stats = decode_one(encode_stats_response("{\"serve_format\":1}"));
+  EXPECT_EQ(stats.type, MsgType::StatsResponse);
+  EXPECT_EQ(stats.stats_json, "{\"serve_format\":1}");
 }
 
 TEST(ServeProtocolTest, FrameBufferReassemblesByteByByte) {
-  const std::vector<std::uint8_t> bytes = encode(sample_request(), false);
+  const std::vector<std::uint8_t> bytes = encode(sample_request());
   FrameBuffer fb;
   for (std::size_t i = 0; i + 1 < bytes.size(); ++i) {
     fb.feed(&bytes[i], 1);
@@ -128,33 +136,38 @@ TEST(ServeProtocolTest, FramingsInterleaveOnOneStream) {
   const auto append = [&stream](const std::vector<std::uint8_t>& b) {
     stream.insert(stream.end(), b.begin(), b.end());
   };
-  append(encode(sample_request(), false));
-  append(encode_ping(true));
-  append(encode(sample_response(), true));
-  append(encode_pong(false));
+  append(encode(sample_request()));
+  append(encode_ping());
+  append(encode(sample_response()));
+  append(encode_pong());
 
   FrameBuffer fb;
   fb.feed(stream.data(), stream.size());
   auto m1 = fb.next();
-  ASSERT_TRUE(m1 && m1->type == MsgType::CheckRequest && !m1->json);
+  ASSERT_TRUE(m1 && m1->type == MsgType::CheckRequest);
   auto m2 = fb.next();
-  ASSERT_TRUE(m2 && m2->type == MsgType::Ping && m2->json);
+  ASSERT_TRUE(m2 && m2->type == MsgType::Ping);
   auto m3 = fb.next();
-  ASSERT_TRUE(m3 && m3->type == MsgType::CheckResponse && m3->json);
+  ASSERT_TRUE(m3 && m3->type == MsgType::CheckResponse);
   auto m4 = fb.next();
-  ASSERT_TRUE(m4 && m4->type == MsgType::Pong && !m4->json);
+  ASSERT_TRUE(m4 && m4->type == MsgType::Pong);
   EXPECT_FALSE(fb.next().has_value());
 }
 
 TEST(ServeProtocolTest, GarbageIsAProtocolError) {
-  FrameBuffer fb;
-  const std::uint8_t garbage[] = {0x00, 0x01, 0x02};
-  EXPECT_THROW(
-      {
-        fb.feed(garbage, sizeof garbage);
-        fb.next();
-      },
-      ProtocolError);
+  // Any first byte other than 0xEC, including a JSON line, a lone '{' and a
+  // long run of newlines, is rejected at once: nothing is buffered for it.
+  const std::string inputs[] = {
+      std::string("\x00\x01\x02", 3),
+      std::string(65536, '\n'),
+      "{\"op\":\"ping\"}\n",
+      "{",
+  };
+  for (const std::string& input : inputs) {
+    FrameBuffer fb;
+    fb.feed(input.data(), input.size());
+    EXPECT_THROW(fb.next(), ProtocolError) << input.size() << " bytes";
+  }
 }
 
 TEST(ServeProtocolTest, OversizedFrameIsRejectedWithoutAllocating) {
