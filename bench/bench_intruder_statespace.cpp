@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include "ota/ota.hpp"
-#include "security/intruder_factored.hpp"
 #include "security/nspk.hpp"
 #include "security/properties.hpp"
 
@@ -66,47 +65,6 @@ void NspkAttackWitness(benchmark::State& state) {
   state.counters["attack_steps"] = static_cast<double>(trace_len);
 }
 BENCHMARK(NspkAttackWitness)->Unit(benchmark::kMillisecond);
-
-void ExplicitVsFactoredIntruder(benchmark::State& state) {
-  // Ablation: the explicit knowledge-set intruder vs the factored
-  // parallel-cell construction, compiled standalone over the same universe
-  // (n nested pairs over a base alphabet).
-  const bool factored = state.range(0) == 1;
-  const int depth = static_cast<int>(state.range(1));
-  std::size_t states = 0;
-  for (auto _ : state) {
-    Context ctx;
-    security::TermAlgebra T(ctx);
-    const Value a = T.atom("a");
-    const Value b = T.atom("b");
-    std::vector<Value> agents{a, b};
-    std::vector<Value> universe{a, b};
-    Value acc = a;
-    for (int i = 0; i < depth; ++i) {
-      acc = T.pair(acc, b);
-      universe.push_back(acc);
-    }
-    security::IntruderConfig cfg;
-    cfg.universe = universe;
-    cfg.messages = universe;
-    cfg.initial_knowledge = {b};
-    cfg.hear_channel = ctx.channel("h", {agents, agents, universe});
-    cfg.say_channel = ctx.channel("s", {agents, agents, universe});
-    cfg.agents = agents;
-    cfg.name = factored ? "BF" : "BE";
-    const ProcessRef intruder =
-        factored ? security::build_factored_intruder(T, cfg)
-                 : security::build_intruder(T, cfg);
-    states = compile_lts(ctx, intruder).state_count();
-  }
-  state.counters["states"] = static_cast<double>(states);
-  state.SetLabel(factored ? "factored cells" : "explicit knowledge sets");
-}
-BENCHMARK(ExplicitVsFactoredIntruder)
-    ->Args({0, 3})
-    ->Args({1, 3})
-    ->Args({0, 6})
-    ->Args({1, 6});
 
 }  // namespace
 

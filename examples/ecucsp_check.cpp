@@ -2,21 +2,22 @@
 // for invoking FDR on a .csp file, now with FDR-cluster-style batching and
 // a persistent verification cache.
 //
-//   $ ./ecucsp_check model.csp [more.csp ...]         # sequential, one Context
-//   $ ./ecucsp_check --jobs 8 model.csp [more.csp...] # one worker per assert
+//   $ ./ecucsp_check model.csp [more.csp ...]         # one worker
+//   $ ./ecucsp_check --jobs 8 model.csp [more.csp...] # eight workers
 //   $ ./ecucsp_check --jobs 8 --matrix                # built-in OTA R01-R05
 //                                                     #   x attacker matrix
 //   $ ./ecucsp_check --matrix --cache-dir .ecucsp-cache --cache-stats
 //
-// Sequential mode loads every script into one shared Context (so an
-// extracted implementation model and a hand-written specification file can
-// be checked together) and runs every 'assert' in order. With --jobs N the
-// assertions become independent CheckTasks: each worker re-loads the
-// scripts into its own fresh Context and runs exactly one assertion, which
-// is safe because Contexts are never shared across tasks (core/context.hpp)
-// and scripts are pure declarations. --matrix instead runs the paper's
-// Table III requirement suite against all three attacker models in
-// parallel. Exit code 0 iff all checks come out as expected.
+// Every 'assert' of the given scripts becomes one CSPm-mode CheckTask on
+// the batch scheduler: the task loads all scripts into its own fresh
+// Context (so an extracted implementation model and a hand-written
+// specification file can be checked together) and runs exactly that
+// assertion, which is safe because Contexts are never shared across tasks
+// (core/context.hpp) and scripts are pure declarations. --matrix instead
+// runs the paper's Table III requirement suite against all three attacker
+// models. Either way the output is one batch report, and --timeout,
+// --prune and --max-states mean the same at every --jobs count. Exit code
+// 0 iff all checks come out as expected.
 //
 // Caching: --cache-dir DIR (or the ECUCSP_CACHE_DIR environment variable)
 // installs a persistent content-addressed store consulted by every check;
@@ -107,7 +108,6 @@ void print_cache_stats(const store::VerificationCache& cache) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool parallel = false;
   bool matrix = false;
   bool no_cache = false;
   bool cache_stats = false;
@@ -135,13 +135,8 @@ int main(int argc, char** argv) {
                "built-in OTA requirement x attacker matrix.",
       .options =
           {cli::number("--jobs", "N",
-                       "run checks in parallel on N workers (0 = all cores; "
-                       "default: sequential single-Context mode)",
-                       [&](std::uint64_t n) {
-                         parallel = true;
-                         jobs = static_cast<unsigned>(n);
-                       },
-                       0, cli::kMaxJobs),
+                       "run checks on N workers (0 = all cores; default 1)",
+                       jobs, 0, cli::kMaxJobs),
            cli::number("--timeout", "MS",
                        "per-check wall-clock budget in milliseconds",
                        [&](std::uint64_t ms) {
@@ -223,7 +218,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    int exit_code = 0;
+    std::vector<verify::CheckTask> tasks;
     if (matrix) {
       verify::OtaMatrixOptions opts;
       opts.timeout = timeout;
@@ -231,18 +226,13 @@ int main(int argc, char** argv) {
       opts.dilation = dilation;
       opts.inject_alphabet_mismatch = inject_mismatch;
       opts.prune = prune;
-      std::vector<verify::CheckTask> tasks =
-          verify::ota_requirement_matrix(opts);
+      tasks = verify::ota_requirement_matrix(opts);
       for (verify::CheckTask& t : verify::ota_extended_batch(opts)) {
         tasks.push_back(std::move(t));
       }
-      verify::VerifyScheduler sched({.jobs = parallel ? jobs : 1});
-      std::printf("OTA requirement x attacker matrix on %u worker(s)\n",
-                  sched.jobs());
-      exit_code = report(sched.run(tasks));
-    } else if (parallel) {
-      // One task per assertion; every worker re-loads the scripts into its
-      // own Context. Count the assertions with a throwaway evaluator first.
+    } else {
+      // One task per assertion. Count the assertions with a throwaway
+      // evaluator first; a script that does not load stops here.
       std::vector<std::string> sources;
       for (const std::string& p : paths) sources.push_back(cli::read_file(p));
       std::size_t n_asserts = 0;
@@ -256,7 +246,7 @@ int main(int argc, char** argv) {
         std::printf("no assertions found\n");
         return 0;
       }
-      std::vector<verify::CheckTask> tasks(n_asserts);
+      tasks.resize(n_asserts);
       for (std::size_t i = 0; i < n_asserts; ++i) {
         tasks[i].name = "assert #" + std::to_string(i + 1);
         tasks[i].sources = sources;
@@ -264,51 +254,21 @@ int main(int argc, char** argv) {
         tasks[i].timeout = timeout;
         tasks[i].max_states = max_states;
         tasks[i].prune = prune;
-        // A user assertion is expected to hold, so a failure (or timeout)
-        // drives the exit code just as it does in sequential mode.
+        // A user assertion is expected to hold, so a failure, timeout or
+        // state limit drives the exit code.
         tasks[i].expected = true;
       }
-      verify::VerifyScheduler sched({.jobs = jobs});
-      std::printf("%zu assertion(s) on %u worker(s)\n", n_asserts,
-                  sched.jobs());
-      exit_code = report(sched.run(tasks));
-    } else {
-      // Sequential legacy mode: one shared Context, assertions in order.
-      Context ctx;
-      cspm::Evaluator ev(ctx);
-      for (const std::string& p : paths) {
-        ev.load_source(cli::read_file(p));
-        std::printf("loaded %s\n", p.c_str());
-      }
-      const auto results = ev.check_assertions(max_states);
-      if (results.empty()) {
-        std::printf("no assertions found\n");
-        return 0;
-      }
-      int failures = 0;
-      for (const cspm::AssertionResult& r : results) {
-        std::printf("assert %-58.58s ", r.description.c_str());
-        if (r.result.passed) {
-          std::printf("passed  (%zu states)%s%s\n",
-                      r.result.stats.impl_states,
-                      r.result.from_cache ? "  (cached)" : "",
-                      r.result.vacuous ? "  VACUOUS" : "");
-          if (r.result.vacuous) {
-            std::printf(
-                "  warning: vacuous pass — the implementation never reaches "
-                "any event this spec constrains\n");
-          }
-        } else {
-          ++failures;
-          std::printf("FAILED%s\n  %s\n",
-                      r.result.from_cache ? "  (cached)" : "",
-                      r.result.counterexample->describe(ctx).c_str());
-        }
-      }
-      std::printf("%zu assertion(s), %d failure(s)\n", results.size(),
-                  failures);
-      exit_code = failures == 0 ? 0 : 1;
     }
+
+    verify::VerifyScheduler sched({.jobs = jobs});
+    if (matrix) {
+      std::printf("OTA requirement x attacker matrix on %u worker(s)\n",
+                  sched.jobs());
+    } else {
+      std::printf("%zu assertion(s) on %u worker(s)\n", tasks.size(),
+                  sched.jobs());
+    }
+    const int exit_code = report(sched.run(tasks));
     if (cache_stats && cache) print_cache_stats(*cache);
     return exit_code;
   });

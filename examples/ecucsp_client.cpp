@@ -6,10 +6,10 @@
 //   $ ./ecucsp_client --sock S --each a.csp b.csp c.csp          # 3 distinct
 //   $ ./ecucsp_client --sock S --stats                           # /stats JSON
 //
-// Verdict lines are printed in the same shape as `ecucsp_check --jobs`
-// ("check assert #N <status>  (S states, T ms)"), so a served verdict can
-// be byte-compared against the standalone checker once timings and
-// transport annotations ((cached)/(coalesced)/(memo)) are stripped.
+// Verdict lines are printed in the same shape as `ecucsp_check`'s batch
+// report ("check assert #N <status>  (S states, T ms)"), so a served
+// verdict can be byte-compared against the standalone checker once timings
+// and transport annotations ((cached)/(coalesced)/(memo)) are stripped.
 // Fan-out modes pipeline every request before reading any response —
 // that is what drives the daemon's single-flight coalescing from outside.
 //

@@ -1,6 +1,7 @@
 #include "can/dbc.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <sstream>
 
 namespace ecucsp::can {
@@ -27,6 +28,9 @@ const DbcMessage* DbcDatabase::find_message(CanId id) const {
 }
 
 namespace {
+
+/// A DBC message id is 32 bits wide: bit 31 flags an extended id.
+constexpr std::int64_t kMaxRawId = 0xFFFFFFFFLL;
 
 /// Minimal line-oriented tokenizer for DBC records.
 class LineScanner {
@@ -71,23 +75,34 @@ class LineScanner {
     if (start == pos_) fail("expected an identifier");
     return std::string(text_.substr(start, pos_ - start));
   }
+  /// The next number as a double; the whole numeric token must parse.
   double number() {
-    skip_ws();
-    std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            ((text_[pos_] == '-' || text_[pos_] == '+') && pos_ > start &&
-             (text_[pos_ - 1] == 'e' || text_[pos_ - 1] == 'E')))) {
-      ++pos_;
-    }
-    if (start == pos_) fail("expected a number");
-    return std::stod(std::string(text_.substr(start, pos_ - start)));
+    const std::string_view tok = numeric_token();
+    const char* last = tok.data() + tok.size();
+    double v = 0;
+    const auto [end, ec] = std::from_chars(tok.data(), last, v);
+    if (end != last) fail(std::string(tok) + " is not a number");
+    if (ec != std::errc()) fail(std::string(tok) + " is out of range");
+    return v;
   }
-  std::int64_t integer() { return static_cast<std::int64_t>(number()); }
+  /// The next number as an integer in [lo, hi], the range of the field
+  /// named `what`: the whole token must be a decimal integer, and it is
+  /// range-checked before any caller narrows it.
+  std::int64_t integer(std::string_view what, std::int64_t lo,
+                       std::int64_t hi) {
+    const std::string_view tok = numeric_token();
+    const char* last = tok.data() + tok.size();
+    std::int64_t v = 0;
+    const auto [end, ec] = std::from_chars(tok.data(), last, v);
+    if (end != last) {
+      fail(std::string(what) + " " + std::string(tok) + " is not an integer");
+    }
+    if (ec != std::errc() || v < lo || v > hi) {
+      fail(std::string(what) + " " + std::string(tok) + " is out of range " +
+           std::to_string(lo) + ".." + std::to_string(hi));
+    }
+    return v;
+  }
   std::string quoted() {
     skip_ws();
     if (pos_ >= text_.size() || text_[pos_] != '"') fail("expected a string");
@@ -103,6 +118,27 @@ class LineScanner {
   }
 
  private:
+  /// The next run of number characters (digits, '.', an exponent and
+  /// signs), with one leading '+' dropped since from_chars takes none.
+  std::string_view numeric_token() {
+    skip_ws();
+    const std::size_t start = pos_;
+    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
+      ++pos_;
+    }
+    while (pos_ < text_.size() &&
+           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
+            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
+            ((text_[pos_] == '-' || text_[pos_] == '+') && pos_ > start &&
+             (text_[pos_ - 1] == 'e' || text_[pos_ - 1] == 'E')))) {
+      ++pos_;
+    }
+    if (start == pos_) fail("expected a number");
+    std::string_view tok = text_.substr(start, pos_ - start);
+    if (tok.size() > 1 && tok[0] == '+') tok.remove_prefix(1);
+    return tok;
+  }
+
   std::string_view text_;
   std::size_t pos_ = 0;
   int line_;
@@ -139,7 +175,7 @@ DbcDatabase parse_dbc(std::string_view text) {
       LineScanner s(line.substr(4), line_no);
       DbcMessage m;
       m.line = line_no;
-      const std::int64_t raw_id = s.integer();
+      const std::int64_t raw_id = s.integer("message id", 0, kMaxRawId);
       // Bit 31 marks an extended identifier in DBC files.
       if (raw_id & 0x80000000LL) {
         m.id = static_cast<CanId>(raw_id & MAX_EXTENDED_ID);
@@ -148,8 +184,7 @@ DbcDatabase parse_dbc(std::string_view text) {
       }
       m.name = s.word();
       s.expect(':');
-      m.dlc = static_cast<std::uint8_t>(s.integer());
-      if (m.dlc > 8) s.fail("dlc exceeds 8");
+      m.dlc = static_cast<std::uint8_t>(s.integer("dlc", 0, 8));
       m.sender = s.word();
       db.messages.push_back(std::move(m));
       current = &db.messages.back();
@@ -162,12 +197,15 @@ DbcDatabase parse_dbc(std::string_view text) {
       sig.line = line_no;
       sig.spec.name = s.word();
       s.expect(':');
-      sig.spec.start_bit = static_cast<std::uint16_t>(s.integer());
+      sig.spec.start_bit =
+          static_cast<std::uint16_t>(s.integer("start bit", 0, UINT16_MAX));
       s.expect('|');
-      sig.spec.length = static_cast<std::uint16_t>(s.integer());
+      sig.spec.length =
+          static_cast<std::uint16_t>(s.integer("length", 0, UINT16_MAX));
       s.expect('@');
-      const std::int64_t order = s.integer();
-      sig.spec.byte_order = order == 1 ? ByteOrder::Intel : ByteOrder::Motorola;
+      sig.spec.byte_order = s.integer("byte order", 0, 1) == 1
+                                ? ByteOrder::Intel
+                                : ByteOrder::Motorola;
       if (s.accept('-')) {
         sig.spec.is_signed = true;
       } else {
@@ -193,7 +231,7 @@ DbcDatabase parse_dbc(std::string_view text) {
     }
     if (line.starts_with("VAL_ ")) {
       LineScanner s(line.substr(5), line_no);
-      const std::int64_t raw_id = s.integer();
+      const std::int64_t raw_id = s.integer("message id", 0, kMaxRawId);
       const CanId id = static_cast<CanId>(raw_id & MAX_EXTENDED_ID);
       const std::string sig_name = s.word();
       for (DbcMessage& m : db.messages) {
@@ -201,7 +239,8 @@ DbcDatabase parse_dbc(std::string_view text) {
         for (DbcSignal& sig : m.signals) {
           if (sig.spec.name != sig_name) continue;
           while (!s.done() && s.peek() != ';') {
-            const std::int64_t v = s.integer();
+            const std::int64_t v =
+                s.integer("value", INT64_MIN, INT64_MAX);
             sig.value_table[v] = s.quoted();
           }
         }
@@ -212,12 +251,14 @@ DbcDatabase parse_dbc(std::string_view text) {
       LineScanner s(line.substr(4), line_no);
       const std::string kind = s.word();
       if (kind == "BO_") {
-        const CanId id = static_cast<CanId>(s.integer() & MAX_EXTENDED_ID);
+        const CanId id = static_cast<CanId>(
+            s.integer("message id", 0, kMaxRawId) & MAX_EXTENDED_ID);
         for (DbcMessage& m : db.messages) {
           if (m.id == id) m.comment = s.quoted();
         }
       } else if (kind == "SG_") {
-        const CanId id = static_cast<CanId>(s.integer() & MAX_EXTENDED_ID);
+        const CanId id = static_cast<CanId>(
+            s.integer("message id", 0, kMaxRawId) & MAX_EXTENDED_ID);
         const std::string sig_name = s.word();
         for (DbcMessage& m : db.messages) {
           if (m.id != id) continue;

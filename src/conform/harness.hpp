@@ -1,9 +1,9 @@
 // Concrete test execution: abstract events <-> CAN frames <-> the
 // simulated ECU.
 //
-// The FrameCodec is the two-way bridge the tentpole needs: abstraction
-// (bus frame -> event name, the same id-to-constructor convention as
-// translate/conformance.hpp, plus a MAC split that distinguishes genuine
+// The FrameCodec is the two-way bridge between model and bus: abstraction
+// (bus frame -> event name, with the extractor's id-to-constructor
+// convention, plus a MAC split that distinguishes genuine
 // from forged UpdApplyReq frames) and concretisation (stimulus event name
 // -> an injectable frame template). The harness maps a planned abstract
 // trace to timed frame injections, drives a CAPL node (or the full
@@ -31,7 +31,7 @@ namespace ecucsp::conform {
 
 struct FrameCodec {
   /// CAN id -> MsgId constructor name (DBC message names, as the extractor
-  /// and translate/conformance use them).
+  /// uses them).
   std::map<can::CanId, std::string> ctor_of;
   /// Ids transmitted on tx_channel (the VMG-driven direction); every other
   /// id abstracts to rx_channel.

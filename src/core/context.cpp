@@ -135,6 +135,11 @@ EventSet Context::events_of(ChannelId chan) const {
   // product is interned eagerly here via a const_cast on the interner only.
   auto& self = const_cast<Context&>(*this);
   const ChannelDecl& decl = channels_.at(chan);
+  // A product with an empty factor is empty (channel c : {}).
+  if (std::ranges::any_of(decl.field_domains,
+                          [](const auto& d) { return d.empty(); })) {
+    return {};
+  }
   std::vector<EventId> out;
   std::vector<std::size_t> idx(decl.field_domains.size(), 0);
   for (;;) {

@@ -140,8 +140,6 @@ class Context {
   /// Chase Var indirection so behaviourally identical states share identity.
   ProcessRef canonical(ProcessRef p);
 
-  std::size_t arena_size() const { return arena_.size(); }
-
  private:
   ProcessRef intern(ProcessNode&& node);
   std::vector<Transition> compute_transitions(ProcessRef p);

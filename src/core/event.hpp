@@ -19,8 +19,6 @@ inline constexpr EventId TAU = 0;
 inline constexpr EventId TICK = 1;
 inline constexpr EventId FIRST_USER_EVENT = 2;
 
-inline bool is_visible(EventId e) { return e != TAU; }
-
 /// An immutable-ish finite set of events, stored as a sorted unique vector.
 /// Small and cache-friendly; supports the set algebra the semantics needs.
 class EventSet {

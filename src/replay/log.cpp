@@ -1,6 +1,7 @@
 #include "replay/log.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <stdexcept>
 #include <system_error>
@@ -211,19 +212,18 @@ void scan_candump(std::string_view text, std::uint32_t file, ParsedLog& out,
     lo = hi;
   }
 
+  // run_bool_batch throws if any chunk's scan throws, so a failed chunk
+  // is an error exit, as it is on one job, never a silently empty chunk.
   std::vector<ChunkScan> results(ranges.size());
-  std::vector<verify::CheckTask> tasks(ranges.size());
+  std::vector<std::function<bool(CancelToken&)>> scans(ranges.size());
   for (std::size_t i = 0; i < ranges.size(); ++i) {
-    tasks[i].name = "scan-chunk-" + std::to_string(i);
-    tasks[i].custom = [&, i](CancelToken&) -> verify::RenderedCheck {
+    scans[i] = [&, i](CancelToken&) {
       const auto [clo, chi] = ranges[i];
       results[i] = scan_chunk(text.substr(clo, chi - clo), file, clo);
-      verify::RenderedCheck ok;
-      ok.result.passed = true;
-      return ok;
+      return true;
     };
   }
-  sched->run(tasks);
+  verify::run_bool_batch(*sched, scans, "scan-chunk");
 
   // Absorb in range order; rebase each chunk's local line numbers onto the
   // lines already absorbed *of this file*, so numbering matches a

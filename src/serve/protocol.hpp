@@ -10,7 +10,7 @@
 // daemon never allocates attacker-controlled amounts of memory.
 //
 // A CheckRequest carries CSPm source text plus one assertion index — the
-// same inputs `ecucsp_check --jobs` turns into a CheckTask — and the
+// same inputs `ecucsp_check` turns into a CheckTask — and the
 // response carries the complete verdict: status, counterexample text,
 // vacuity, exploration stats and the request digest. Everything
 // deterministic is isolated in CheckResponse::verdict_block(), the

@@ -46,18 +46,6 @@ bool BatchResult::all_as_expected() const {
                      [](const TaskOutcome& o) { return o.as_expected(); });
 }
 
-std::size_t BatchResult::total_states() const {
-  std::size_t n = 0;
-  for (const TaskOutcome& o : outcomes) n += o.stats.impl_states + o.stats.spec_states;
-  return n;
-}
-
-std::size_t BatchResult::total_transitions() const {
-  std::size_t n = 0;
-  for (const TaskOutcome& o : outcomes) n += o.stats.impl_transitions;
-  return n;
-}
-
 double BatchResult::speedup() const {
   if (wall.count() <= 0) return 1.0;
   return static_cast<double>(cpu.count()) / static_cast<double>(wall.count());
@@ -69,53 +57,26 @@ namespace {
 /// worker's try block; every Context created here is local to this call.
 RenderedCheck execute(const CheckTask& task, CancelToken& token) {
   if (task.custom) return task.custom(token);
-
-  if (!task.sources.empty()) {
-    Context ctx;
-    cspm::Evaluator ev(ctx);
-    for (const std::string& src : task.sources) ev.load_source(src);
-    const std::size_t index = task.assertion_index.value_or(0);
-    if (task.prune) {
-      if (const auto t = ev.assertion_terms(index);
-          t && predict_vacuous_pass(ctx, t->spec, t->impl, t->model,
-                                    task.max_states)) {
-        return render(ctx, pruned_pass());
-      }
-    }
-    cspm::AssertionResult ar = ev.check_assertion(index, task.max_states, &token);
-    RenderedCheck out = render(ctx, std::move(ar.result));
-    if (!out.counterexample.empty()) {
-      out.counterexample = ar.description + ": " + out.counterexample;
-    }
-    return out;
+  if (task.sources.empty()) {
+    throw std::runtime_error("CheckTask '" + task.name + "' has no check");
   }
-
   Context ctx;
-  if (!task.impl) throw std::runtime_error("CheckTask '" + task.name + "' has no impl");
-  const ProcessRef impl = task.impl(ctx);
-  CheckResult r;
-  switch (task.kind) {
-    case CheckKind::Refinement: {
-      if (!task.spec) throw std::runtime_error("CheckTask '" + task.name + "' has no spec");
-      const ProcessRef spec = task.spec(ctx);
-      if (task.prune &&
-          predict_vacuous_pass(ctx, spec, impl, task.model, task.max_states)) {
-        return render(ctx, pruned_pass());
-      }
-      r = check_refinement(ctx, spec, impl, task.model, task.max_states, &token);
-      break;
+  cspm::Evaluator ev(ctx);
+  for (const std::string& src : task.sources) ev.load_source(src);
+  const std::size_t index = task.assertion_index.value_or(0);
+  if (task.prune) {
+    if (const auto t = ev.assertion_terms(index);
+        t && predict_vacuous_pass(ctx, t->spec, t->impl, t->model,
+                                  task.max_states)) {
+      return render(ctx, pruned_pass());
     }
-    case CheckKind::DeadlockFree:
-      r = check_deadlock_free(ctx, impl, task.max_states, &token);
-      break;
-    case CheckKind::DivergenceFree:
-      r = check_divergence_free(ctx, impl, task.max_states, &token);
-      break;
-    case CheckKind::Deterministic:
-      r = check_deterministic(ctx, impl, task.max_states, &token);
-      break;
   }
-  return render(ctx, std::move(r));
+  cspm::AssertionResult ar = ev.check_assertion(index, task.max_states, &token);
+  RenderedCheck out = render(ctx, std::move(ar.result));
+  if (!out.counterexample.empty()) {
+    out.counterexample = ar.description + ": " + out.counterexample;
+  }
+  return out;
 }
 
 }  // namespace

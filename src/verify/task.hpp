@@ -4,9 +4,9 @@
 // checks: one per Table III requirement, per attacker model, per property
 // variant. A CheckTask describes one such check in a self-contained,
 // Context-free way so the scheduler can run it on any worker thread: the
-// task carries *factories* (or CSPm source text) rather than ProcessRefs,
-// and the worker instantiates them inside a Context it builds and owns for
-// exactly the duration of the task. This preserves the core invariant from
+// task carries CSPm source text (or a closure that builds its own model)
+// rather than ProcessRefs, and every Context the check needs lives exactly
+// as long as the task. This preserves the core invariant from
 // src/core/context.hpp — one verification task = one Context, no shared
 // mutable state — which is what makes task-level parallelism safe without a
 // single lock in the engine.
@@ -28,13 +28,6 @@
 
 namespace ecucsp::verify {
 
-enum class CheckKind {
-  Refinement,       // spec [model= impl
-  DeadlockFree,     // impl :[deadlock free]
-  DivergenceFree,   // impl :[divergence free]
-  Deterministic,    // impl :[deterministic]
-};
-
 /// A check verdict with its counterexample flattened to text, safe to carry
 /// out of the task once the task's Context is destroyed.
 struct RenderedCheck {
@@ -45,24 +38,16 @@ struct RenderedCheck {
 /// Flatten `r`'s counterexample (if any) using `ctx` while it is alive.
 RenderedCheck render(const Context& ctx, CheckResult r);
 
-/// One independent check. Exactly one of three modes must be populated:
-///   * factory mode — `impl` (and `spec` for refinements) build the process
-///     terms inside the worker's fresh Context;
+/// One independent check. Exactly one of two modes must be populated:
 ///   * CSPm mode — `sources` are loaded into a fresh evaluator and the
 ///     assertion at `assertion_index` is run;
 ///   * custom mode — `custom` owns the whole check (it typically builds a
 ///     domain model such as ota::OtaModel, which embeds its own Context).
-/// Factories must be self-contained: they may capture plain data (strings,
-/// ints, event names) but never a Context, ProcessRef or EventId from
-/// outside — those are meaningless in the worker's Context.
+/// A custom closure must be self-contained: it may capture plain data
+/// (strings, ints, event names) but never a Context, ProcessRef or EventId
+/// from outside — those are meaningless in the Context it builds.
 struct CheckTask {
   std::string name;
-
-  // --- factory mode ---
-  CheckKind kind = CheckKind::Refinement;
-  Model model = Model::Traces;
-  std::function<ProcessRef(Context&)> spec;
-  std::function<ProcessRef(Context&)> impl;
 
   // --- CSPm mode ---
   std::vector<std::string> sources;   // scripts loaded in order
@@ -74,17 +59,16 @@ struct CheckTask {
   // Use render() at the end of the lambda while the Context is still alive.
   std::function<RenderedCheck(CancelToken&)> custom;
 
-  /// Opt into static pruning (--prune=static): before running a Traces
-  /// refinement, ask verify::predict_vacuous_pass whether the cell is a
-  /// statically certified vacuous PASS and, if so, report pruned_pass()
-  /// without exploring. Verdict-preserving by construction (see prune.hpp);
-  /// cells the analysis cannot certify run normally.
+  /// Opt into static pruning (--prune=static) of a CSPm-mode refinement:
+  /// if verify::predict_vacuous_pass certifies a vacuous PASS, report
+  /// pruned_pass() without exploring. Verdict-preserving by construction
+  /// (see prune.hpp); custom closures apply their own pruning.
   bool prune = false;
 
   /// Per-check wall-clock budget; the worker arms the task's CancelToken
   /// with it just before the check starts.
   std::optional<std::chrono::milliseconds> timeout;
-  /// Per-check state-count budget, forwarded to every exploration.
+  /// Per-check state-count budget of a CSPm-mode check.
   std::size_t max_states = 1u << 22;
 
   /// Optional oracle for reporting: some matrix cells (e.g. R05 on the
@@ -144,8 +128,6 @@ struct BatchResult {
   std::size_t count(TaskStatus s) const;
   bool all_passed() const { return count(TaskStatus::Passed) == outcomes.size(); }
   bool all_as_expected() const;
-  std::size_t total_states() const;
-  std::size_t total_transitions() const;
   /// cpu / wall: the effective parallelism the batch achieved.
   double speedup() const;
 };
@@ -153,7 +135,7 @@ struct BatchResult {
 /// Run one task to completion on the calling thread, mapping engine
 /// exceptions (CheckCancelled, StateLimitExceeded, ModelError, ...) to task
 /// statuses. `token` must already be armed with any deadline. This is the
-/// scheduler's worker body, exposed for tests and for --jobs 1 runs.
+/// scheduler's worker body, exposed for callers that run one task inline.
 TaskOutcome run_task(const CheckTask& task, CancelToken& token);
 
 }  // namespace ecucsp::verify

@@ -226,6 +226,100 @@ TEST(Dbc, MalformedSignalThrows) {
   EXPECT_THROW(parse_dbc("BO_ 10 M: 8 N\n SG_ S : xx\n"), DbcParseError);
 }
 
+/// The DbcParseError `text` raises, or a failure naming what else happened.
+::testing::AssertionResult rejects_at(const std::string& text, int line,
+                                      const std::string& message) {
+  try {
+    (void)parse_dbc(text);
+  } catch (const DbcParseError& e) {
+    if (e.line != line) {
+      return ::testing::AssertionFailure()
+             << "line " << e.line << ": " << e.what();
+    }
+    if (std::string(e.what()).find(message) == std::string::npos) {
+      return ::testing::AssertionFailure() << e.what();
+    }
+    return ::testing::AssertionSuccess();
+  } catch (const std::exception& e) {
+    return ::testing::AssertionFailure() << "untyped error: " << e.what();
+  }
+  return ::testing::AssertionFailure() << "accepted";
+}
+
+TEST(Dbc, IntegersAreCheckedBeforeNarrowing) {
+  // Narrowed unchecked, each of these would wrap or truncate into a
+  // plausible field value.
+  EXPECT_TRUE(
+      rejects_at("BO_ 256 M: 264 VMG\n", 1, "dlc 264 is out of range 0..8"));
+  EXPECT_TRUE(rejects_at("BO_ 256 M: 9 VMG\n", 1, "dlc 9 is out of range"));
+  EXPECT_TRUE(rejects_at("BO_ 256 M: -1 VMG\n", 1, "dlc -1 is out of range"));
+  EXPECT_TRUE(rejects_at(
+      "BO_ 256 M: 8 VMG\n SG_ S : 65544|8@1+ (1,0) [0|255] \"\" VMG\n", 2,
+      "start bit 65544 is out of range 0..65535"));
+  EXPECT_TRUE(rejects_at(
+      "BO_ 256 M: 8 VMG\n SG_ S : 0|65536@1+ (1,0) [0|255] \"\" VMG\n", 2,
+      "length 65536 is out of range"));
+  EXPECT_TRUE(rejects_at(
+      "BO_ 256 M: 8 VMG\n SG_ S : 0|8@2+ (1,0) [0|255] \"\" VMG\n", 2,
+      "byte order 2 is out of range 0..1"));
+  EXPECT_TRUE(rejects_at("BO_ 4294967296 M: 8 VMG\n", 1,
+                         "message id 4294967296 is out of range"));
+  // Beyond int64 entirely: no undefined double-to-integer conversion.
+  EXPECT_TRUE(rejects_at("BO_ 99999999999999999999 M: 8 VMG\n", 1,
+                         "message id 99999999999999999999 is out of range"));
+  EXPECT_TRUE(rejects_at(
+      "BO_ 256 M: 8 VMG\n SG_ S : 0|8@1+ (1,0) [0|255] \"\" VMG\n"
+      "VAL_ 256 S 99999999999999999999 \"x\" ;\n",
+      3, "value 99999999999999999999 is out of range"));
+  EXPECT_TRUE(rejects_at("BO_ 256 M: 8 VMG\nCM_ BO_ -5 \"c\";\n", 2,
+                         "message id -5 is out of range"));
+}
+
+TEST(Dbc, IntegersMustBeWholeDecimalTokens) {
+  EXPECT_TRUE(rejects_at("BO_ 2.5 M: 8 VMG\n", 1,
+                         "message id 2.5 is not an integer"));
+  EXPECT_TRUE(
+      rejects_at("BO_ 256 M: 8e0 VMG\n", 1, "dlc 8e0 is not an integer"));
+  EXPECT_TRUE(
+      rejects_at("BO_ - M: 8 VMG\n", 1, "message id - is not an integer"));
+  // 1e999 overflows a double: a typed error on its line, not a bare
+  // std::out_of_range from the conversion.
+  EXPECT_TRUE(rejects_at("\nBO_ 1e999 M: 8 VMG\n", 2,
+                         "message id 1e999 is not an integer"));
+  EXPECT_TRUE(rejects_at(
+      "BO_ 256 M: 8 VMG\n SG_ S : 0|8@1+ (1e999,0) [0|255] \"\" VMG\n", 2,
+      "1e999 is out of range"));
+  EXPECT_TRUE(rejects_at(
+      "BO_ 256 M: 8 VMG\n SG_ S : 0|8@1+ (1.2.3,0) [0|255] \"\" VMG\n", 2,
+      "1.2.3 is not a number"));
+}
+
+TEST(Dbc, NumbersAtTheirBoundsParse) {
+  const DbcDatabase db = parse_dbc(
+      "BO_ 4294967295 M: 0 VMG\n"
+      " SG_ S : 65535|65535@0- (+1.5,-2e3) [-1e3|+255] \"\" VMG\n"
+      "VAL_ 4294967295 S -9223372036854775808 \"lo\" "
+      "9223372036854775807 \"hi\" ;\n");
+  ASSERT_EQ(db.messages.size(), 1u);
+  const DbcMessage& m = db.messages[0];
+  EXPECT_EQ(m.id, 0xFFFFFFFFu & MAX_EXTENDED_ID);
+  EXPECT_EQ(m.dlc, 0u);
+  ASSERT_EQ(m.signals.size(), 1u);
+  const SignalSpec& spec = m.signals[0].spec;
+  EXPECT_EQ(spec.start_bit, 65535u);
+  EXPECT_EQ(spec.length, 65535u);
+  EXPECT_EQ(spec.byte_order, ByteOrder::Motorola);
+  EXPECT_TRUE(spec.is_signed);
+  EXPECT_EQ(spec.factor, 1.5);
+  EXPECT_EQ(spec.offset, -2000.0);
+  EXPECT_EQ(spec.minimum, -1000.0);
+  EXPECT_EQ(spec.maximum, 255.0);
+  const auto& table = m.signals[0].value_table;
+  ASSERT_EQ(table.size(), 2u);
+  EXPECT_EQ(table.begin()->first, INT64_MIN);
+  EXPECT_EQ(table.rbegin()->first, INT64_MAX);
+}
+
 TEST(Dbc, UnknownRecordsAreTolerated) {
   const DbcDatabase db = parse_dbc(
       "NS_:\n BA_DEF_\nBS_:\nBO_ 5 M: 8 N\n");

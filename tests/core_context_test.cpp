@@ -58,6 +58,18 @@ TEST_F(ContextTest, EventsOfEnumeratesCartesianProduct) {
   EXPECT_EQ(ctx.events_of(c).size(), 6u);
 }
 
+TEST_F(ContextTest, EventsOfEmptyFieldDomainIsEmpty) {
+  // channel c : {} has no events, and neither has a product with one empty
+  // factor.
+  const ChannelId c = ctx.channel("c", {{}});
+  EXPECT_TRUE(ctx.events_of(c).empty());
+  const ChannelId d =
+      ctx.channel("d", {{Value::integer(0), Value::integer(1)}, {}});
+  EXPECT_TRUE(ctx.events_of(d).empty());
+  const std::vector<ChannelId> both{c, d};
+  EXPECT_TRUE(ctx.events_of(both).empty());
+}
+
 TEST_F(ContextTest, EventNameRendersDottedForm) {
   SymbolTable& sy = ctx.symbols();
   const ChannelId c =

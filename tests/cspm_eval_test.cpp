@@ -259,6 +259,18 @@ TEST_F(CspmEvalTest, FailedAssertionProducesCounterexample) {
   EXPECT_EQ(ctx.event_name(results[0].result.counterexample->event), "b");
 }
 
+TEST_F(CspmEvalTest, EmptyChannelTypeHasNoEvents) {
+  // {|c|} over channel c : {} is the empty event set, so synchronising on
+  // it constrains nothing.
+  ev.load_source(
+      "channel c : {}\n"
+      "assert STOP [T= STOP [| {|c|} |] STOP\n");
+  EXPECT_TRUE(ev.evaluate_expression("{|c|}").events.empty());
+  const auto results = ev.check_assertions();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(results[0].result.passed) << results[0].description;
+}
+
 TEST_F(CspmEvalTest, TypeErrorsAreReported) {
   ev.load_source("channel a\nP = a -> STOP\n");
   EXPECT_THROW(ev.evaluate_expression("P + 1"), EvalError);

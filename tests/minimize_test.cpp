@@ -2,7 +2,7 @@
 
 #include <random>
 
-#include "refine/dot.hpp"
+#include "refine/check.hpp"
 #include "refine/minimize.hpp"
 
 namespace ecucsp {
@@ -115,47 +115,6 @@ TEST_F(MinimizeTest, CompressShrinksRedundantStructure) {
   EXPECT_GE(lts.state_count(), 1u);
   // all states do 'a' forever
   EXPECT_EQ(compress_compact(lts, Compression::Bisim).state_count(), 1u);
-}
-
-// --- dot export ----------------------------------------------------------------
-
-TEST_F(MinimizeTest, LtsDotContainsStatesAndLabels) {
-  const CompactLts lts =
-      compile_lts(ctx, ctx.prefix(a, ctx.prefix(b, ctx.stop())));
-  const std::string dot = lts_to_dot(ctx, lts);
-  EXPECT_NE(dot.find("digraph lts"), std::string::npos);
-  EXPECT_NE(dot.find("doublecircle"), std::string::npos);  // root marker
-  EXPECT_NE(dot.find("label=\"a\""), std::string::npos);
-  EXPECT_NE(dot.find("label=\"b\""), std::string::npos);
-}
-
-TEST_F(MinimizeTest, DotTauStyling) {
-  const ProcessRef p = ctx.int_choice(ctx.prefix(a, ctx.stop()), ctx.stop());
-  const std::string dot = lts_to_dot(ctx, compile_lts(ctx, p));
-  EXPECT_NE(dot.find("style=dashed"), std::string::npos);
-  DotOptions no_tau;
-  no_tau.show_tau = false;
-  const std::string dot2 = lts_to_dot(ctx, compile_lts(ctx, p), no_tau);
-  EXPECT_EQ(dot2.find("style=dashed"), std::string::npos);
-}
-
-TEST_F(MinimizeTest, DotRefusesHugeGraphs) {
-  DotOptions opts;
-  opts.max_states = 2;
-  const CompactLts lts =
-      compile_lts(ctx, ctx.prefix(a, ctx.prefix(b, ctx.stop())));
-  EXPECT_THROW(lts_to_dot(ctx, lts, opts), std::length_error);
-}
-
-TEST_F(MinimizeTest, CounterexampleDotShowsViolation) {
-  const CheckResult r = check_refinement(
-      ctx, ctx.prefix(a, ctx.stop()),
-      ctx.prefix(a, ctx.prefix(b, ctx.stop())), Model::Traces);
-  ASSERT_FALSE(r.passed);
-  const std::string dot = counterexample_to_dot(ctx, *r.counterexample);
-  EXPECT_NE(dot.find("color=red"), std::string::npos);
-  EXPECT_NE(dot.find("label=\"a\""), std::string::npos);
-  EXPECT_NE(dot.find("violation"), std::string::npos);
 }
 
 }  // namespace

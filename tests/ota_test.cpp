@@ -2,10 +2,11 @@
 
 #include "capl/interp.hpp"
 #include "capl/parser.hpp"
+#include "conform/harness.hpp"
+#include "conform/oracle.hpp"
 #include "cspm/eval.hpp"
 #include "ota/ota.hpp"
 #include "security/properties.hpp"
-#include "translate/conformance.hpp"
 #include "translate/extractor.hpp"
 
 namespace ecucsp::ota {
@@ -298,13 +299,18 @@ TEST_F(OtaTimedTest, TimeCanAlwaysAdvanceEventually) {
 
 
 // --- conformance: execution vs extracted model -----------------------------------
+//
+// A captured bus trace is abstracted by the OTA frame codec and judged by
+// the strict trace oracle of the extracted VMG+ECU system, the same path
+// ecucsp_conform's model oracles take.
 
 class OtaConformanceTest : public ::testing::Test {
  protected:
   OtaConformanceTest()
       : db(can::parse_dbc(std::string(ota_dbc_text()))),
         vmg_prog(capl::parse_capl(std::string(vmg_capl_source()))),
-        ecu_prog(capl::parse_capl(std::string(ecu_capl_source()))) {
+        ecu_prog(capl::parse_capl(std::string(ecu_capl_source()))),
+        codec(conform::ota_codec(db)) {
     translate::ExtractorOptions vmg_opt;
     vmg_opt.node_name = "VMG";
     vmg_opt.db = &db;
@@ -315,20 +321,21 @@ class OtaConformanceTest : public ::testing::Test {
     ecu_opt.db = &db;
     const translate::ExtractionResult sys =
         translate::extract_system({{&vmg_prog, vmg_opt}, {&ecu_prog, ecu_opt}});
+    Context ctx;
+    cspm::Evaluator ev{ctx};
     ev.load_source(sys.cspm);
-    model = ev.process("SYSTEM");
-
-    translate::map_ids_from_dbc(options, db);
-    options.tx_ids = {0x100, 0x103};  // VMG-transmitted ids ride 'send'
+    // Everything that is not network traffic (timer bookkeeping, key
+    // events, install markers, ...) is hidden: the bus only carries frames.
+    oracle = conform::compile_oracle(ctx, "model-system", ev.process("SYSTEM"),
+                                     ctx.events_of({"send", "rec"}),
+                                     /*strict=*/true);
   }
 
   can::DbcDatabase db;
   capl::CaplProgram vmg_prog;
   capl::CaplProgram ecu_prog;
-  Context ctx;
-  cspm::Evaluator ev{ctx};
-  ProcessRef model = nullptr;
-  translate::ConformanceOptions options;
+  conform::FrameCodec codec;
+  conform::TraceOracle oracle;
 };
 
 TEST_F(OtaConformanceTest, SimulatedExecutionConformsToExtractedModel) {
@@ -338,30 +345,39 @@ TEST_F(OtaConformanceTest, SimulatedExecutionConformsToExtractedModel) {
   env.attach(vmg);
   env.attach(ecu);
   env.run(5'000'000);
-  const auto result = translate::check_conformance(
-      ctx, model, env.bus().trace(), options);
-  EXPECT_TRUE(result.conforms) << result.describe(ctx);
-  EXPECT_GE(result.abstract_events.size(), 4u);
+  const std::vector<std::string> observed =
+      codec.abstract_trace(env.bus().trace());
+  const conform::OracleVerdict v = oracle.judge(observed);
+  EXPECT_TRUE(v.accepted) << v.reason << " at event " << v.divergence_index
+                          << " '" << v.event << "'";
+  EXPECT_GE(observed.size(), 4u);
 }
 
 TEST_F(OtaConformanceTest, MutatedExecutionIsRejected) {
   // A log where the ECU "answers" before any request violates the model.
   can::CanFrame rpt;
   rpt.id = 0x101;  // SwReport
-  const auto result = translate::check_conformance(ctx, model, {rpt}, options);
-  ASSERT_FALSE(result.conforms);
-  EXPECT_EQ(result.membership.accepted_prefix, 0u);
+  const conform::OracleVerdict v = oracle.judge(codec.abstract_trace({rpt}));
+  ASSERT_FALSE(v.accepted);
+  EXPECT_EQ(v.divergence_index, 0u);
+  EXPECT_EQ(v.event, "rec.SwReport");
+  EXPECT_EQ(v.reason, "spec offers no such event here");
   // The model's only initial network event is the inventory request.
-  EXPECT_EQ(result.membership.offered.size(), 1u);
-  EXPECT_EQ(ctx.event_name(*result.membership.offered.begin()),
-            "send.SwInventoryReq");
-  EXPECT_NE(result.describe(ctx).find("DEVIATES"), std::string::npos);
+  EXPECT_EQ(v.offered, std::vector<std::string>{"send.SwInventoryReq"});
 }
 
 TEST_F(OtaConformanceTest, UnmappedIdThrows) {
+  // An id the CANdb does not name abstracts to a word outside the model's
+  // alphabet. The strict oracle refuses it at first sight instead of
+  // skipping it, so an unmapped frame can never pass unnoticed.
   can::CanFrame stray;
   stray.id = 0x7FF;
-  EXPECT_THROW(translate::abstract_trace(ctx, {stray}, options), ModelError);
+  const std::vector<std::string> observed = codec.abstract_trace({stray});
+  EXPECT_EQ(observed, std::vector<std::string>{"rec.Unknown2047"});
+  const conform::OracleVerdict v = oracle.judge(observed);
+  ASSERT_FALSE(v.accepted);
+  EXPECT_EQ(v.divergence_index, 0u);
+  EXPECT_EQ(v.reason, "event outside the oracle alphabet");
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include "security/attack_tree.hpp"
 #include "security/intruder.hpp"
-#include "security/intruder_factored.hpp"
 #include "security/mac.hpp"
 #include "security/nspk.hpp"
 #include "security/properties.hpp"
@@ -409,106 +408,6 @@ TEST(SecOc, CounterRangeScalesTheModel) {
 TEST(SecOc, SecOcSystemIsDivergenceFree) {
   auto model = build_secoc_model(2);
   EXPECT_TRUE(check_divergence_free(model->ctx, model->system_secoc).passed);
-}
-
-
-// --- factored (parallel-cell) intruder ----------------------------------------------
-
-class FactoredIntruderTest : public ::testing::TestWithParam<int> {
- protected:
-  /// Builds matching explicit/factored intruders over a parameterised
-  /// universe and returns both.
-  struct Pair {
-    ProcessRef explicit_i;
-    ProcessRef factored_i;
-    FactoredIntruderStats stats;
-  };
-  Pair build(Context& ctx, int which) {
-    TermAlgebra T(ctx);
-    const Value a = T.atom("a");
-    const Value b = T.atom("b");
-    const Value k = T.atom("k");
-    const Value n = T.atom("n");
-    std::vector<Value> agents{a, b};
-    std::vector<Value> universe;
-    std::set<Value> init;
-    switch (which) {
-      case 0:  // pairing only
-        universe = {a, b, n, T.pair(a, n), T.pair(n, b)};
-        init = {a, b};
-        break;
-      case 1:  // symmetric encryption, key known
-        universe = {k, n, T.senc(k, n)};
-        init = {k};
-        break;
-      case 2:  // symmetric encryption, key NOT known
-        universe = {k, n, T.senc(k, n)};
-        init = {};
-        break;
-      default:  // nested: mac + pair + senc
-        universe = {k, n, a, T.pair(n, a), T.senc(k, T.pair(n, a)),
-                    T.mac(k, n)};
-        init = {k, a};
-        break;
-    }
-    // Everything communicable keeps the comparison total.
-    IntruderConfig cfg;
-    cfg.universe = universe;
-    cfg.messages = universe;
-    cfg.initial_knowledge = init;
-    cfg.hear_channel = ctx.channel("fhear", {agents, agents, universe});
-    cfg.say_channel = ctx.channel("fsay", {agents, agents, universe});
-    cfg.agents = agents;
-    cfg.name = "EXPL" + std::to_string(which);
-    Pair out;
-    out.explicit_i = build_intruder(T, cfg);
-    IntruderConfig cfg2 = cfg;
-    cfg2.name = "FACT" + std::to_string(which);
-    out.factored_i = build_factored_intruder(T, cfg2, &out.stats);
-    return out;
-  }
-};
-
-TEST_P(FactoredIntruderTest, TraceEquivalentToExplicitIntruder) {
-  Context ctx;
-  const Pair p = build(ctx, GetParam());
-  EXPECT_TRUE(
-      check_refinement(ctx, p.explicit_i, p.factored_i, Model::Traces).passed)
-      << "factored exceeds explicit (universe " << GetParam() << ")";
-  EXPECT_TRUE(
-      check_refinement(ctx, p.factored_i, p.explicit_i, Model::Traces).passed)
-      << "explicit exceeds factored (universe " << GetParam() << ")";
-}
-
-TEST_P(FactoredIntruderTest, InferenceChainsAreDivergenceFree) {
-  // Hidden infer events must not loop: each rule instance fires at most
-  // once per trace.
-  Context ctx;
-  const Pair p = build(ctx, GetParam());
-  EXPECT_TRUE(check_divergence_free(ctx, p.factored_i).passed);
-}
-
-INSTANTIATE_TEST_SUITE_P(Universes, FactoredIntruderTest,
-                         ::testing::Range(0, 4));
-
-TEST(FactoredIntruder, RuleInstancesMatchTermStructure) {
-  Context ctx;
-  TermAlgebra T(ctx);
-  const Value a = T.atom("a");
-  const Value b = T.atom("b");
-  std::vector<Value> agents{a};
-  std::vector<Value> universe{a, b, T.pair(a, b)};
-  IntruderConfig cfg;
-  cfg.universe = universe;
-  cfg.messages = universe;
-  cfg.hear_channel = ctx.channel("rhear", {agents, agents, universe});
-  cfg.say_channel = ctx.channel("rsay", {agents, agents, universe});
-  cfg.agents = agents;
-  cfg.name = "RULES";
-  FactoredIntruderStats st;
-  build_factored_intruder(T, cfg, &st);
-  EXPECT_EQ(st.fact_cells, 3u);
-  EXPECT_EQ(st.rule_instances, 3u);  // unpair-left, unpair-right, pair
 }
 
 }  // namespace

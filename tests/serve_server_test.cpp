@@ -178,6 +178,19 @@ TEST_F(ServerFixture, MalformedStreamClosesOnlyThatConnection) {
   }
 }
 
+TEST_F(ServerFixture, EmptyChannelTypeIsCheckedNotFatal) {
+  // {|c|} over channel c : {} is the empty set; enumerating it must not
+  // take the daemon down for every other client.
+  Client c = Client::connect_unix(path_);
+  const CheckResponse r = c.check(request(
+      "channel c : {}\nassert STOP [T= STOP [| {|c|} |] STOP\n", 1));
+  EXPECT_EQ(r.status, ServeStatus::Passed);
+
+  Client fresh = Client::connect_unix(path_);
+  EXPECT_TRUE(fresh.ping());
+  EXPECT_NE(fresh.stats().find("\"serve_format\":3"), std::string::npos);
+}
+
 TEST_F(ServerFixture, RequestStopDrainsCleanly) {
   Client c = Client::connect_unix(path_);
   (void)c.check(request(kScript, 1));

@@ -104,32 +104,6 @@ TEST(PrunePredict, AbstainsWhenSpecConstrainsNothing) {
 
 // --- task-level integration --------------------------------------------------
 
-TEST(PruneTask, FactoryModeTaskReportsPrunedOutcome) {
-  CheckTask t;
-  t.name = "pruned refinement";
-  t.prune = true;
-  t.spec = [](Context& ctx) {
-    return security::response_spec(ctx, ctx.event(ctx.channel("req")),
-                                   ctx.event(ctx.channel("resp")));
-  };
-  t.impl = [](Context& ctx) {
-    return silent_loop(ctx, ctx.event(ctx.channel("c")));
-  };
-  CancelToken token;
-  const TaskOutcome out = run_task(t, token);
-  EXPECT_EQ(out.status, TaskStatus::Passed);
-  EXPECT_TRUE(out.pruned);
-  EXPECT_TRUE(out.vacuous);
-  EXPECT_EQ(out.stats.product_states, 0u);
-
-  // The same task unpruned: identical verdict, real exploration.
-  t.prune = false;
-  const TaskOutcome ran = run_task(t, token);
-  EXPECT_EQ(ran.status, TaskStatus::Passed);
-  EXPECT_TRUE(ran.vacuous);
-  EXPECT_FALSE(ran.pruned);
-}
-
 TEST(PruneTask, CspmModeTaskReportsPrunedOutcome) {
   const std::string script =
       "channel req, resp, c\n"

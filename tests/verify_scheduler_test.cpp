@@ -20,33 +20,53 @@
 namespace ecucsp::verify {
 namespace {
 
-/// An effectively infinite-state impl: COUNT(n) = a -> COUNT(n+1). Forces
-/// compile_lts to run until the state budget or a deadline stops it.
-ProcessRef unbounded_counter(Context& ctx) {
-  const EventId a = ctx.event(ctx.channel("a"));
-  ctx.define("COUNT", [a](Context& cx, std::span<const Value> args) {
-    const std::int64_t n = args[0].as_int();
-    return cx.prefix(a, cx.var("COUNT", {Value::integer(n + 1)}));
-  });
-  return ctx.var("COUNT", {Value::integer(0)});
+/// A custom task over an effectively infinite-state impl:
+/// COUNT(n) = a -> COUNT(n+1), checked for deadlock freedom. It forces
+/// compile_lts to run until the state budget or a deadline stops it. A CSPm
+/// counter would end at the evaluator's instantiation limit instead, so the
+/// task builds the counter in its own Context.
+CheckTask unbounded_counter(std::string name,
+                            std::size_t max_states = 1u << 22) {
+  CheckTask t;
+  t.name = std::move(name);
+  t.custom = [max_states](CancelToken& token) {
+    Context ctx;
+    const EventId a = ctx.event(ctx.channel("a"));
+    ctx.define("COUNT", [a](Context& cx, std::span<const Value> args) {
+      const std::int64_t n = args[0].as_int();
+      return cx.prefix(a, cx.var("COUNT", {Value::integer(n + 1)}));
+    });
+    const ProcessRef impl = ctx.var("COUNT", {Value::integer(0)});
+    return render(ctx, check_deadlock_free(ctx, impl, max_states, &token));
+  };
+  return t;
+}
+
+/// `k` interleaved cyclers C_i = p_i -> q_i -> C_i under a deadlock check:
+/// a CSPm script whose system has 3^k states.
+std::string cyclers_script(int k) {
+  std::string channels;
+  std::string procs;
+  std::string sys;
+  for (int i = 0; i < k; ++i) {
+    const std::string n = std::to_string(i);
+    channels += (i ? ", p" : "p") + n + ", q" + n;
+    procs += "C" + n + " = p" + n + " -> q" + n + " -> C" + n + "\n";
+    sys += (i ? " ||| C" : "C") + n;
+  }
+  return "channel " + channels + "\n" + procs + "SYS = " + sys +
+         "\nassert SYS :[deadlock free [F]]\n";
 }
 
 CheckTask simple_refinement(std::string name, bool should_pass) {
   CheckTask t;
   t.name = std::move(name);
-  t.kind = CheckKind::Refinement;
-  t.model = Model::Traces;
-  t.spec = [should_pass](Context& ctx) {
-    const EventId a = ctx.event(ctx.channel("a"));
-    const EventId b = ctx.event(ctx.channel("b"));
-    return should_pass ? ctx.prefix(a, ctx.prefix(b, ctx.stop()))
-                       : ctx.prefix(a, ctx.stop());
-  };
-  t.impl = [](Context& ctx) {
-    const EventId a = ctx.event(ctx.channel("a"));
-    const EventId b = ctx.event(ctx.channel("b"));
-    return ctx.prefix(a, ctx.prefix(b, ctx.stop()));
-  };
+  const char* spec = should_pass ? "SPEC = a -> b -> STOP\n"
+                                 : "SPEC = a -> STOP\n";
+  t.sources = {std::string("channel a, b\n") + spec +
+               "IMPL = a -> b -> STOP\n"
+               "assert SPEC [T= IMPL\n"};
+  t.assertion_index = 0;
   t.expected = should_pass;
   return t;
 }
@@ -63,7 +83,7 @@ std::vector<std::string> fingerprint(const BatchResult& batch) {
 }
 
 TEST(VerifyScheduler, SameVerdictsAndCounterexamplesAtAnyWorkerCount) {
-  // The full OTA matrix plus factory tasks, at 1, 2, 4 and 8 workers.
+  // The full OTA matrix plus CSPm tasks, at 1, 2, 4 and 8 workers.
   std::vector<CheckTask> tasks = ota_requirement_matrix();
   for (CheckTask& t : ota_extended_batch()) tasks.push_back(std::move(t));
   tasks.push_back(simple_refinement("pass", true));
@@ -98,10 +118,7 @@ TEST(VerifyScheduler, TimeoutReturnsTimedOutWithoutStallingThePool) {
   // Task 0 explores an unbounded process under a 50 ms deadline; its
   // neighbours must be untouched and the batch must complete promptly.
   std::vector<CheckTask> tasks;
-  CheckTask diverging;
-  diverging.name = "diverging";
-  diverging.kind = CheckKind::DeadlockFree;
-  diverging.impl = unbounded_counter;
+  CheckTask diverging = unbounded_counter("diverging");
   diverging.timeout = std::chrono::milliseconds(50);
   tasks.push_back(std::move(diverging));
   for (int i = 0; i < 6; ++i) {
@@ -127,10 +144,7 @@ TEST(VerifyScheduler, TimeoutReturnsTimedOutWithoutStallingThePool) {
 }
 
 TEST(VerifyScheduler, DefaultTimeoutAppliesToTasksWithoutTheirOwn) {
-  CheckTask diverging;
-  diverging.name = "diverging";
-  diverging.kind = CheckKind::DivergenceFree;
-  diverging.impl = unbounded_counter;  // no per-task timeout
+  CheckTask diverging = unbounded_counter("diverging");  // no own timeout
   VerifyScheduler sched(
       {.jobs = 2, .default_timeout = std::chrono::milliseconds(50)});
   const BatchResult batch = sched.run({std::move(diverging)});
@@ -138,10 +152,12 @@ TEST(VerifyScheduler, DefaultTimeoutAppliesToTasksWithoutTheirOwn) {
 }
 
 TEST(VerifyScheduler, StateBudgetMapsToStateLimitStatus) {
+  // 3^8 = 6,561 states against a budget of 1,000: the task's max_states
+  // must reach the CSPm evaluator's exploration.
   CheckTask big;
   big.name = "big";
-  big.kind = CheckKind::DeadlockFree;
-  big.impl = unbounded_counter;
+  big.sources = {cyclers_script(8)};
+  big.assertion_index = 0;
   big.max_states = 1000;
   VerifyScheduler sched({.jobs = 1});
   const BatchResult batch = sched.run({std::move(big)});
@@ -152,10 +168,13 @@ TEST(VerifyScheduler, StateBudgetMapsToStateLimitStatus) {
 TEST(VerifyScheduler, ThrowingFactoryMapsToErrorStatus) {
   CheckTask bad;
   bad.name = "bad";
-  bad.kind = CheckKind::Refinement;
-  bad.spec = [](Context& ctx) { return ctx.stop(); };
   // An undefined process variable: resolution throws during compilation.
-  bad.impl = [](Context& ctx) { return ctx.var("NO_SUCH_PROCESS"); };
+  bad.custom = [](CancelToken& token) {
+    Context ctx;
+    return render(ctx, check_refinement(ctx, ctx.stop(),
+                                        ctx.var("NO_SUCH_PROCESS"),
+                                        Model::Traces, 1u << 22, &token));
+  };
   VerifyScheduler sched({.jobs = 2});
   const BatchResult batch = sched.run({std::move(bad)});
   EXPECT_EQ(batch.outcomes[0].status, TaskStatus::Error);
@@ -168,12 +187,8 @@ TEST(VerifyScheduler, CancelAllCancelsQueuedTasks) {
   // the race resolves late, at least never hang the run).
   std::vector<CheckTask> tasks;
   for (int i = 0; i < 4; ++i) {
-    CheckTask t;
-    t.name = "slow " + std::to_string(i);
-    t.kind = CheckKind::DeadlockFree;
-    t.impl = unbounded_counter;
-    t.max_states = 200000;  // a few hundred ms each, bounded either way
-    tasks.push_back(std::move(t));
+    // A few hundred ms each, bounded either way.
+    tasks.push_back(unbounded_counter("slow " + std::to_string(i), 200000));
   }
   VerifyScheduler sched({.jobs = 1});
   std::jthread canceller([&sched] {
@@ -261,11 +276,7 @@ TEST(RunTask, PreArmedCancelledTokenSkipsTheCheck) {
 TEST(RunTask, ExpiredDeadlineFiresBeforeExploration) {
   CancelToken token;
   token.set_deadline(CancelToken::Clock::now() - std::chrono::seconds(1));
-  CheckTask t;
-  t.name = "expired";
-  t.kind = CheckKind::DeadlockFree;
-  t.impl = unbounded_counter;
-  const TaskOutcome out = run_task(t, token);
+  const TaskOutcome out = run_task(unbounded_counter("expired"), token);
   EXPECT_EQ(out.status, TaskStatus::TimedOut);
 }
 
