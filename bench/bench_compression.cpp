@@ -52,18 +52,15 @@ struct Workload {
 /// RUN over the cycler alphabet: one recursive state offering every event.
 ProcessRef run_spec(Context& ctx, ChannelId cyc, std::int64_t cyclers) {
   ctx.define("BENCH_RUN", [cyc, cyclers](Context& cx, std::span<const Value>) {
-    ProcessRef p = cx.stop();
-    bool first = true;
+    std::vector<ProcessRef> arms;
     for (std::int64_t id = 0; id < cyclers; ++id) {
       for (std::int64_t phase = 0; phase < 3; ++phase) {
-        const ProcessRef arm =
-            cx.prefix(cx.event(cyc, {Value::integer(id), Value::integer(phase)}),
-                      cx.var("BENCH_RUN", {}));
-        p = first ? arm : cx.ext_choice(p, arm);
-        first = false;
+        arms.push_back(cx.prefix(
+            cx.event(cyc, {Value::integer(id), Value::integer(phase)}),
+            cx.var("BENCH_RUN", {})));
       }
     }
-    return p;
+    return cx.ext_choice(arms);
   });
   return ctx.var("BENCH_RUN", {});
 }

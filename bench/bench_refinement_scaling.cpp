@@ -10,6 +10,8 @@
 //   * Toggles(n): n interleaved two-state components, 2^n states.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "refine/check.hpp"
 #include "refine/compact.hpp"
 #include "refine/minimize.hpp"
@@ -194,13 +196,12 @@ CompressWorkload hidden_workload(int n) {
 
   // RUN over the flip alphabet: one recursive state offering every flip.
   ctx.define("CRUN", [flip, n](Context& cx, std::span<const Value>) {
-    ProcessRef p = nullptr;
+    std::vector<ProcessRef> arms;
     for (int i = 0; i < n; ++i) {
-      const ProcessRef arm = cx.prefix(cx.event(flip, {Value::integer(i)}),
-                                       cx.var("CRUN", {}));
-      p = p ? cx.ext_choice(p, arm) : arm;
+      arms.push_back(cx.prefix(cx.event(flip, {Value::integer(i)}),
+                               cx.var("CRUN", {})));
     }
-    return p;
+    return cx.ext_choice(arms);
   });
 
   CompressWorkload w;

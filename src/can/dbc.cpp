@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <sstream>
+#include <utility>
 
 namespace ecucsp::can {
 
@@ -234,15 +235,18 @@ DbcDatabase parse_dbc(std::string_view text) {
       const std::int64_t raw_id = s.integer("message id", 0, kMaxRawId);
       const CanId id = static_cast<CanId>(raw_id & MAX_EXTENDED_ID);
       const std::string sig_name = s.word();
+      // Read the pairs whatever they name, so a malformed value is an
+      // error even when no signal matches and the pairs are dropped.
+      std::vector<std::pair<std::int64_t, std::string>> pairs;
+      while (!s.done() && s.peek() != ';') {
+        const std::int64_t v = s.integer("value", INT64_MIN, INT64_MAX);
+        pairs.emplace_back(v, s.quoted());
+      }
       for (DbcMessage& m : db.messages) {
         if (m.id != id) continue;
         for (DbcSignal& sig : m.signals) {
           if (sig.spec.name != sig_name) continue;
-          while (!s.done() && s.peek() != ';') {
-            const std::int64_t v =
-                s.integer("value", INT64_MIN, INT64_MAX);
-            sig.value_table[v] = s.quoted();
-          }
+          for (const auto& [v, text] : pairs) sig.value_table[v] = text;
         }
       }
       continue;

@@ -1,6 +1,7 @@
 #include "core/context.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace ecucsp {
 
@@ -30,17 +31,9 @@ std::size_t node_hash(const Op op, const EventId event,
 bool Context::NodeEq::operator()(const ProcessNode* a,
                                  const ProcessNode* b) const {
   return a->op() == b->op() && a->event() == b->event() &&
-         a->kid_count() == b->kid_count() &&
-         std::equal(a->renaming().begin(), a->renaming().end(),
-                    b->renaming().begin(), b->renaming().end()) &&
-         a->events() == b->events() && a->var_name() == b->var_name() &&
-         a->var_args() == b->var_args() &&
-         [&] {
-           for (std::size_t i = 0; i < a->kid_count(); ++i) {
-             if (a->kid(i) != b->kid(i)) return false;
-           }
-           return true;
-         }();
+         std::ranges::equal(a->kids(), b->kids()) &&
+         a->renaming() == b->renaming() && a->events() == b->events() &&
+         a->var_name() == b->var_name() && a->var_args() == b->var_args();
 }
 
 Context::Context() {
@@ -239,40 +232,38 @@ ProcessRef Context::prefix_seq(std::span<const EventId> events, ProcessRef p) {
   return out;
 }
 
-ProcessRef Context::ext_choice(ProcessRef p, ProcessRef q) {
-  // [] is commutative and idempotent; canonicalise operand order so that
-  // P [] Q and Q [] P intern to the same node.
-  if (p == q) return p;
-  if (q < p) std::swap(p, q);
+ProcessRef Context::choice(Op op, std::span<const ProcessRef> operands) {
   ProcessNode n;
-  n.op_ = Op::ExtChoice;
-  n.kids_ = {p, q};
-  n.hash_ = node_hash(Op::ExtChoice, 0, n.kids_, {}, {}, 0, {});
+  n.op_ = op;
+  for (ProcessRef p : operands) {
+    if (p->op() == op) {
+      n.kids_.insert(n.kids_.end(), p->kids_.begin(), p->kids_.end());
+    } else {
+      n.kids_.push_back(p);
+    }
+  }
+  std::ranges::sort(n.kids_);
+  n.kids_.erase(std::unique(n.kids_.begin(), n.kids_.end()), n.kids_.end());
+  if (n.kids_.size() == 1) return n.kids_[0];
+  n.hash_ = node_hash(op, 0, n.kids_, {}, {}, 0, {});
   return intern(std::move(n));
+}
+
+ProcessRef Context::ext_choice(ProcessRef p, ProcessRef q) {
+  return choice(Op::ExtChoice, std::array{p, q});
 }
 
 ProcessRef Context::ext_choice(std::span<const ProcessRef> ps) {
-  if (ps.empty()) return stop();
-  ProcessRef out = ps[0];
-  for (std::size_t i = 1; i < ps.size(); ++i) out = ext_choice(out, ps[i]);
-  return out;
+  return ps.empty() ? stop() : choice(Op::ExtChoice, ps);
 }
 
 ProcessRef Context::int_choice(ProcessRef p, ProcessRef q) {
-  if (p == q) return p;
-  if (q < p) std::swap(p, q);
-  ProcessNode n;
-  n.op_ = Op::IntChoice;
-  n.kids_ = {p, q};
-  n.hash_ = node_hash(Op::IntChoice, 0, n.kids_, {}, {}, 0, {});
-  return intern(std::move(n));
+  return choice(Op::IntChoice, std::array{p, q});
 }
 
 ProcessRef Context::int_choice(std::span<const ProcessRef> ps) {
   if (ps.empty()) throw ModelError("empty internal choice");
-  ProcessRef out = ps[0];
-  for (std::size_t i = 1; i < ps.size(); ++i) out = int_choice(out, ps[i]);
-  return out;
+  return choice(Op::IntChoice, ps);
 }
 
 ProcessRef Context::seq(ProcessRef p, ProcessRef q) {
@@ -456,28 +447,23 @@ std::vector<Transition> Context::compute_transitions(ProcessRef p) {
 
     case Op::ExtChoice: {
       // tau moves keep the choice pending; visible events and tick resolve it.
-      ProcessRef l = p->kid(0);
-      ProcessRef r = p->kid(1);
-      for (const Transition& t : transitions(l)) {
-        if (t.event == TAU) {
-          out.push_back({TAU, ext_choice(t.target, r)});
-        } else {
-          out.push_back(t);
-        }
-      }
-      for (const Transition& t : transitions(r)) {
-        if (t.event == TAU) {
-          out.push_back({TAU, ext_choice(l, t.target)});
-        } else {
-          out.push_back(t);
+      const std::span<const ProcessRef> kids = p->kids();
+      for (std::size_t i = 0; i < kids.size(); ++i) {
+        for (const Transition& t : transitions(kids[i])) {
+          if (t.event == TAU) {
+            std::vector<ProcessRef> pending(kids.begin(), kids.end());
+            pending[i] = t.target;
+            out.push_back({TAU, ext_choice(pending)});
+          } else {
+            out.push_back(t);
+          }
         }
       }
       break;
     }
 
     case Op::IntChoice:
-      out.push_back({TAU, p->kid(0)});
-      out.push_back({TAU, p->kid(1)});
+      for (ProcessRef k : p->kids()) out.push_back({TAU, k});
       break;
 
     case Op::Seq: {

@@ -142,6 +142,9 @@ class Context {
 
  private:
   ProcessRef intern(ProcessNode&& node);
+  /// `op` over `operands` in ACI normal form: nested `op` nodes spliced in,
+  /// sorted by arena pointer, deduplicated; one distinct operand is itself.
+  ProcessRef choice(Op op, std::span<const ProcessRef> operands);
   std::vector<Transition> compute_transitions(ProcessRef p);
 
   SymbolTable symbols_;

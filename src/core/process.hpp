@@ -30,8 +30,9 @@ enum class Op : std::uint8_t {
   Skip,       // immediate successful termination
   Omega,      // terminated component (target of tick); no transitions
   Prefix,     // event -> kid0
-  ExtChoice,  // kid0 [] kid1
-  IntChoice,  // kid0 |~| kid1
+  ExtChoice,  // kid0 [] ... [] kidN-1: n >= 2 distinct operands, none a [],
+              // in ACI normal form, as FDR keeps a choice (Context::choice)
+  IntChoice,  // kid0 |~| ... |~| kidN-1: likewise, none a |~|
   Seq,        // kid0 ; kid1
   Par,        // kid0 [| events |] kid1   (interleaving == empty sync set)
   Hide,       // kid0 \ events
@@ -54,6 +55,7 @@ class ProcessNode {
   EventId event() const { return event_; }
   ProcessRef kid(std::size_t i) const { return kids_.at(i); }
   std::size_t kid_count() const { return kids_.size(); }
+  std::span<const ProcessRef> kids() const { return kids_; }
   const EventSet& events() const { return events_; }
   const std::vector<RenamePair>& renaming() const { return renaming_; }
   Symbol var_name() const { return var_name_; }

@@ -790,11 +790,25 @@ CVal Evaluator::eval(const Expr& e, const Env& env) {
                                   : ctx_.stop());
 
     case ExprKind::ExtChoice:
-      return CVal::of_process(ctx_.ext_choice(eval_process(*e.kids[0], env),
-                                              eval_process(*e.kids[1], env)));
-    case ExprKind::IntChoice:
-      return CVal::of_process(ctx_.int_choice(eval_process(*e.kids[0], env),
-                                              eval_process(*e.kids[1], env)));
+    case ExprKind::IntChoice: {
+      // One call for the whole written chain P1 [] ... [] Pn, however
+      // nested: no frame per operator. Operands run last to first, and that
+      // order is output: event ids are numbered on first use, and the
+      // canonical counterexample is the smallest by event id.
+      std::vector<ProcessRef> operands;
+      for (std::vector<const Expr*> todo{&e}; !todo.empty();) {
+        const Expr* x = todo.back();
+        todo.pop_back();
+        if (x->kind == e.kind) {
+          todo.insert(todo.end(), {x->kids[0].get(), x->kids[1].get()});
+        } else {
+          operands.push_back(eval_process(*x, env));
+        }
+      }
+      return CVal::of_process(e.kind == ExprKind::ExtChoice
+                                  ? ctx_.ext_choice(operands)
+                                  : ctx_.int_choice(operands));
+    }
     case ExprKind::Seq:
       return CVal::of_process(ctx_.seq(eval_process(*e.kids[0], env),
                                        eval_process(*e.kids[1], env)));

@@ -21,9 +21,7 @@ EventSet reachable_events_over(Context& ctx, ProcessRef p) {
     if (q->op() == Op::Var) {
       kids.push_back(ctx.resolve(q->var_name(), q->var_args()));
     } else {
-      for (std::size_t k = 0; k < q->kid_count(); ++k) {
-        kids.push_back(q->kid(k));
-      }
+      kids.assign(q->kids().begin(), q->kids().end());
     }
     std::vector<std::size_t> ki;
     ki.reserve(kids.size());

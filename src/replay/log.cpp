@@ -188,7 +188,6 @@ void scan_candump(std::string_view text, std::uint32_t file, ParsedLog& out,
   // Cut into byte ranges at newline boundaries. The split is purely a
   // parallelism decision: per-line parsing is split-invariant, so any
   // chunking yields identical output once the chunks are absorbed in order.
-  constexpr std::size_t kMinChunkBytes = 1u << 20;
   const unsigned workers = sched != nullptr ? sched->jobs() : 1;
   const std::size_t chunks =
       std::min<std::size_t>(workers * 4, text.size() / kMinChunkBytes + 1);
@@ -256,10 +255,13 @@ void finalize_merge(ParsedLog& log) {
     prev_ts = std::max(prev_ts, r.frame.timestamp_us);
   }
 
-  std::stable_sort(log.records.begin(), log.records.end(),
-                   [](const LogRecord& a, const LogRecord& b) {
-                     return a.frame.timestamp_us < b.frame.timestamp_us;
-                   });
+  // A one-file log is usually in order already; skip the sort then.
+  const auto earlier = [](const LogRecord& a, const LogRecord& b) {
+    return a.frame.timestamp_us < b.frame.timestamp_us;
+  };
+  if (!std::is_sorted(log.records.begin(), log.records.end(), earlier)) {
+    std::stable_sort(log.records.begin(), log.records.end(), earlier);
+  }
 }
 
 }  // namespace ecucsp::replay

@@ -89,6 +89,10 @@ class MappedFile {
   std::string fallback_;
 };
 
+/// The smallest byte range scan_candump hands to one worker: a log under
+/// twice this size is scanned as one chunk whatever the worker count.
+inline constexpr std::size_t kMinChunkBytes = 1u << 20;
+
 /// Scan one candump log held in memory as file index `file`, appending its
 /// records (channel indices interned into `out.channels`), diagnostics and
 /// line count to `out`. Blank lines and '#' comment lines are skipped
@@ -100,7 +104,8 @@ void scan_candump(std::string_view text, std::uint32_t file, ParsedLog& out,
 
 /// Finish ingestion after every file has been scanned: emit a Warning
 /// diagnostic for each timestamp regression within a file, then stable-sort
-/// the merged records by timestamp (ties keep file-then-line order).
+/// the merged records by timestamp (ties keep file-then-line order) unless
+/// they are in timestamp order already.
 void finalize_merge(ParsedLog& log);
 
 }  // namespace ecucsp::replay

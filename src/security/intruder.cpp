@@ -32,16 +32,22 @@ ProcessRef build_intruder(const TermAlgebra& terms, const IntruderConfig& cfg) {
 
     std::vector<ProcessRef> branches;
 
-    // Overhear any transmission: learn the payload.
+    // Overhear any transmission: learn the payload. The grown knowledge
+    // depends only on the message, so close it once per message.
+    std::vector<Value> heard;
+    heard.reserve(config.messages.size());
+    for (const Value& m : config.messages) {
+      std::set<Value> grown = knowledge;
+      grown.insert(m);
+      heard.push_back(
+          encode_knowledge(algebra.close(std::move(grown), config.universe)));
+    }
     for (const Value& from : config.agents) {
       for (const Value& to : config.agents) {
-        for (const Value& m : config.messages) {
-          const EventId hear = cx.event(config.hear_channel, {from, to, m});
-          std::set<Value> grown = knowledge;
-          grown.insert(m);
-          const Value next =
-              encode_knowledge(algebra.close(std::move(grown), config.universe));
-          branches.push_back(cx.prefix(hear, cx.var(name, {next})));
+        for (std::size_t i = 0; i < config.messages.size(); ++i) {
+          const EventId hear =
+              cx.event(config.hear_channel, {from, to, config.messages[i]});
+          branches.push_back(cx.prefix(hear, cx.var(name, {heard[i]})));
         }
       }
     }

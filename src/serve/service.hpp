@@ -132,7 +132,6 @@ class VerifyService {
   void finish_flight(const std::shared_ptr<SingleFlight::Flight>& flight,
                      CheckResponse response);
   std::uint32_t retry_after_ms() const;
-  void record_done(const CheckResponse& r, Clock::time_point enqueued);
 
   ServiceOptions options_;
   std::size_t capacity_ = 0;  // jobs + max_queue

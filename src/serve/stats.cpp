@@ -28,12 +28,13 @@ double LatencyHistogram::quantile_ms(double q) const {
   for (std::size_t i = 0; i < kBuckets; ++i) {
     seen += buckets_[i].load(std::memory_order_relaxed);
     if (seen >= rank) {
-      // Geometric midpoint of [2^i, 2^(i+1)) ns.
+      // Geometric midpoint of [2^i, 2^(i+1)) ns, but never above the
+      // largest sample: the midpoint of the top bucket may exceed it.
       const double lo = static_cast<double>(1ull << i);
-      return lo * 1.4142135623730951 / 1e6;
+      return std::min(lo * 1.4142135623730951 / 1e6, max_ms());
     }
   }
-  return static_cast<double>(max_ns_.load(std::memory_order_relaxed)) / 1e6;
+  return max_ms();
 }
 
 double LatencyHistogram::max_ms() const {

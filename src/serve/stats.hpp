@@ -5,8 +5,9 @@
 // snapshots may disagree by in-flight increments but never tear. Latency
 // is tracked in a fixed log2-bucketed histogram (one bucket per power of
 // two nanoseconds): p50/p90/p99 are read as the geometric midpoint of the
-// bucket holding that quantile, which is exact to within a factor of √2 —
-// plenty for a load-shedding signal and entirely lock-free.
+// bucket holding that quantile, capped at the largest sample, which is
+// exact to within a factor of √2 — plenty for a load-shedding signal and
+// entirely lock-free.
 #pragma once
 
 #include <atomic>

@@ -126,42 +126,33 @@ int TermDigester::feed_term(Hasher& h, ProcessRef p) {
     case Op::Stop:
     case Op::Skip:
     case Op::Omega:
-      break;
-    case Op::Prefix:
-      self.digest(event(p->event()));
-      min_ref = std::min(min_ref, feed_term(self, p->kid(0)));
-      break;
-    case Op::ExtChoice:
-    case Op::IntChoice: {
-      // Choice is commutative, and the Context constructors canonicalise
-      // operand order by arena pointer — an allocation-order accident that
-      // must not reach the digest. Sub-digest each operand and feed the
-      // pair in digest order, so P [] Q and Q [] P hash identically no
-      // matter which layout the arena picked.
-      Hasher left, right;
-      min_ref = std::min(min_ref, feed_term(left, p->kid(0)));
-      min_ref = std::min(min_ref, feed_term(right, p->kid(1)));
-      Digest a = left.finish();
-      Digest b = right.finish();
-      if (b < a) std::swap(a, b);
-      self.digest(a);
-      self.digest(b);
-      break;
-    }
     case Op::Seq:
     case Op::Interrupt:
     case Op::Sliding:
-      min_ref = std::min(min_ref, feed_term(self, p->kid(0)));
-      min_ref = std::min(min_ref, feed_term(self, p->kid(1)));
       break;
+    case Op::Prefix:
+      self.digest(event(p->event()));
+      break;
+    case Op::ExtChoice:
+    case Op::IntChoice: {
+      // A choice's operands are in arena-pointer order — an allocation
+      // accident that must not reach the digest. Feed the operand digests
+      // in digest order and without a count, which keeps two-operand store
+      // keys stable: every order and association hashes alike.
+      std::vector<Digest> ds;
+      ds.reserve(p->kid_count());
+      for (ProcessRef k : p->kids()) {
+        Hasher sub;
+        min_ref = std::min(min_ref, feed_term(sub, k));
+        ds.push_back(sub.finish());
+      }
+      std::sort(ds.begin(), ds.end());
+      for (const Digest& d : ds) self.digest(d);
+      break;
+    }
     case Op::Par:
-      feed_event_set(self, p->events());
-      min_ref = std::min(min_ref, feed_term(self, p->kid(0)));
-      min_ref = std::min(min_ref, feed_term(self, p->kid(1)));
-      break;
     case Op::Hide:
       feed_event_set(self, p->events());
-      min_ref = std::min(min_ref, feed_term(self, p->kid(0)));
       break;
     case Op::Rename:
       self.u8(kRename).u64(p->renaming().size());
@@ -169,7 +160,6 @@ int TermDigester::feed_term(Hasher& h, ProcessRef p) {
         self.digest(event(r.from));
         self.digest(event(r.to));
       }
-      min_ref = std::min(min_ref, feed_term(self, p->kid(0)));
       break;
     case Op::Var: {
       self.str(ctx_.symbols().name(p->var_name()));
@@ -191,6 +181,12 @@ int TermDigester::feed_term(Hasher& h, ProcessRef p) {
       // to binders opened *above* keep the node open.
       min_ref = body_ref < depth ? body_ref : kClosed;
       break;
+    }
+  }
+  // Every other operator feeds its operands in order, after its fields.
+  if (p->op() != Op::ExtChoice && p->op() != Op::IntChoice) {
+    for (ProcessRef k : p->kids()) {
+      min_ref = std::min(min_ref, feed_term(self, k));
     }
   }
 

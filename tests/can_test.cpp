@@ -294,6 +294,20 @@ TEST(Dbc, IntegersMustBeWholeDecimalTokens) {
       "1.2.3 is not a number"));
 }
 
+TEST(Dbc, ValueTablesAreReadWhateverTheyName) {
+  // The pairs are checked before the lookup: a malformed value is an error
+  // even when no message or signal matches the VAL_ line.
+  const std::string dbc =
+      "BO_ 260 M: 8 VMG\n SG_ S : 0|8@1+ (1,0) [0|255] \"\" VMG\n";
+  EXPECT_TRUE(rejects_at(dbc + "VAL_ 999 S 1e999 \"x\" ;\n", 3,
+                         "value 1e999 is not an integer"));
+  EXPECT_TRUE(rejects_at(dbc + "VAL_ 260 T 2.5 \"y\" ;\n", 3,
+                         "value 2.5 is not an integer"));
+  // A well-formed table for an unknown message is still dropped quietly.
+  const DbcDatabase db = parse_dbc(dbc + "VAL_ 999 S 1 \"on\" 0 \"off\" ;\n");
+  EXPECT_TRUE(db.find_message("M")->find_signal("S")->value_table.empty());
+}
+
 TEST(Dbc, NumbersAtTheirBoundsParse) {
   const DbcDatabase db = parse_dbc(
       "BO_ 4294967295 M: 0 VMG\n"

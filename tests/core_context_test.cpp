@@ -161,6 +161,69 @@ TEST_F(ContextTest, InternalChoiceHasTwoTaus) {
   EXPECT_EQ(ts[1].event, TAU);
 }
 
+TEST_F(ContextTest, ChoiceIsOneFlatNodeInAciNormalForm) {
+  // Every association and order of the same operands interns one node that
+  // holds all of them; a repeated operand is dropped.
+  const ProcessRef p = ctx.prefix(ctx.event(ctx.channel("a")), ctx.stop());
+  const ProcessRef q = ctx.prefix(ctx.event(ctx.channel("b")), ctx.stop());
+  const ProcessRef r = ctx.prefix(ctx.event(ctx.channel("c")), ctx.stop());
+  using Ctor = ProcessRef (Context::*)(ProcessRef, ProcessRef);
+  for (const Ctor choice : {static_cast<Ctor>(&Context::ext_choice),
+                            static_cast<Ctor>(&Context::int_choice)}) {
+    const auto c = [&](ProcessRef x, ProcessRef y) {
+      return (ctx.*choice)(x, y);
+    };
+    const ProcessRef left = c(c(p, q), r);
+    EXPECT_EQ(left->kid_count(), 3u);
+    EXPECT_EQ(c(p, c(q, r)), left);
+    EXPECT_EQ(c(r, c(q, p)), left);
+    EXPECT_EQ(c(p, c(q, p)), c(p, q));
+    EXPECT_EQ(c(p, q)->kid_count(), 2u);
+  }
+  const std::vector<ProcessRef> ops{r, p, q, p};
+  EXPECT_EQ(ctx.ext_choice(ops), ctx.ext_choice(ctx.ext_choice(p, q), r));
+  EXPECT_EQ(ctx.int_choice(ops), ctx.int_choice(ctx.int_choice(p, q), r));
+  EXPECT_EQ(ctx.ext_choice(std::span(ops).first(1)), r);
+}
+
+TEST_F(ContextTest, ChoiceOverKDistinctOperandsIsOneNodeOfKKids) {
+  const ChannelId c = ctx.channel("c", {{Value::integer(0), Value::integer(1),
+                                         Value::integer(2), Value::integer(3),
+                                         Value::integer(4)}});
+  std::vector<ProcessRef> arms;
+  for (std::int64_t i = 0; i < 5; ++i) {
+    arms.push_back(ctx.prefix(ctx.event(c, {Value::integer(i)}), ctx.stop()));
+  }
+  const ProcessRef p = ctx.ext_choice(arms);
+  EXPECT_EQ(p->op(), Op::ExtChoice);
+  EXPECT_EQ(p->kid_count(), 5u);
+  EXPECT_EQ(ctx.transitions(p).size(), 5u);
+  // STOP is an operand like any other: no law beyond ACI drops it.
+  arms.push_back(ctx.stop());
+  EXPECT_EQ(ctx.ext_choice(arms)->kid_count(), 6u);
+}
+
+TEST_F(ContextTest, TauInsideOneOperandYieldsAFlatChoice) {
+  // (a->STOP [] b->STOP |~| d->STOP) [] c->STOP: the tau to a->STOP []
+  // b->STOP leaves one three-operand choice, not a nested one.
+  const ProcessRef pa = ctx.prefix(ctx.event(ctx.channel("a")), ctx.stop());
+  const ProcessRef pb = ctx.prefix(ctx.event(ctx.channel("b")), ctx.stop());
+  const ProcessRef pc = ctx.prefix(ctx.event(ctx.channel("c")), ctx.stop());
+  const ProcessRef pd = ctx.prefix(ctx.event(ctx.channel("d")), ctx.stop());
+  const ProcessRef p =
+      ctx.ext_choice(ctx.int_choice(ctx.ext_choice(pa, pb), pd), pc);
+  const std::vector<ProcessRef> flat{pa, pb, pc};
+  std::vector<ProcessRef> tau_targets;
+  for (const Transition& t : ctx.transitions(p)) {
+    if (t.event == TAU) tau_targets.push_back(t.target);
+  }
+  ASSERT_EQ(tau_targets.size(), 2u);
+  EXPECT_NE(std::find(tau_targets.begin(), tau_targets.end(),
+                      ctx.ext_choice(flat)),
+            tau_targets.end());
+  EXPECT_EQ(ctx.ext_choice(flat)->kid_count(), 3u);
+}
+
 TEST_F(ContextTest, SequentialCompositionHandsOverOnTick) {
   const EventId a = ctx.event(ctx.channel("a"));
   const EventId b = ctx.event(ctx.channel("b"));

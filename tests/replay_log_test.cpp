@@ -171,9 +171,9 @@ TEST(ScanCandump, RecordsDiagnosticsWithLineAndOffset) {
 }
 
 TEST(ScanCandump, ParallelScanMatchesSequential) {
-  // Big enough to split into several chunks at any worker count.
+  // Big enough that 4 workers split it into several chunks.
   std::string text;
-  for (int i = 0; i < 5000; ++i) {
+  for (int i = 0; i < 170000; ++i) {
     text += '(';
     text += std::to_string(100 + i / 1000);
     text += '.';
@@ -181,6 +181,7 @@ TEST(ScanCandump, ParallelScanMatchesSequential) {
     text += ") can0 100#00\n";
     if (i % 37 == 0) text += "not a frame\n";
   }
+  ASSERT_GE(text.size(), 4 * kMinChunkBytes);
   ParsedLog seq;
   scan_candump(text, 0, seq);
 

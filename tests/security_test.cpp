@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "security/attack_tree.hpp"
 #include "security/intruder.hpp"
 #include "security/mac.hpp"
@@ -350,6 +353,43 @@ TEST(Nspk, LoweAttackWitnessShowsManInTheMiddle) {
   // The attack starts with A innocently contacting the intruder.
   ASSERT_FALSE(r.counterexample->trace.empty());
   EXPECT_EQ(sys->ctx.event_name(r.counterexample->trace[0]), "running.a.i");
+}
+
+TEST(Nspk, WitnessCounterexampleAndStatsArePinned) {
+  // Lowe's man-in-the-middle, event by event: the canonical counterexample
+  // (shortest, then smallest by event id) and the size of every machine.
+  auto sys = build_nspk(false);
+  const CheckResult r = check_precedence_witness(
+      sys->ctx, sys->system, sys->running_ab, sys->commit_ba);
+  ASSERT_FALSE(r.passed);
+  EXPECT_EQ(r.counterexample->trace_names(sys->ctx),
+            (std::vector<std::string>{
+                "running.a.i",
+                "snd.a.i.<aenc, <pk, i>, <pair, na, a>>",
+                "rcv.a.b.<aenc, <pk, b>, <pair, na, a>>",
+                "snd.b.a.<aenc, <pk, a>, <pair, na, nb>>",
+                "rcv.i.a.<aenc, <pk, a>, <pair, na, nb>>",
+                "snd.a.i.<aenc, <pk, i>, nb>",
+                "rcv.a.b.<aenc, <pk, b>, nb>",
+                "commit.b.a",
+            }));
+  EXPECT_EQ(r.stats.impl_states, 137u);
+  EXPECT_EQ(r.stats.impl_transitions, 261u);
+  EXPECT_EQ(r.stats.spec_states, 2u);
+  EXPECT_EQ(r.stats.spec_norm_nodes, 2u);
+  EXPECT_EQ(r.stats.product_states, 121u);
+}
+
+TEST(Nspk, LoweFixWitnessStatsArePinned) {
+  auto sys = build_nspk(true);
+  const CheckResult r = check_precedence_witness(
+      sys->ctx, sys->system, sys->running_ab, sys->commit_ba);
+  EXPECT_TRUE(r.passed);
+  EXPECT_EQ(r.stats.impl_states, 132u);
+  EXPECT_EQ(r.stats.impl_transitions, 253u);
+  EXPECT_EQ(r.stats.spec_states, 2u);
+  EXPECT_EQ(r.stats.spec_norm_nodes, 2u);
+  EXPECT_EQ(r.stats.product_states, 132u);
 }
 
 TEST(Nspk, LoweFixRestoresAuthentication) {

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "serve/service.hpp"
+#include "serve/stats.hpp"
 
 using namespace ecucsp;
 using namespace ecucsp::serve;
@@ -309,6 +310,17 @@ TEST(ServeCoalesceTest, BadRequestAndOverloadAreRejections) {
   waiter.wait(1);
   EXPECT_TRUE(waiter.got[0].coalesced);
   EXPECT_EQ(waiter.got[0].status, ServeStatus::Failed);
+}
+
+TEST(ServeStatsTest, QuantilesNeverExceedTheRecordedMaximum) {
+  // 168.526 ms falls in the bucket [2^27, 2^28) ns, whose geometric
+  // midpoint (189.8 ms) lies above the one sample.
+  LatencyHistogram h;
+  h.record(168'526'000);
+  for (const double q : {0.50, 0.90, 0.99, 1.0}) {
+    EXPECT_LE(h.quantile_ms(q), h.max_ms()) << q;
+  }
+  EXPECT_DOUBLE_EQ(h.max_ms(), 168.526);
 }
 
 }  // namespace

@@ -140,6 +140,42 @@ TEST(TermDigest, ChoiceIsOperandOrderIndependent) {
             digest_term(rev, rev.ext_choice(p2, q2)));
 }
 
+TEST(TermDigest, ChoiceIsAssociationIndependent) {
+  // A choice is one flat node, so every association and order of the same
+  // operands has one digest, also across Contexts that interned them in
+  // the opposite order.
+  Context ctx;
+  const ProcessRef p = ctx.prefix(ctx.event(ctx.channel("a")), ctx.stop());
+  const ProcessRef q = ctx.prefix(ctx.event(ctx.channel("b")), ctx.stop());
+  const ProcessRef r = ctx.prefix(ctx.event(ctx.channel("c")), ctx.stop());
+  TermDigester d(ctx);
+  const Digest ext = d.term(ctx.ext_choice(ctx.ext_choice(p, q), r));
+  EXPECT_EQ(d.term(ctx.ext_choice(p, ctx.ext_choice(q, r))), ext);
+  EXPECT_EQ(d.term(ctx.ext_choice(r, ctx.ext_choice(q, p))), ext);
+  const Digest in = d.term(ctx.int_choice(ctx.int_choice(p, q), r));
+  EXPECT_EQ(d.term(ctx.int_choice(p, ctx.int_choice(q, r))), in);
+  EXPECT_EQ(d.term(ctx.int_choice(r, ctx.int_choice(q, p))), in);
+  EXPECT_NE(ext, in);
+
+  Context rev;
+  const ProcessRef r2 = rev.prefix(rev.event(rev.channel("c")), rev.stop());
+  const ProcessRef q2 = rev.prefix(rev.event(rev.channel("b")), rev.stop());
+  const ProcessRef p2 = rev.prefix(rev.event(rev.channel("a")), rev.stop());
+  EXPECT_EQ(digest_term(rev, rev.ext_choice(r2, rev.ext_choice(q2, p2))), ext);
+}
+
+TEST(TermDigest, TwoOperandChoiceBytesArePinned) {
+  // Store keys: a two-operand choice digests exactly as the binary choice
+  // node did, so stores written before the n-ary node still hit on it.
+  Context ctx;
+  const ProcessRef p = ctx.prefix(ctx.event(ctx.channel("a")), ctx.stop());
+  const ProcessRef q = ctx.prefix(ctx.event(ctx.channel("b")), ctx.skip());
+  EXPECT_EQ(digest_term(ctx, ctx.ext_choice(p, q)).hex(),
+            "e09f5d78ebed2715625c41ddad96924a");
+  EXPECT_EQ(digest_term(ctx, ctx.int_choice(p, q)).hex(),
+            "92696421e998b74ebd492cc8c12a7ea2");
+}
+
 TEST(TermDigest, NonCommutativeOperatorsKeepOperandOrder) {
   Context ctx;
   const EventId a = ctx.event(ctx.channel("a"));
