@@ -1,6 +1,6 @@
 #include "can/candump.hpp"
 
-#include <cctype>
+#include <array>
 #include <cstdio>
 #include <limits>
 
@@ -8,158 +8,149 @@ namespace ecucsp::can {
 
 namespace {
 
-bool fail(std::string* error, const char* what) {
-  if (error != nullptr) *error = what;
-  return false;
-}
+bool blank(char c) { return c == ' ' || c == '\t'; }
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() &&
-         (s.back() == ' ' || s.back() == '\t' || s.back() == '\r')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
+bool digit(char c) { return c >= '0' && c <= '9'; }
 
-int hex_digit(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
+constexpr auto kHexValue = [] {
+  std::array<std::int8_t, 256> t{};
+  t.fill(-1);
+  for (int c = 0; c < 10; ++c) t['0' + c] = static_cast<std::int8_t>(c);
+  for (int c = 0; c < 6; ++c) {
+    t['a' + c] = t['A' + c] = static_cast<std::int8_t>(10 + c);
+  }
+  return t;
+}();
 
-bool parse_hex(std::string_view s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  out = 0;
-  for (char c : s) {
-    const int d = hex_digit(c);
-    if (d < 0) return false;
-    out = (out << 4) | static_cast<std::uint64_t>(d);
-  }
-  return true;
-}
+/// 0..15, or -1 for a character that is not a hex digit.
+int hex_digit(char c) { return kHexValue[static_cast<unsigned char>(c)]; }
 
-/// "(1736455225.123456)" -> microseconds. The fraction is optional and may
-/// carry fewer than six digits (older loggers write milliseconds).
-bool parse_timestamp(std::string_view s, std::uint64_t& out,
-                     std::string* error) {
-  if (s.size() < 2 || s.front() != '(' || s.back() != ')') {
-    return fail(error, "malformed timestamp (expected '(seconds.frac)')");
-  }
-  s = s.substr(1, s.size() - 2);
-  std::uint64_t secs = 0;
-  std::size_t i = 0;
-  if (i >= s.size() || !std::isdigit(static_cast<unsigned char>(s[i]))) {
-    return fail(error, "malformed timestamp (no digits)");
-  }
-  // The microsecond count must fit in 64 bits; checking each digit keeps
-  // `secs` itself from wrapping.
-  constexpr std::uint64_t kMaxUs = std::numeric_limits<std::uint64_t>::max();
-  for (; i < s.size() && std::isdigit(static_cast<unsigned char>(s[i])); ++i) {
-    secs = secs * 10 + static_cast<std::uint64_t>(s[i] - '0');
-    if (secs > kMaxUs / 1'000'000) return fail(error, "timestamp out of range");
-  }
-  std::uint64_t micros = 0;
-  if (i < s.size()) {
-    if (s[i] != '.') return fail(error, "malformed timestamp fraction");
-    ++i;
-    std::size_t digits = 0;
-    for (; i < s.size(); ++i, ++digits) {
-      if (!std::isdigit(static_cast<unsigned char>(s[i])) || digits >= 6) {
-        return fail(error, "malformed timestamp fraction");
-      }
-      micros = micros * 10 + static_cast<std::uint64_t>(s[i] - '0');
-    }
-    for (; digits < 6; ++digits) micros *= 10;
-  }
-  if (micros > kMaxUs - secs * 1'000'000) {
-    return fail(error, "timestamp out of range");
-  }
-  out = secs * 1'000'000 + micros;
-  return true;
-}
+constexpr std::uint64_t kMaxUs = std::numeric_limits<std::uint64_t>::max();
 
 }  // namespace
 
+const char* parse_candump_line(std::string_view line, CanFrame& frame,
+                               std::string_view& channel) {
+  constexpr const char* kTruncated =
+      "truncated record (expected '(timestamp) iface id#data')";
+  const char* p = line.data();
+  const char* end = p + line.size();
+  while (end != p && (blank(end[-1]) || end[-1] == '\r')) --end;
+  while (p != end && blank(*p)) ++p;
+  if (p == end) return kTruncated;
+
+  // Timestamp "(secs[.frac])": at most six fraction digits, and the
+  // microsecond count must fit in 64 bits. The closing ')' is the one that
+  // ends the token, so an error found inside the token yields to the
+  // bracket error once the token's end is known.
+  const char* ts_err = nullptr;
+  std::uint64_t secs = 0;
+  std::uint64_t micros = 0;
+  int frac = 0;
+  const char* const ts = p++;
+  const char* const inner = p;
+  for (; p != end && digit(*p); ++p) {
+    secs = secs * 10 + static_cast<std::uint64_t>(*p - '0');
+    if (secs > kMaxUs / 1'000'000) {
+      ts_err = "timestamp out of range";
+      break;
+    }
+  }
+  if (ts_err == nullptr && p != inner && p != end && *p == '.') {
+    for (++p; frac < 6 && p != end && digit(*p); ++p, ++frac) {
+      micros = micros * 10 + static_cast<std::uint64_t>(*p - '0');
+    }
+  }
+  if (ts_err == nullptr && *ts == '(' && p != end && *p == ')' &&
+      (p + 1 == end || blank(p[1]))) {
+    ++p;
+    for (; frac < 6; ++frac) micros *= 10;
+    if (p == inner + 1) {
+      ts_err = "malformed timestamp (no digits)";
+    } else if (micros > kMaxUs - secs * 1'000'000) {
+      ts_err = "timestamp out of range";
+    }
+  } else {
+    if (ts_err == nullptr) {
+      ts_err = p == inner ? "malformed timestamp (no digits)"
+                          : "malformed timestamp fraction";
+    }
+    while (p != end && !blank(*p)) ++p;
+    if (*ts != '(' || p[-1] != ')') {
+      ts_err = "malformed timestamp (expected '(seconds.frac)')";
+    }
+  }
+
+  while (p != end && blank(*p)) ++p;
+  if (p == end) return kTruncated;
+  const char* const name = p;
+  while (p != end && !blank(*p)) ++p;
+  channel = std::string_view(name, static_cast<std::size_t>(p - name));
+  while (p != end && blank(*p)) ++p;
+  if (p == end) return kTruncated;
+
+  // Frame "id#data": 1..8 hex id digits, then an even number of at most 16
+  // payload hex digits, decoded in place. The checks rank as written below,
+  // not by where in the token a fault sits.
+  frame.data = {};
+  std::uint32_t id = 0;
+  int hex = 0;  // negative once a character is not a hex digit
+  const char* const id_begin = p;
+  for (; p != end && !blank(*p) && *p != '#'; ++p) {
+    const int d = hex_digit(*p);
+    hex |= d;
+    id = (id << 4) | static_cast<std::uint32_t>(d & 0xF);
+  }
+  const auto id_len = static_cast<std::size_t>(p - id_begin);
+  const bool id_hex = hex >= 0;
+  const bool has_hash = p != end && *p == '#';
+  if (has_hash) ++p;
+  const char* const data = p;
+  hex = 0;
+  for (; p != end && !blank(*p); ++p) {
+    const auto i = static_cast<std::size_t>(p - data);
+    const int d = hex_digit(*p);
+    hex |= d;
+    if (i < 16) {
+      frame.data[i / 2] |= static_cast<std::uint8_t>((d & 0xF)
+                                                     << (i % 2 ? 0 : 4));
+    }
+  }
+  const auto n = static_cast<std::size_t>(p - data);
+  while (p != end && blank(*p)) ++p;
+  if (p != end) return "unexpected trailing content after the frame token";
+  if (ts_err != nullptr) return ts_err;
+  if (!has_hash) return "malformed frame token (no '#' separator)";
+  if (id_len == 0 || id_len > 8 || !id_hex) {
+    return "malformed CAN id (expected 1..8 hex digits)";
+  }
+  if (id > MAX_EXTENDED_ID) return "CAN id exceeds the 29-bit extended range";
+  if (n > 0 && *data == '#') {
+    return "CAN FD record ('##') is not representable as classic CAN";
+  }
+  if (n > 0 && (*data == 'R' || *data == 'r')) {
+    return "remote frame record ('#R') is not supported";
+  }
+  if (n % 2 != 0) return "odd number of payload hex digits";
+  if (n > 16) return "payload exceeds 8 bytes (classic CAN)";
+  if (hex < 0) return "malformed payload hex";
+  frame.id = id;
+  frame.extended = id > MAX_STANDARD_ID || id_len == 8;
+  frame.dlc = static_cast<std::uint8_t>(n / 2);
+  frame.timestamp_us = secs * 1'000'000 + micros;
+  return nullptr;
+}
+
 std::optional<CandumpRecord> parse_candump_line(std::string_view line,
                                                 std::string* error) {
-  const std::string_view text = trim(line);
-
-  // Split into exactly three whitespace-separated tokens:
-  // (timestamp) interface id#data.
-  std::string_view tok[3];
-  std::size_t pos = 0;
-  for (int t = 0; t < 3; ++t) {
-    while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t')) ++pos;
-    const std::size_t start = pos;
-    while (pos < text.size() && text[pos] != ' ' && text[pos] != '\t') ++pos;
-    tok[t] = text.substr(start, pos - start);
-    if (tok[t].empty()) {
-      fail(error, "truncated record (expected '(timestamp) iface id#data')");
-      return std::nullopt;
-    }
-  }
-  while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t')) ++pos;
-  if (pos != text.size()) {
-    fail(error, "unexpected trailing content after the frame token");
-    return std::nullopt;
-  }
-
   CandumpRecord rec;
-  if (!parse_timestamp(tok[0], rec.timestamp_us, error)) return std::nullopt;
-  rec.channel = std::string(tok[1]);
-
-  const std::string_view frame_tok = tok[2];
-  const std::size_t hash = frame_tok.find('#');
-  if (hash == std::string_view::npos) {
-    fail(error, "malformed frame token (no '#' separator)");
+  std::string_view channel;
+  if (const char* what = parse_candump_line(line, rec.frame, channel)) {
+    if (error != nullptr) *error = what;
     return std::nullopt;
   }
-  const std::string_view id_part = frame_tok.substr(0, hash);
-  std::string_view data = frame_tok.substr(hash + 1);
-
-  std::uint64_t id = 0;
-  if (id_part.empty() || id_part.size() > 8 || !parse_hex(id_part, id)) {
-    fail(error, "malformed CAN id (expected 1..8 hex digits)");
-    return std::nullopt;
-  }
-  if (id > MAX_EXTENDED_ID) {
-    fail(error, "CAN id exceeds the 29-bit extended range");
-    return std::nullopt;
-  }
-  rec.frame.id = static_cast<CanId>(id);
-  rec.frame.extended = id > MAX_STANDARD_ID || id_part.size() == 8;
-
-  if (!data.empty() && data.front() == '#') {
-    fail(error, "CAN FD record ('##') is not representable as classic CAN");
-    return std::nullopt;
-  }
-  if (!data.empty() && (data.front() == 'R' || data.front() == 'r')) {
-    fail(error, "remote frame record ('#R') is not supported");
-    return std::nullopt;
-  }
-  if (data.size() % 2 != 0) {
-    fail(error, "odd number of payload hex digits");
-    return std::nullopt;
-  }
-  if (data.size() > 16) {
-    fail(error, "payload exceeds 8 bytes (classic CAN)");
-    return std::nullopt;
-  }
-  rec.frame.dlc = static_cast<std::uint8_t>(data.size() / 2);
-  for (std::size_t i = 0; i < rec.frame.dlc; ++i) {
-    const int hi = hex_digit(data[2 * i]);
-    const int lo = hex_digit(data[2 * i + 1]);
-    if (hi < 0 || lo < 0) {
-      fail(error, "malformed payload hex");
-      return std::nullopt;
-    }
-    rec.frame.data[i] = static_cast<std::uint8_t>((hi << 4) | lo);
-  }
-  rec.frame.timestamp_us = rec.timestamp_us;
+  rec.timestamp_us = rec.frame.timestamp_us;
+  rec.channel = channel;
   return rec;
 }
 

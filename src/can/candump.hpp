@@ -8,9 +8,10 @@
 //   (1736455225.124001) can1 18FF10F3#0102030405060708
 //
 // This is the per-line codec only: parse one record, format one record.
-// File-level concerns (mmap ingestion, tolerant multi-line scanning with
-// diagnostics, multi-channel merge) live in src/replay/log.hpp, which is
-// built on top of these primitives.
+// The parser reads a line in one forward walk that splits and decodes the
+// three tokens together, writing into a frame the caller owns; file-level
+// concerns (mmap ingestion, tolerant multi-line scanning with diagnostics,
+// multi-channel merge) live in src/replay/log.hpp, which is built on it.
 #pragma once
 
 #include <cstdint>
@@ -28,12 +29,20 @@ struct CandumpRecord {
   CanFrame frame;                  // timestamp_us is mirrored into the frame
 };
 
-/// Parse one candump log line. Returns nullopt on malformed input and, when
-/// `error` is non-null, stores a one-line description of what is wrong —
-/// the caller records it as a diagnostic instead of aborting the ingest.
-/// CAN FD ('##') and remote ('#R') records are recognised but rejected:
-/// the classic-CAN frame model cannot represent them faithfully, and a
-/// silent down-conversion would corrupt the evidence.
+/// Parse one candump log line into `frame` and `channel` (a view into
+/// `line`). Returns nullptr on success, or a static one-line description of
+/// what is wrong: the caller records it as a diagnostic instead of aborting
+/// the ingest, and `frame` and `channel` are then unspecified. On success
+/// every field of `frame` is written, payload bytes past `dlc` are zero, and
+/// frame.timestamp_us is the line's timestamp. CAN FD ('##') and remote
+/// ('#R') records are recognised but rejected: the classic-CAN frame model
+/// cannot represent them faithfully, and a silent down-conversion would
+/// corrupt the evidence.
+const char* parse_candump_line(std::string_view line, CanFrame& frame,
+                               std::string_view& channel);
+
+/// The same parse as a value: nullopt on malformed input, with the error
+/// text stored in `*error` when `error` is non-null.
 std::optional<CandumpRecord> parse_candump_line(std::string_view line,
                                                 std::string* error = nullptr);
 

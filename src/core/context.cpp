@@ -75,7 +75,10 @@ ChannelId Context::channel(std::string_view name,
     return it->second;
   }
   const ChannelId id = static_cast<ChannelId>(channels_.size());
+  std::vector<std::vector<Value>> sorted = field_domains;
+  for (std::vector<Value>& domain : sorted) std::ranges::sort(domain);
   channels_.push_back(ChannelDecl{s, std::move(field_domains)});
+  sorted_domains_.push_back(std::move(sorted));
   channel_ids_.emplace(s, id);
   return id;
 }
@@ -88,26 +91,28 @@ std::optional<ChannelId> Context::find_channel(std::string_view name) const {
 }
 
 EventId Context::event(ChannelId chan, std::vector<Value> fields) {
+  // An interned event was checked when it was interned, and a channel's
+  // domains never change: re-declaring it requires the same ones.
+  EventKey key{chan, std::move(fields)};
+  if (auto it = event_ids_.find(key); it != event_ids_.end()) return it->second;
   const ChannelDecl& decl = channels_.at(chan);
-  if (fields.size() != decl.field_domains.size()) {
+  if (key.fields.size() != decl.field_domains.size()) {
     throw ModelError("event on channel '" + symbols_.name(decl.name) +
-                     "' has wrong arity: got " + std::to_string(fields.size()) +
-                     ", expected " + std::to_string(decl.field_domains.size()));
+                     "' has wrong arity: got " +
+                     std::to_string(key.fields.size()) + ", expected " +
+                     std::to_string(decl.field_domains.size()));
   }
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    const auto& domain = decl.field_domains[i];
-    if (std::find(domain.begin(), domain.end(), fields[i]) == domain.end()) {
-      throw ModelError("value " + fields[i].to_string(symbols_) +
+  for (std::size_t i = 0; i < key.fields.size(); ++i) {
+    if (!std::ranges::binary_search(sorted_domains_[chan][i], key.fields[i])) {
+      throw ModelError("value " + key.fields[i].to_string(symbols_) +
                        " outside the declared domain of field " +
                        std::to_string(i) + " of channel '" +
                        symbols_.name(decl.name) + "'");
     }
   }
-  EventKey key{chan, fields};
-  if (auto it = event_ids_.find(key); it != event_ids_.end()) return it->second;
   const EventId id = static_cast<EventId>(event_chan_.size());
   event_chan_.push_back(chan);
-  event_fields_.push_back(std::move(fields));
+  event_fields_.push_back(key.fields);
   event_ids_.emplace(std::move(key), id);
   return id;
 }

@@ -150,6 +150,8 @@ class Context {
   SymbolTable symbols_;
 
   std::vector<ChannelDecl> channels_;
+  /// Each channel's field domains, sorted, for event()'s membership test.
+  std::vector<std::vector<std::vector<Value>>> sorted_domains_;
   std::unordered_map<Symbol, ChannelId> channel_ids_;
 
   // Event interning: key is (channel, fields) hash -> candidate ids.

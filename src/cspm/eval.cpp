@@ -809,17 +809,26 @@ CVal Evaluator::eval(const Expr& e, const Env& env) {
                                   ? ctx_.ext_choice(operands)
                                   : ctx_.int_choice(operands));
     }
-    case ExprKind::Seq:
-      return CVal::of_process(ctx_.seq(eval_process(*e.kids[0], env),
-                                       eval_process(*e.kids[1], env)));
-    case ExprKind::Interleave:
-      return CVal::of_process(ctx_.interleave(eval_process(*e.kids[0], env),
-                                              eval_process(*e.kids[1], env)));
+    // `;`, `|||`, `[| |]`, `/\`, `[>` and `\` evaluate their event set
+    // first, then the right operand, then the left one. Event ids are
+    // numbered on first use, so that order is output, and the goldens were
+    // made with it.
+    case ExprKind::Seq: {
+      const ProcessRef q = eval_process(*e.kids[1], env);
+      const ProcessRef p = eval_process(*e.kids[0], env);
+      return CVal::of_process(ctx_.seq(p, q));
+    }
+    case ExprKind::Interleave: {
+      const ProcessRef q = eval_process(*e.kids[1], env);
+      const ProcessRef p = eval_process(*e.kids[0], env);
+      return CVal::of_process(ctx_.interleave(p, q));
+    }
 
     case ExprKind::SyncPar: {
       const EventSet sync = eval_event_set(*e.kids[2], env);
-      return CVal::of_process(ctx_.par(eval_process(*e.kids[0], env), sync,
-                                       eval_process(*e.kids[1], env)));
+      const ProcessRef q = eval_process(*e.kids[1], env);
+      const ProcessRef p = eval_process(*e.kids[0], env);
+      return CVal::of_process(ctx_.par(p, sync, q));
     }
 
     case ExprKind::AlphaPar: {
@@ -835,16 +844,22 @@ CVal Evaluator::eval(const Expr& e, const Env& env) {
       return CVal::of_process(ctx_.par(p, a.set_intersection(b), q));
     }
 
-    case ExprKind::InterruptE:
-      return CVal::of_process(ctx_.interrupt(eval_process(*e.kids[0], env),
-                                             eval_process(*e.kids[1], env)));
-    case ExprKind::SlidingE:
-      return CVal::of_process(ctx_.sliding(eval_process(*e.kids[0], env),
-                                           eval_process(*e.kids[1], env)));
+    case ExprKind::InterruptE: {
+      const ProcessRef q = eval_process(*e.kids[1], env);
+      const ProcessRef p = eval_process(*e.kids[0], env);
+      return CVal::of_process(ctx_.interrupt(p, q));
+    }
+    case ExprKind::SlidingE: {
+      const ProcessRef q = eval_process(*e.kids[1], env);
+      const ProcessRef p = eval_process(*e.kids[0], env);
+      return CVal::of_process(ctx_.sliding(p, q));
+    }
 
-    case ExprKind::Hide:
-      return CVal::of_process(ctx_.hide(eval_process(*e.kids[0], env),
-                                        eval_event_set(*e.kids[1], env)));
+    case ExprKind::Hide: {
+      const EventSet hidden = eval_event_set(*e.kids[1], env);
+      const ProcessRef p = eval_process(*e.kids[0], env);
+      return CVal::of_process(ctx_.hide(p, hidden));
+    }
 
     case ExprKind::Rename: {
       std::vector<RenamePair> pairs;

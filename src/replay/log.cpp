@@ -1,10 +1,12 @@
 #include "replay/log.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
-#include <map>
 #include <stdexcept>
 #include <system_error>
+#include <tuple>
+#include <utility>
 
 #include "can/candump.hpp"
 #include "verify/scheduler.hpp"
@@ -99,81 +101,61 @@ MappedFile::~MappedFile() {
 
 namespace {
 
-/// Output of one byte-range scan; line numbers and channel indices are
-/// chunk-local until the merge step rebases them.
+/// One byte range [lo, hi) of a file. Its records are parsed straight into
+/// the shared array from `first_slot` on, with file-global line numbers and
+/// channel indices into the chunk's own first-seen table `channels`.
 struct ChunkScan {
-  std::vector<LogRecord> records;
-  std::vector<std::string> channels;
-  std::vector<LogDiagnostic> diagnostics;
+  std::size_t lo = 0;
+  std::size_t hi = 0;
   std::size_t lines = 0;
+  std::size_t slots = 0;  // lines that are not skipped: at most one record each
+  std::size_t first_line = 0;  // prefix sums over the earlier chunks
+  std::size_t first_slot = 0;
+  std::size_t records = 0;
+  std::vector<std::string_view> channels;
+  // Line, byte offset and message of each malformed line.
+  std::vector<std::tuple<std::uint32_t, std::uint64_t, const char*>> errors;
 };
 
-ChunkScan scan_chunk(std::string_view text, std::uint32_t file,
-                     std::uint64_t base_offset) {
-  ChunkScan out;
-  std::map<std::string, std::uint16_t> channel_of;
-  std::size_t pos = 0;
-  std::string error;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    const std::string_view line = text.substr(pos, eol - pos);
-    const std::uint64_t offset = base_offset + pos;
-    ++out.lines;
-    const std::uint32_t lineno = static_cast<std::uint32_t>(out.lines);
-    pos = eol + 1;
-
-    // Blank lines and '#' comments are structure, not evidence.
-    std::string_view body = line;
-    while (!body.empty() && (body.front() == ' ' || body.front() == '\t')) {
-      body.remove_prefix(1);
-    }
-    if (body.empty() || body == "\r" || body.front() == '#') continue;
-
-    const auto rec = can::parse_candump_line(line, &error);
-    if (!rec) {
-      out.diagnostics.push_back(
-          {file, lineno, offset, DiagSeverity::Error, error});
-      continue;
-    }
-    LogRecord r;
-    r.frame = rec->frame;
-    r.file = file;
-    r.line = lineno;
-    r.byte_offset = offset;
-    auto [it, inserted] = channel_of.try_emplace(
-        rec->channel, static_cast<std::uint16_t>(out.channels.size()));
-    if (inserted) out.channels.push_back(rec->channel);
-    r.channel = it->second;
-    out.records.push_back(r);
-  }
-  return out;
+/// The end of the line that starts at `pos`: its '\n', or `hi`.
+std::size_t line_end(std::string_view text, std::size_t pos, std::size_t hi) {
+  const void* nl = std::memchr(text.data() + pos, '\n', hi - pos);
+  return nl != nullptr ? static_cast<std::size_t>(
+                             static_cast<const char*>(nl) - text.data())
+                       : hi;
 }
 
-/// Rebase one chunk's records/diagnostics into the shared log: global line
-/// numbers, global channel indices.
-void absorb_chunk(ChunkScan&& chunk, std::size_t line_base, ParsedLog& out) {
-  std::vector<std::uint16_t> channel_map(chunk.channels.size());
-  for (std::size_t i = 0; i < chunk.channels.size(); ++i) {
-    const auto it = std::find(out.channels.begin(), out.channels.end(),
-                              chunk.channels[i]);
-    if (it != out.channels.end()) {
-      channel_map[i] = static_cast<std::uint16_t>(it - out.channels.begin());
-    } else {
-      channel_map[i] = static_cast<std::uint16_t>(out.channels.size());
-      out.channels.push_back(chunk.channels[i]);
+/// Blank lines and '#' comments are structure, not evidence.
+bool skipped(std::string_view line) {
+  const std::size_t body = line.find_first_not_of(" \t");
+  return body == std::string_view::npos || line[body] == '#' ||
+         line.substr(body) == "\r";
+}
+
+void scan_chunk(std::string_view text, std::uint32_t file, ChunkScan& chunk,
+                LogRecord* slots) {
+  LogRecord* r = slots + chunk.first_slot;
+  std::size_t lineno = chunk.first_line;
+  std::string_view channel;
+  for (std::size_t pos = chunk.lo, eol; pos < chunk.hi; pos = eol + 1) {
+    eol = line_end(text, pos, chunk.hi);
+    const std::string_view line = text.substr(pos, eol - pos);
+    ++lineno;
+    if (skipped(line)) continue;
+    if (const char* what = can::parse_candump_line(line, r->frame, channel)) {
+      chunk.errors.emplace_back(static_cast<std::uint32_t>(lineno), pos, what);
+      continue;
     }
+    r->file = file;
+    r->line = static_cast<std::uint32_t>(lineno);
+    r->byte_offset = pos;
+    const auto known = std::find(chunk.channels.begin(), chunk.channels.end(),
+                                 channel);
+    r->channel = static_cast<std::uint16_t>(known - chunk.channels.begin());
+    if (known == chunk.channels.end()) chunk.channels.push_back(channel);
+    ++r;
   }
-  for (LogRecord& r : chunk.records) {
-    r.line += static_cast<std::uint32_t>(line_base);
-    r.channel = channel_map[r.channel];
-    out.records.push_back(r);
-  }
-  for (LogDiagnostic& d : chunk.diagnostics) {
-    d.line += static_cast<std::uint32_t>(line_base);
-    out.add_diagnostic(std::move(d));
-  }
-  out.lines += chunk.lines;
+  chunk.records = static_cast<std::size_t>(r - (slots + chunk.first_slot));
 }
 
 }  // namespace
@@ -187,62 +169,115 @@ void scan_candump(std::string_view text, std::uint32_t file, ParsedLog& out,
 
   // Cut into byte ranges at newline boundaries. The split is purely a
   // parallelism decision: per-line parsing is split-invariant, so any
-  // chunking yields identical output once the chunks are absorbed in order.
-  const unsigned workers = sched != nullptr ? sched->jobs() : 1;
-  const std::size_t chunks =
-      std::min<std::size_t>(workers * 4, text.size() / kMinChunkBytes + 1);
-  if (sched == nullptr || workers <= 1 || chunks <= 1) {
-    absorb_chunk(scan_chunk(text, file, 0), /*line_base=*/0, out);
-    return;
-  }
-
-  std::vector<std::pair<std::size_t, std::size_t>> ranges;  // [lo, hi)
-  std::size_t lo = 0;
-  for (std::size_t c = 0; c < chunks && lo < text.size(); ++c) {
-    std::size_t hi = (c + 1 == chunks)
+  // chunking yields identical output once the chunks are joined in order.
+  const std::size_t workers = sched != nullptr ? sched->jobs() : 1;
+  const std::size_t want =
+      workers <= 1 ? 1
+                   : std::min(workers * 4, text.size() / kMinChunkBytes + 1);
+  std::vector<ChunkScan> chunks;
+  for (std::size_t lo = 0, c = 0; lo < text.size(); ++c) {
+    std::size_t hi = c + 1 >= want
                          ? text.size()
                          : lo + std::max<std::size_t>(
-                                    1, (text.size() - lo) / (chunks - c));
+                                    1, (text.size() - lo) / (want - c));
     if (hi < text.size()) {
       const std::size_t nl = text.find('\n', hi);
       hi = nl == std::string_view::npos ? text.size() : nl + 1;
     }
-    ranges.emplace_back(lo, hi);
+    ChunkScan& chunk = chunks.emplace_back();
+    chunk.lo = lo;
+    chunk.hi = hi;
     lo = hi;
   }
 
-  // run_bool_batch throws if any chunk's scan throws, so a failed chunk
-  // is an error exit, as it is on one job, never a silently empty chunk.
-  std::vector<ChunkScan> results(ranges.size());
-  std::vector<std::function<bool(CancelToken&)>> scans(ranges.size());
-  for (std::size_t i = 0; i < ranges.size(); ++i) {
-    scans[i] = [&, i](CancelToken&) {
-      const auto [clo, chi] = ranges[i];
-      results[i] = scan_chunk(text.substr(clo, chi - clo), file, clo);
-      return true;
-    };
-  }
-  verify::run_bool_batch(*sched, scans, "scan-chunk");
+  // Each step runs one task per chunk, on the workers when there are
+  // several. run_bool_batch throws if any task throws, so a failed chunk is
+  // an error exit, as it is on one job, never a silently empty chunk.
+  const auto each_chunk = [&](std::string_view label, auto&& step) {
+    if (chunks.size() == 1) {
+      step(chunks[0]);
+      return;
+    }
+    std::vector<std::function<bool(CancelToken&)>> tasks;
+    tasks.reserve(chunks.size());
+    for (ChunkScan& chunk : chunks) {
+      tasks.emplace_back([&](CancelToken&) {
+        step(chunk);
+        return true;
+      });
+    }
+    verify::run_bool_batch(*sched, tasks, label);
+  };
 
-  // Absorb in range order; rebase each chunk's local line numbers onto the
-  // lines already absorbed *of this file*, so numbering matches a
-  // sequential scan exactly.
-  std::size_t file_lines = 0;
-  for (ChunkScan& chunk : results) {
-    const std::size_t chunk_lines = chunk.lines;
-    absorb_chunk(std::move(chunk), file_lines, out);
-    file_lines += chunk_lines;
+  // 1. Count each chunk's lines, and the lines that can hold a record; the
+  //    prefix sums are its first line number and its first record slot.
+  each_chunk("count-chunk", [&](ChunkScan& chunk) {
+    for (std::size_t pos = chunk.lo, eol; pos < chunk.hi; pos = eol + 1) {
+      eol = line_end(text, pos, chunk.hi);
+      ++chunk.lines;
+      chunk.slots += !skipped(text.substr(pos, eol - pos));
+    }
+  });
+  std::size_t lines = 0;
+  std::size_t slot_count = 0;
+  for (ChunkScan& chunk : chunks) {
+    chunk.first_line = std::exchange(lines, lines + chunk.lines);
+    chunk.first_slot = std::exchange(slot_count, slot_count + chunk.slots);
   }
+
+  // 2. Size the array once; each chunk parses into its own slots.
+  const std::size_t base = out.records.size();
+  out.records.resize(base + slot_count);
+  LogRecord* const slots = out.records.data() + base;
+  each_chunk("scan-chunk", [&](ChunkScan& chunk) {
+    scan_chunk(text, file, chunk, slots);
+  });
+
+  // 3. Join in chunk order: move a chunk's records down over the slots that
+  //    malformed lines in earlier chunks left empty, and map its channel
+  //    table onto the log's unless it is a prefix of it already.
+  LogRecord* joined = slots;
+  std::vector<std::uint16_t> global;
+  for (const ChunkScan& chunk : chunks) {
+    global.clear();
+    bool prefix = true;
+    for (const std::string_view name : chunk.channels) {
+      const auto it = std::find(out.channels.begin(), out.channels.end(), name);
+      const auto at = static_cast<std::size_t>(it - out.channels.begin());
+      if (it == out.channels.end()) out.channels.emplace_back(name);
+      prefix = prefix && at == global.size();
+      global.push_back(static_cast<std::uint16_t>(at));
+    }
+    LogRecord* const first = slots + chunk.first_slot;
+    if (joined != first) std::copy(first, first + chunk.records, joined);
+    joined += chunk.records;
+    if (!prefix) {
+      for (LogRecord* r = joined - chunk.records; r != joined; ++r) {
+        r->channel = global[r->channel];
+      }
+    }
+    for (const auto& [line, offset, message] : chunk.errors) {
+      out.add_diagnostic({file, line, offset, DiagSeverity::Error, message});
+    }
+  }
+  out.records.resize(static_cast<std::size_t>(joined - out.records.data()));
+  out.lines += lines;
 }
 
 void finalize_merge(ParsedLog& log) {
   // Timestamp regressions within one file: the recorder's clock stepped
   // back (or the log was concatenated out of order). The record is kept —
   // the merge sort below puts it where its timestamp says — but the
-  // regression itself is evidence worth surfacing.
+  // regression itself is evidence worth surfacing. The same walk notes
+  // whether the merged records are in timestamp order already (a one-file
+  // log usually is), so the sort runs only when they are not.
   std::uint32_t prev_file = 0xffffffffu;
   std::uint64_t prev_ts = 0;
+  std::uint64_t last_ts = 0;  // of the record before, whatever its file
+  bool sorted = true;
   for (const LogRecord& r : log.records) {
+    sorted = sorted && last_ts <= r.frame.timestamp_us;
+    last_ts = r.frame.timestamp_us;
     if (r.file != prev_file) {
       prev_file = r.file;
       prev_ts = r.frame.timestamp_us;
@@ -254,13 +289,11 @@ void finalize_merge(ParsedLog& log) {
     }
     prev_ts = std::max(prev_ts, r.frame.timestamp_us);
   }
-
-  // A one-file log is usually in order already; skip the sort then.
-  const auto earlier = [](const LogRecord& a, const LogRecord& b) {
-    return a.frame.timestamp_us < b.frame.timestamp_us;
-  };
-  if (!std::is_sorted(log.records.begin(), log.records.end(), earlier)) {
-    std::stable_sort(log.records.begin(), log.records.end(), earlier);
+  if (!sorted) {
+    std::stable_sort(log.records.begin(), log.records.end(),
+                     [](const LogRecord& a, const LogRecord& b) {
+                       return a.frame.timestamp_us < b.frame.timestamp_us;
+                     });
   }
 }
 

@@ -9,9 +9,12 @@
 // sweep layers consume.
 //
 // Parsing is split-invariant: each line is a pure function of its own
-// bytes, so the ingester can cut a file into byte ranges at newline
-// boundaries and parse the ranges on scheduler workers — records,
-// diagnostics and line numbers come out byte-identical at any worker count.
+// bytes, so the ingester cuts a file into byte ranges at newlines, counts
+// each range's lines, and has scheduler workers parse the ranges in place
+// into one record array, each into the slots its line prefix sum gives it.
+// One ordered pass closes the gaps that malformed lines left. Records,
+// channels, diagnostics and line numbers are byte-identical at any worker
+// count.
 #pragma once
 
 #include <cstdint>
@@ -89,23 +92,23 @@ class MappedFile {
   std::string fallback_;
 };
 
-/// The smallest byte range scan_candump hands to one worker: a log under
-/// twice this size is scanned as one chunk whatever the worker count.
+/// scan_candump cuts a log of n bytes into at most n / kMinChunkBytes + 1
+/// chunks, so a log under this size is one chunk whatever the worker count.
 inline constexpr std::size_t kMinChunkBytes = 1u << 20;
 
 /// Scan one candump log held in memory as file index `file`, appending its
 /// records (channel indices interned into `out.channels`), diagnostics and
 /// line count to `out`. Blank lines and '#' comment lines are skipped
 /// silently; an entirely empty file yields a whole-file diagnostic. When
-/// `sched` is non-null the byte range is parsed in parallel chunks on its
-/// workers; output is byte-identical either way.
+/// `sched` is non-null the byte range is counted and parsed in parallel
+/// chunks on its workers; output is byte-identical either way.
 void scan_candump(std::string_view text, std::uint32_t file, ParsedLog& out,
                   verify::VerifyScheduler* sched = nullptr);
 
 /// Finish ingestion after every file has been scanned: emit a Warning
 /// diagnostic for each timestamp regression within a file, then stable-sort
 /// the merged records by timestamp (ties keep file-then-line order) unless
-/// they are in timestamp order already.
+/// the same walk found them in timestamp order already.
 void finalize_merge(ParsedLog& log);
 
 }  // namespace ecucsp::replay

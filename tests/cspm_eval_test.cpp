@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "cspm/eval.hpp"
 #include "cspm/parser.hpp"
 
@@ -359,6 +364,52 @@ TEST_F(CspmEvalTest, SetComprehensionInProcessContext) {
       "channel c : {0..9}\n"
       "P = [] x:{y | y <- {0..9}, y % 3 == 0} @ c!x -> STOP\n");
   EXPECT_EQ(ctx.transitions(ev.process("P")).size(), 4u);  // 0,3,6,9
+}
+
+// The evaluator's operand order is output: event ids are numbered on first
+// use, and the canonical counterexample is the smallest by event id. These
+// cases pin the order through the ids a fresh context hands out: each binary
+// operator evaluates its event set first, then its right operand, then its
+// left one.
+std::string first_use_order(Context& ctx, Evaluator& ev,
+                            const std::string& body) {
+  ev.load_source("channel c : {1..2}\nchannel h\nP = " + body + "\n");
+  ev.process("P");
+  std::string out;
+  for (EventId e = TICK + 1; e < ctx.event_count(); ++e) {
+    if (!out.empty()) out += ' ';
+    out += ctx.event_name(e);
+  }
+  return out;
+}
+
+TEST_F(CspmEvalTest, SequenceEvaluatesRightOperandFirst) {
+  EXPECT_EQ(first_use_order(ctx, ev, "(c.1 -> SKIP) ; (c.2 -> STOP)"),
+            "c.2 c.1");
+}
+
+TEST_F(CspmEvalTest, InterleaveEvaluatesRightOperandFirst) {
+  EXPECT_EQ(first_use_order(ctx, ev, "(c.1 -> STOP) ||| (c.2 -> STOP)"),
+            "c.2 c.1");
+}
+
+TEST_F(CspmEvalTest, SyncParEvaluatesSetThenRightOperand) {
+  EXPECT_EQ(first_use_order(ctx, ev, "(c.1 -> STOP) [| {h} |] (c.2 -> STOP)"),
+            "h c.2 c.1");
+}
+
+TEST_F(CspmEvalTest, InterruptEvaluatesRightOperandFirst) {
+  EXPECT_EQ(first_use_order(ctx, ev, "(c.1 -> STOP) /\\ (c.2 -> STOP)"),
+            "c.2 c.1");
+}
+
+TEST_F(CspmEvalTest, SlidingChoiceEvaluatesRightOperandFirst) {
+  EXPECT_EQ(first_use_order(ctx, ev, "(c.1 -> STOP) [> (c.2 -> STOP)"),
+            "c.2 c.1");
+}
+
+TEST_F(CspmEvalTest, HideEvaluatesSetBeforeProcess) {
+  EXPECT_EQ(first_use_order(ctx, ev, "(c.1 -> STOP) \\ {h}"), "h c.1");
 }
 
 TEST_F(CspmEvalTest, UnboundedParameterRecursionIsAnErrorNotACrash) {

@@ -10,6 +10,7 @@
 // output.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -318,6 +319,50 @@ TEST_F(ReplayDiffTest, LongSynthTracePinsTheInjectedIndexAtEveryJobs) {
         ASSERT_FALSE(o.divergences.empty());
         EXPECT_EQ(o.divergences[0].event_index, synth.injected_index);
       }
+    }
+  }
+}
+
+/// FNV-1a (64-bit) of a rendered report, as 16 hex digits.
+std::string fnv1a_hex(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
+TEST_F(ReplayDiffTest, LargeSynthReportsArePinnedAtEveryJobs) {
+  // 300k-frame honest, replay-attack and masquerade logs: each is several
+  // scan chunks, so the parallel scan writes them in place. The digests of
+  // their JSON reports (log path replaced by "LOG") were made by the
+  // token-then-validate parser and the copy-per-chunk scan that preceded
+  // them, and they hold at every worker count.
+  struct Case {
+    Attack attack;
+    const char* digest;
+  };
+  const Case cases[] = {{Attack::None, "f905d822b74f5e4c"},
+                        {Attack::Replay, "cc1b799c86b3447b"},
+                        {Attack::Masquerade, "f1f767cd728599d5"}};
+  for (const Case& c : cases) {
+    SynthOptions sopt;
+    sopt.seed = 25;
+    sopt.frames = 300'000;
+    sopt.attack = c.attack;
+    sopt.attack_at = 150'000;
+    const TempFile log(synthesize_log(codec_, sopt).text);
+    for (const unsigned jobs : {1u, 2u, 4u}) {
+      std::string json = replay_file(log.path, jobs, 3, {"all"}).render_json();
+      const std::string path = log.path.string();
+      for (std::size_t at = json.find(path); at != std::string::npos;
+           at = json.find(path, at)) {
+        json.replace(at, path.size(), "LOG");
+      }
+      EXPECT_EQ(fnv1a_hex(json), c.digest)
+          << "attack " << static_cast<int>(c.attack) << " jobs " << jobs;
     }
   }
 }

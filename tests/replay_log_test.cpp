@@ -16,7 +16,9 @@
 
 #include "can/candump.hpp"
 #include "can/dbc.hpp"
+#include "candump_reference.hpp"
 #include "conform/harness.hpp"
+#include "core/rng.hpp"
 #include "ota/ota.hpp"
 #include "replay/log.hpp"
 #include "replay/replay.hpp"
@@ -135,6 +137,86 @@ TEST(CandumpLine, FormatRoundTrips) {
   EXPECT_TRUE(can::parse_candump_line(eline).has_value());
 }
 
+TEST(CandumpLine, OneWalkMatchesReferenceOnSeededMutations) {
+  // Seeded edits of lines at the edges of every rule must get the same
+  // answer from the one-walk parser as from the token-then-validate
+  // reference: the same accept, frame and channel, or the same error text.
+  const std::string seeds[] = {
+      "",
+      "(1.0) can0",
+      "(1.0)",
+      "1.0 can0 123#00",
+      "(abc) can0 123#00",
+      "(1.0) can0 123#00 extra",
+      "(1.0) can0 ZZZ#00",
+      "(1.0) can0 123456789#00",
+      "(1.0) can0 20000000#00",
+      "(1.0) can0 123#0",
+      "(1.0) can0 123#0102030405060708AA",
+      "(1.0) can0 123#GG",
+      "(1.0) can0 123##1AABB",
+      "(1.0) can0 123#R",
+      "(123456789012345678901234567890.0) can0 123#00",
+      "(18446744073709.551615) can0 104#0100000000000000",
+      "(18446744073709.551616) can0 104#00",
+      "\t(1736455225.123456)\tvcan1\t18FF10F3#0102030405060708\t",
+      "  (2.5)   can0  7FF#  \r",
+      "(1.000001) can0\r 123#r\r",
+      "(0.000005) vcan0 0000007F#AB00",
+      "(1.0) can0 123#0102030405060708A",
+      "( can0 1#",
+      "() can0 1#",
+      "(12)) can0 1#",
+      "(1.) can0 1#",
+      "(12.5)x can0 1#",
+  };
+  constexpr std::string_view kAlphabet =
+      " \t\r#().0123456789abcdefABCDEFRrGxz";
+  std::uint64_t rng = core::seed_state(2026);
+  const auto below = [&](std::size_t n) {
+    return static_cast<std::size_t>(core::splitmix64(rng) % n);
+  };
+  // Half a million runs must stay fast on the sanitizer builds, so the
+  // loop reuses its strings and checks with plain comparisons.
+  std::size_t accepted = 0;
+  constexpr std::size_t kRuns = 500'000;
+  std::string line;
+  std::string want_error;
+  for (std::size_t run = 0; run < kRuns; ++run) {
+    line.assign(seeds[run % std::size(seeds)]);
+    for (std::size_t edits = 1 + below(4); edits > 0; --edits) {
+      const std::size_t at = below(line.size() + 1);
+      const char c = kAlphabet[below(kAlphabet.size())];
+      switch (below(3)) {
+        case 0:
+          line.insert(line.begin() + static_cast<std::ptrdiff_t>(at), c);
+          break;
+        case 1:
+          if (at < line.size()) line.erase(at, 1);
+          break;
+        default:
+          if (at < line.size()) line[at] = c;
+          break;
+      }
+    }
+    const auto want = can::reference::parse_candump_line(line, &want_error);
+    can::CanFrame frame;
+    std::string_view channel;
+    const char* error = can::parse_candump_line(line, frame, channel);
+    accepted += error == nullptr;
+    if (want ? error != nullptr || frame != want->frame ||
+                   channel != want->channel
+             : error == nullptr || want_error != error) {
+      FAIL() << "parsers disagree on \"" << line << "\": "
+             << (error != nullptr ? error : "accepted") << " vs "
+             << (want ? "accepted" : want_error);
+    }
+  }
+  // The edits must reach both sides of the parser, not only its errors.
+  EXPECT_GT(accepted, kRuns / 50);
+  EXPECT_LT(accepted, kRuns / 2);
+}
+
 // --- file ingestion ----------------------------------------------------------
 
 TEST(MappedFile, MapsRegularFilesAndThrowsOnMissing) {
@@ -201,6 +283,102 @@ TEST(ScanCandump, ParallelScanMatchesSequential) {
     EXPECT_EQ(par.diagnostics[i].message, seq.diagnostics[i].message) << i;
   }
   EXPECT_EQ(par.lines, seq.lines);
+}
+
+TEST(ScanCandump, SkippedLinesTakeNoRecordSlots) {
+  // The record array is sized by the lines that can hold a record, so a log
+  // of blank lines costs no memory per line, in one chunk or in several.
+  std::string text(1'500'000, '\n');
+  text += "# comment\n\r\n(1.0) can0 100#00\n";
+  ASSERT_GT(text.size(), kMinChunkBytes);
+  verify::VerifyScheduler four{{.jobs = 4}};
+  verify::VerifyScheduler* const scheds[] = {&four, nullptr};
+  for (verify::VerifyScheduler* const sched : scheds) {
+    ParsedLog log;
+    scan_candump(text, 0, log, sched);
+    EXPECT_EQ(log.lines, 1'500'003u);
+    ASSERT_EQ(log.records.size(), 1u);
+    EXPECT_EQ(log.records[0].line, 1'500'003u);
+    EXPECT_LE(log.records.capacity(), 16u);
+  }
+}
+
+/// A seeded candump text of at least `min_bytes`: frames on 37 interleaved
+/// channels, with malformed, blank, comment and CRLF lines, and no newline
+/// after the last line.
+std::string mixed_log(std::uint64_t seed, std::size_t min_bytes) {
+  static const char* const kNoise[] = {
+      "garbage on the bus", "(1.5) can0 12G#00", "(x) can0 123#00",
+      "(1.5) can0 123#0",   "(1.5) can0",        "(1.5) can0 123##00",
+      "",                   "   ",               "# comment",
+      "\t# indented comment", "\r",             " \r",
+  };
+  std::uint64_t rng = core::seed_state(seed);
+  const auto below = [&](std::uint64_t n) { return core::splitmix64(rng) % n; };
+  std::string text;
+  std::uint64_t us = 1'700'000'000'000'000ull + below(1'000'000);
+  while (text.size() < min_bytes) {
+    if (below(16) == 0) {
+      text += kNoise[below(std::size(kNoise))];
+    } else {
+      can::CanFrame f;
+      f.id = static_cast<can::CanId>(below(0x800));
+      f.dlc = static_cast<std::uint8_t>(below(9));
+      for (std::size_t i = 0; i < f.dlc; ++i) {
+        f.data[i] = static_cast<std::uint8_t>(below(256));
+      }
+      us = us + 100 - below(120);  // now and then a timestamp regression
+      text += can::format_candump_line(
+          us, "vcan" + std::to_string(below(37)), f);
+      if (below(8) == 0) text += '\r';
+    }
+    text += '\n';
+  }
+  text.pop_back();
+  return text;
+}
+
+TEST(ScanCandump, SplitInvariantInEveryFieldAtScale) {
+  // Two large files into one log, scanned on one, two and four workers: the
+  // chunks' records move down over skipped lines and their first-seen
+  // channel tables are remapped, yet every field of the log must equal a
+  // scan on no scheduler at all.
+  const std::string texts[] = {mixed_log(1, 5u << 20), mixed_log(2, 5u << 20)};
+  const auto scan = [&](verify::VerifyScheduler* sched) {
+    ParsedLog log;
+    for (std::uint32_t f = 0; f < 2; ++f) scan_candump(texts[f], f, log, sched);
+    finalize_merge(log);
+    return log;
+  };
+  const ParsedLog want = scan(nullptr);
+  ASSERT_GT(want.records.size(), 250'000u);
+  ASSERT_EQ(want.channels.size(), 37u);
+  ASSERT_GT(want.diagnostic_count, ParsedLog::kMaxStoredDiagnostics);
+  for (const unsigned jobs : {1u, 2u, 4u}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    verify::VerifyScheduler sched{{.jobs = jobs}};
+    const ParsedLog got = scan(&sched);
+    EXPECT_EQ(got.lines, want.lines);
+    EXPECT_EQ(got.channels, want.channels);
+    ASSERT_EQ(got.records.size(), want.records.size());
+    for (std::size_t i = 0; i < want.records.size(); ++i) {
+      const LogRecord& a = got.records[i];
+      const LogRecord& b = want.records[i];
+      ASSERT_TRUE(a.frame == b.frame && a.file == b.file && a.line == b.line &&
+                  a.channel == b.channel && a.byte_offset == b.byte_offset)
+          << "record " << i;
+    }
+    EXPECT_EQ(got.diagnostic_count, want.diagnostic_count);
+    ASSERT_EQ(got.diagnostics.size(), want.diagnostics.size());
+    for (std::size_t i = 0; i < want.diagnostics.size(); ++i) {
+      const LogDiagnostic& a = got.diagnostics[i];
+      const LogDiagnostic& b = want.diagnostics[i];
+      ASSERT_TRUE(a.file == b.file && a.line == b.line &&
+                  a.byte_offset == b.byte_offset && a.severity == b.severity &&
+                  a.message == b.message)
+          << "diagnostic " << i;
+    }
+  }
 }
 
 TEST(FinalizeMerge, MergesFilesByTimestampStably) {
