@@ -39,7 +39,7 @@ void NspkAuthenticationCheck(benchmark::State& state) {
     const CheckResult r = security::check_precedence(
         sys->ctx, sys->system, sys->running_ab, sys->commit_ba);
     states = r.stats.impl_states;
-    universe = sys->universe_size;
+    universe = sys->intruder.universe.size();
     passed = r.passed;
   }
   state.counters["impl_states"] = static_cast<double>(states);

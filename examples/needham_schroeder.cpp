@@ -23,7 +23,7 @@ int main() {
     auto sys = build_nspk(/*lowe_fix=*/false);
     std::printf("small system: initiator a, responder b, intruder i\n");
     std::printf("message universe: %zu terms (%zu communicable)\n\n",
-                sys->universe_size, sys->message_count);
+                sys->intruder.universe.size(), sys->intruder.messages.size());
 
     std::printf("authentication check: commit.b.a requires running.a.b\n");
     const CheckResult r = check_precedence_witness(

@@ -1,6 +1,8 @@
 #include "capl/lexer.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 #include <unordered_map>
 
 namespace ecucsp::capl {
@@ -172,7 +174,16 @@ std::vector<Token> lex(std::string_view src) {
         }
       }
       Token t{Tok::Number, std::string(src.substr(i, j - i)), 0, line, col};
-      t.number = std::stoll(t.text, nullptr, base);
+      // from_chars takes no 0x prefix: read the hex digits after it.
+      const char* digits = src.data() + i + (base == 16 ? 2 : 0);
+      const auto [end, ec] =
+          std::from_chars(digits, src.data() + j, t.number, base);
+      if (ec == std::errc::result_out_of_range) {
+        throw CaplError("integer literal out of range", line, col);
+      }
+      if (ec != std::errc{} || end != src.data() + j) {
+        throw CaplError("malformed integer literal", line, col);
+      }
       out.push_back(std::move(t));
       advance(j - i);
       continue;

@@ -1,7 +1,9 @@
 #include "cspm/eval.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
+#include "core/stack_budget.hpp"
 #include "cspm/parser.hpp"
 #include "cspm/printer.hpp"
 
@@ -268,16 +270,15 @@ CVal Evaluator::reference_definition(const DefinitionAst& def,
     }
     if (auto it = memo_.find(key); it != memo_.end()) return it->second;
     // Each distinct in-flight instantiation deepens the eager unfolding by
-    // one C++ stack frame; only a reference to an instantiation already in
+    // a few C++ frames; only a reference to an instantiation already in
     // progress is tied lazily. A definition recursing through an unbounded
     // argument (COUNT(n) = a -> COUNT(n+1)) would therefore overflow the
-    // stack — fail with a diagnosable error well before that.
-    constexpr std::size_t kMaxInstantiationDepth = 1000;
-    if (in_progress_.size() >= kMaxInstantiationDepth) {
-      error(where, "'" + def.name +
-                       "' exceeds the maximum process-instantiation depth (" +
-                       std::to_string(kMaxInstantiationDepth) +
-                       "); recursion through an unbounded argument?");
+    // stack — fail with a diagnosable error while stack is left.
+    if (core::stack_exhausted()) {
+      error(where, "'" + def.name + "' exhausts the evaluator's stack after " +
+                       std::to_string(in_progress_.size()) +
+                       " nested instantiations; recursion through an "
+                       "unbounded argument?");
     }
     Env env;
     for (std::size_t i = 0; i < args.size(); ++i) {
@@ -718,16 +719,35 @@ CVal Evaluator::eval(const Expr& e, const Env& env) {
       }
       const std::int64_t a = l.integer;
       const std::int64_t b = r.integer;
+      // Overflow is an evaluation error, never a wrapped or trapping value.
+      std::int64_t out = 0;
       switch (e.binop) {
-        case BinOpKind::Add: return CVal::of_int(a + b);
-        case BinOpKind::Sub: return CVal::of_int(a - b);
-        case BinOpKind::Mul: return CVal::of_int(a * b);
+        case BinOpKind::Add:
+          if (__builtin_add_overflow(a, b, &out)) {
+            error(e, "integer overflow in '+'");
+          }
+          return CVal::of_int(out);
+        case BinOpKind::Sub:
+          if (__builtin_sub_overflow(a, b, &out)) {
+            error(e, "integer overflow in '-'");
+          }
+          return CVal::of_int(out);
+        case BinOpKind::Mul:
+          if (__builtin_mul_overflow(a, b, &out)) {
+            error(e, "integer overflow in '*'");
+          }
+          return CVal::of_int(out);
         case BinOpKind::Div:
           if (b == 0) error(e, "division by zero");
+          if (b == -1 && a == INT64_MIN) error(e, "integer overflow in '/'");
           return CVal::of_int(a / b);
-        case BinOpKind::Mod:
+        case BinOpKind::Mod: {
           if (b == 0) error(e, "modulo by zero");
-          return CVal::of_int(((a % b) + b) % b);
+          if (b == -1 && a == INT64_MIN) error(e, "integer overflow in '%'");
+          std::int64_t r = a % b;  // the result takes the divisor's sign
+          if (r != 0 && (r < 0) != (b < 0)) r += b;
+          return CVal::of_int(r);
+        }
         case BinOpKind::Lt: return CVal::of_bool(a < b);
         case BinOpKind::Gt: return CVal::of_bool(a > b);
         case BinOpKind::Le: return CVal::of_bool(a <= b);
@@ -741,6 +761,7 @@ CVal Evaluator::eval(const Expr& e, const Env& env) {
       const CVal v = eval(*e.kids[0], env);
       if (e.unop == UnOpKind::Neg) {
         if (v.kind != CVal::Kind::Int) error(e, "'-' requires an integer");
+        if (v.integer == INT64_MIN) error(e, "integer overflow in '-'");
         return CVal::of_int(-v.integer);
       }
       if (v.kind != CVal::Kind::Bool) error(e, "'not' requires a boolean");

@@ -1,6 +1,8 @@
 #include "cspm/lexer.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 #include <unordered_map>
 
 namespace ecucsp::cspm {
@@ -152,7 +154,10 @@ std::vector<Token> lex(std::string_view src) {
         ++j;
       }
       Token t{Tok::Number, std::string(src.substr(i, j - i)), 0, line, col};
-      t.number = std::stoll(t.text);
+      if (std::from_chars(src.data() + i, src.data() + j, t.number).ec !=
+          std::errc{}) {
+        throw LexError("integer literal out of range", line, col);
+      }
       out.push_back(std::move(t));
       advance(j - i);
       continue;

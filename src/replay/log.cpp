@@ -4,8 +4,10 @@
 #include <cstring>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <system_error>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 
 #include "can/candump.hpp"
@@ -117,6 +119,14 @@ struct ChunkScan {
   std::vector<std::tuple<std::uint32_t, std::uint64_t, const char*>> errors;
 };
 
+/// Hashes names by content, so a std::string index takes string_view keys.
+struct NameHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view name) const {
+    return std::hash<std::string_view>{}(name);
+  }
+};
+
 /// The end of the line that starts at `pos`: its '\n', or `hi`.
 std::size_t line_end(std::string_view text, std::size_t pos, std::size_t hi) {
   const void* nl = std::memchr(text.data() + pos, '\n', hi - pos);
@@ -137,6 +147,10 @@ void scan_chunk(std::string_view text, std::uint32_t file, ChunkScan& chunk,
   LogRecord* r = slots + chunk.first_slot;
   std::size_t lineno = chunk.first_line;
   std::string_view channel;
+  // Most records name the interface of the record before them; the others
+  // are one hash probe, whatever the number of names.
+  std::uint32_t last = 0;
+  std::unordered_map<std::string_view, std::uint32_t> index;
   for (std::size_t pos = chunk.lo, eol; pos < chunk.hi; pos = eol + 1) {
     eol = line_end(text, pos, chunk.hi);
     const std::string_view line = text.substr(pos, eol - pos);
@@ -149,10 +163,13 @@ void scan_chunk(std::string_view text, std::uint32_t file, ChunkScan& chunk,
     r->file = file;
     r->line = static_cast<std::uint32_t>(lineno);
     r->byte_offset = pos;
-    const auto known = std::find(chunk.channels.begin(), chunk.channels.end(),
-                                 channel);
-    r->channel = static_cast<std::uint16_t>(known - chunk.channels.begin());
-    if (known == chunk.channels.end()) chunk.channels.push_back(channel);
+    if (chunk.channels.empty() || chunk.channels[last] != channel) {
+      const auto next = static_cast<std::uint32_t>(chunk.channels.size());
+      const auto [it, fresh] = index.try_emplace(channel, next);
+      if (fresh) chunk.channels.push_back(channel);
+      last = it->second;
+    }
+    r->channel = last;
     ++r;
   }
   chunk.records = static_cast<std::size_t>(r - (slots + chunk.first_slot));
@@ -236,17 +253,33 @@ void scan_candump(std::string_view text, std::uint32_t file, ParsedLog& out,
   // 3. Join in chunk order: move a chunk's records down over the slots that
   //    malformed lines in earlier chunks left empty, and map its channel
   //    table onto the log's unless it is a prefix of it already.
+  //    A name at the same place in both tables needs no lookup; the rest
+  //    take one probe of an index over the log's names, built on first use.
   LogRecord* joined = slots;
-  std::vector<std::uint16_t> global;
+  std::vector<std::uint32_t> global;
+  std::unordered_map<std::string, std::uint32_t, NameHash, std::equal_to<>>
+      index;
   for (const ChunkScan& chunk : chunks) {
     global.clear();
     bool prefix = true;
     for (const std::string_view name : chunk.channels) {
-      const auto it = std::find(out.channels.begin(), out.channels.end(), name);
-      const auto at = static_cast<std::size_t>(it - out.channels.begin());
-      if (it == out.channels.end()) out.channels.emplace_back(name);
+      auto at = static_cast<std::uint32_t>(global.size());
+      if (at >= out.channels.size() || out.channels[at] != name) {
+        if (index.empty()) {
+          for (std::uint32_t k = 0; k < out.channels.size(); ++k) {
+            index.emplace(out.channels[k], k);
+          }
+        }
+        if (const auto it = index.find(name); it != index.end()) {
+          at = it->second;
+        } else {
+          at = static_cast<std::uint32_t>(out.channels.size());
+          index.emplace(name, at);
+          out.channels.emplace_back(name);
+        }
+      }
       prefix = prefix && at == global.size();
-      global.push_back(static_cast<std::uint16_t>(at));
+      global.push_back(at);
     }
     LogRecord* const first = slots + chunk.first_slot;
     if (joined != first) std::copy(first, first + chunk.records, joined);

@@ -50,9 +50,11 @@ struct LogRecord {
   can::CanFrame frame;  // frame.timestamp_us carries the log timestamp
   std::uint32_t file = 0;
   std::uint32_t line = 0;  // 1-based line in its source file
-  std::uint16_t channel = 0;  // index into ParsedLog::channels
+  std::uint32_t channel = 0;  // index into ParsedLog::channels
   std::uint64_t byte_offset = 0;  // offset of the record's line in its file
 };
+// The channel index sits in padding: widening it cost no bytes.
+static_assert(sizeof(LogRecord) == 48);
 
 struct ParsedLog {
   /// Merged records, ordered by (timestamp, file, line).

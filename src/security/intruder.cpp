@@ -1,64 +1,109 @@
 #include "security/intruder.hpp"
 
-#include <algorithm>
+#include <memory>
 
 namespace ecucsp::security {
 
 namespace {
 
-Value encode_knowledge(const std::set<Value>& knowledge) {
-  return Value::tuple({knowledge.begin(), knowledge.end()});
-}
+/// What every unfolding of one intruder shares: the term index, the ids of
+/// the network messages, and the hear and say events, each interned on
+/// first use and kept in a (from, to, message) table.
+struct IntruderState {
+  IntruderState(const TermAlgebra& terms, const IntruderConfig& config)
+      : cfg(config),
+        name(terms.context().sym(config.name)),
+        index(terms, config.universe, extra_terms(config)),
+        hear(slots(config), kUnset),
+        say(slots(config), kUnset) {
+    for (const Value& m : cfg.messages) message_ids.push_back(index.id(m));
+  }
 
-std::set<Value> decode_knowledge(const Value& v) {
-  const auto& items = v.as_tuple();
-  return {items.begin(), items.end()};
-}
+  static std::vector<Value> extra_terms(const IntruderConfig& c) {
+    std::vector<Value> out = c.messages;
+    out.insert(out.end(), c.initial_knowledge.begin(),
+               c.initial_knowledge.end());
+    return out;
+  }
+  static std::size_t slots(const IntruderConfig& c) {
+    return c.agents.size() * c.agents.size() * c.messages.size();
+  }
+
+  EventId event(Context& cx, std::vector<EventId>& table, ChannelId chan,
+                std::size_t from, std::size_t to, std::size_t m) {
+    const std::size_t agents = cfg.agents.size();
+    EventId& slot = table[(from * agents + to) * cfg.messages.size() + m];
+    if (slot == kUnset) {
+      slot = cx.event(chan,
+                      {cfg.agents[from], cfg.agents[to], cfg.messages[m]});
+    }
+    return slot;
+  }
+
+  ProcessRef state(Context& cx, const TermIndex::Bits& known) const {
+    std::vector<Value> words;
+    words.reserve(known.size());
+    for (const std::uint64_t w : known) {
+      words.push_back(Value::integer(static_cast<std::int64_t>(w)));
+    }
+    return cx.var(name, {Value::tuple(std::move(words))});
+  }
+
+  static constexpr EventId kUnset = ~EventId{0};
+  const IntruderConfig cfg;
+  const Symbol name;
+  const TermIndex index;
+  std::vector<TermIndex::Id> message_ids;
+  std::vector<EventId> hear;
+  std::vector<EventId> say;
+};
 
 }  // namespace
 
 ProcessRef build_intruder(const TermAlgebra& terms, const IntruderConfig& cfg) {
   Context& ctx = terms.context();
-  const std::string name = cfg.name;
-
   // The definition unfolds lazily: each distinct knowledge set becomes one
-  // memoised process. Capture what we need by value.
-  const IntruderConfig config = cfg;
-  const TermAlgebra algebra = terms;
+  // memoised process.
+  const auto st = std::make_shared<IntruderState>(terms, cfg);
 
-  ctx.define(name, [config, algebra, name](Context& cx,
-                                           std::span<const Value> args) {
-    const std::set<Value> knowledge = decode_knowledge(args[0]);
-
-    std::vector<ProcessRef> branches;
+  ctx.define(cfg.name, [st](Context& cx, std::span<const Value> args) {
+    const TermIndex& index = st->index;
+    TermIndex::Bits known;
+    for (const Value& w : args[0].as_tuple()) {
+      known.push_back(static_cast<std::uint64_t>(w.as_int()));
+    }
+    const ProcessRef self = cx.var(st->name, {args[0]});
+    const std::size_t agents = st->cfg.agents.size();
+    const std::size_t messages = st->message_ids.size();
 
     // Overhear any transmission: learn the payload. The grown knowledge
     // depends only on the message, so close it once per message.
-    std::vector<Value> heard;
-    heard.reserve(config.messages.size());
-    for (const Value& m : config.messages) {
-      std::set<Value> grown = knowledge;
-      grown.insert(m);
-      heard.push_back(
-          encode_knowledge(algebra.close(std::move(grown), config.universe)));
+    std::vector<ProcessRef> heard(messages, self);
+    for (std::size_t i = 0; i < messages; ++i) {
+      if (TermIndex::has(known, st->message_ids[i])) continue;
+      TermIndex::Bits grown = known;
+      index.learn(grown, st->message_ids[i]);
+      heard[i] = st->state(cx, grown);
     }
-    for (const Value& from : config.agents) {
-      for (const Value& to : config.agents) {
-        for (std::size_t i = 0; i < config.messages.size(); ++i) {
-          const EventId hear =
-              cx.event(config.hear_channel, {from, to, config.messages[i]});
-          branches.push_back(cx.prefix(hear, cx.var(name, {heard[i]})));
+    std::vector<ProcessRef> branches;
+    branches.reserve(agents * agents * messages * 2);
+    for (std::size_t from = 0; from < agents; ++from) {
+      for (std::size_t to = 0; to < agents; ++to) {
+        for (std::size_t i = 0; i < messages; ++i) {
+          branches.push_back(cx.prefix(
+              st->event(cx, st->hear, st->cfg.hear_channel, from, to, i),
+              heard[i]));
         }
       }
     }
 
     // Inject any derivable message with any claimed sender to any recipient.
-    for (const Value& m : config.messages) {
-      if (!knowledge.contains(m)) continue;
-      for (const Value& from : config.agents) {
-        for (const Value& to : config.agents) {
-          const EventId say = cx.event(config.say_channel, {from, to, m});
-          branches.push_back(cx.prefix(say, cx.var(name, {args[0]})));
+    for (std::size_t i = 0; i < messages; ++i) {
+      if (!TermIndex::has(known, st->message_ids[i])) continue;
+      for (std::size_t from = 0; from < agents; ++from) {
+        for (std::size_t to = 0; to < agents; ++to) {
+          branches.push_back(cx.prefix(
+              st->event(cx, st->say, st->cfg.say_channel, from, to, i), self));
         }
       }
     }
@@ -66,10 +111,11 @@ ProcessRef build_intruder(const TermAlgebra& terms, const IntruderConfig& cfg) {
     return cx.ext_choice(branches);
   });
 
-  const Value initial = encode_knowledge(
-      terms.close({cfg.initial_knowledge.begin(), cfg.initial_knowledge.end()},
-                  cfg.universe));
-  return ctx.var(name, {initial});
+  TermIndex::Bits initial = st->index.none();
+  for (const Value& v : cfg.initial_knowledge) {
+    st->index.learn(initial, st->index.id(v));
+  }
+  return st->state(ctx, initial);
 }
 
 }  // namespace ecucsp::security

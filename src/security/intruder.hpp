@@ -6,8 +6,12 @@
 //
 // The intruder overhears every transmission (learning its payload), and may
 // inject any message it can derive, with any claimed sender/recipient. Its
-// state is its (closed) knowledge set, encoded as a Value tuple so the core
-// Context memoises one process per distinct knowledge set.
+// state is its closed knowledge: a bitset over the TermIndex of its
+// universe, messages and initial knowledge. The Var argument is that
+// bitset's words as one tuple of integers, so the core Context memoises one
+// process per distinct knowledge set, and the argument (which term digests
+// read) depends only on the configuration, never on the order in which
+// states were unfolded.
 #pragma once
 
 #include <set>

@@ -56,8 +56,6 @@ std::unique_ptr<NspkSystem> build_nspk(bool lowe_fix) {
   universe.insert(universe.end(), agents.begin(), agents.end());
   for (const Value& ag : agents) universe.push_back(T.pk(ag));
   universe.push_back(T.sk(i));
-  sys->universe_size = universe.size();
-  sys->message_count = messages.size();
 
   // --- channels ----------------------------------------------------------------
   const ChannelId snd = ctx.channel("snd", {agents, agents, messages});
@@ -113,7 +111,7 @@ std::unique_ptr<NspkSystem> build_nspk(bool lowe_fix) {
   const ProcessRef responder = ctx.ext_choice(resp_branches);
 
   // --- intruder -----------------------------------------------------------------
-  IntruderConfig cfg;
+  IntruderConfig& cfg = sys->intruder;
   cfg.universe = universe;
   cfg.messages = messages;
   cfg.initial_knowledge = {a,       b,       i,        ni,

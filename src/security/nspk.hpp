@@ -34,8 +34,7 @@ struct NspkSystem {
   ProcessRef system = nullptr;  // (A ||| B) [|{snd,rcv}|] INTRUDER
   EventId running_ab = 0;       // initiator a running with responder b
   EventId commit_ba = 0;        // responder b committing to initiator a
-  std::size_t universe_size = 0;
-  std::size_t message_count = 0;
+  IntruderConfig intruder;  // the intruder's universe, messages and keys
 };
 
 /// Build the small system. `lowe_fix` selects NSL (true) or the flawed

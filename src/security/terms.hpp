@@ -11,10 +11,17 @@
 // a finite message universe (the closure only *composes* terms that appear
 // in the universe, which keeps intruder state spaces finite — the classic
 // Roscoe/Ryan-Schneider treatment the paper cites as [30]).
+//
+// The closure runs over a TermIndex: dense ids for a fixed set of terms and
+// their sub-terms, knowledge as a bitset over those ids, and a semi-naive
+// worklist that visits only the consequences of newly learnt ids.
 #pragma once
 
+#include <cstdint>
 #include <set>
+#include <span>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "core/context.hpp"
@@ -94,6 +101,51 @@ class TermAlgebra {
   Symbol mac_tag_;
   Symbol pk_tag_;
   Symbol sk_tag_;
+};
+
+/// Dense ids for the sub-term closure of a fixed term set, with the indexes
+/// the Dolev-Yao rules fire from. Ids follow first sight in the
+/// constructor's argument order, so they are a function of those arguments
+/// alone, never of what a Context interned before.
+class TermIndex {
+ public:
+  using Id = std::uint32_t;
+  /// Knowledge: bit `id` is set iff term `id` is known.
+  using Bits = std::vector<std::uint64_t>;
+
+  /// Index `universe` (the terms the intruder may compose), then `extra`,
+  /// with every sub-term of either.
+  TermIndex(const TermAlgebra& terms, std::span<const Value> universe,
+            std::span<const Value> extra);
+
+  std::size_t size() const { return terms_.size(); }
+  Id id(const Value& v) const { return ids_.at(v); }
+  const Value& term(Id id) const { return terms_[id]; }
+
+  Bits none() const { return Bits((size() + 63) / 64, 0); }
+  static bool has(const Bits& k, Id id) {
+    return (k[id / 64] >> (id % 64)) & 1;
+  }
+  /// Add `id` to the closed knowledge `k` and close it again.
+  void learn(Bits& k, Id id) const;
+
+ private:
+  enum class Ctor : std::uint8_t { Atom, Pair, Senc, Aenc, Mac };
+  static constexpr Id kNone = ~Id{0};
+  struct Node {
+    Ctor ctor = Ctor::Atom;
+    Id a = kNone;             // first component (the key of senc/aenc/mac)
+    Id b = kNone;             // second component (the body)
+    Id secret = kNone;        // aenc(pk(x), m): the id of sk(x), if indexed
+    std::vector<Id> opens;    // ciphertexts this id decrypts
+    std::vector<Id> used_by;  // universe composites with this component
+  };
+
+  Id visit(const TermAlgebra& terms, const Value& v);
+
+  std::vector<Value> terms_;
+  std::vector<Node> nodes_;
+  std::unordered_map<Value, Id, ValueHash> ids_;
 };
 
 }  // namespace ecucsp::security

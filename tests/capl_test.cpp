@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+
 #include "capl/interp.hpp"
+#include "capl/lexer.hpp"
 #include "capl/parser.hpp"
 
 namespace ecucsp::capl {
@@ -84,6 +89,27 @@ TEST(CaplParser, ErrorsHaveLocations) {
     FAIL() << "expected CaplError";
   } catch (const CaplError& e) {
     EXPECT_EQ(e.line, 2);
+  }
+}
+
+TEST(CaplParser, IntegerLiteralsOutOfRangeAreErrorsAtTheLiteral) {
+  EXPECT_EQ(lex("0x7FFFFFFFFFFFFFFF 9223372036854775807")[1].number,
+            INT64_MAX);
+  EXPECT_EQ(lex("0XfF")[0].number, 255);
+  const std::pair<const char*, const char*> bad[] = {
+      {"on start {\n  x = 99999999999999999999; }", "out of range"},
+      {"on start {\n  x = 0x10000000000000000; }", "out of range"},
+      {"on start {\n  x = 0x; }", "malformed integer literal"},
+  };
+  for (const auto& [source, why] : bad) {
+    try {
+      parse_capl(source);
+      ADD_FAILURE() << "expected CaplError: " << source;
+    } catch (const CaplError& e) {
+      EXPECT_EQ(e.line, 2) << source;
+      EXPECT_EQ(e.column, 7) << source;
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << source;
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +25,82 @@ TEST_F(CspmEvalTest, ArithmeticAndBooleans) {
   EXPECT_EQ(ev.evaluate_expression("-7 % 3").integer, 2);  // mathematical mod
   EXPECT_TRUE(ev.evaluate_expression("1 < 2 and not (3 == 4)").boolean);
   EXPECT_TRUE(ev.evaluate_expression("false or 2 >= 2").boolean);
+}
+
+// Each overflowing operator is an EvalError at its expression, never a
+// wrapped value or a SIGFPE. INT64_MIN is written as 0 - MAX - 1.
+std::string overflow_error(Evaluator& ev, const std::string& expr) {
+  try {
+    ev.evaluate_expression(expr);
+  } catch (const EvalError& err) {
+    EXPECT_EQ(err.line, 1) << expr;
+    EXPECT_GE(err.column, 1) << expr;
+    return err.what();
+  }
+  ADD_FAILURE() << expr << " evaluated without an error";
+  return "";
+}
+
+TEST_F(CspmEvalTest, AdditionOverflowIsAnError) {
+  ev.load_source("");
+  EXPECT_NE(overflow_error(ev, "9223372036854775807 + 1")
+                .find("integer overflow in '+'"),
+            std::string::npos);
+  EXPECT_EQ(ev.evaluate_expression("9223372036854775806 + 1").integer,
+            INT64_MAX);
+}
+
+TEST_F(CspmEvalTest, SubtractionOverflowIsAnError) {
+  ev.load_source("");
+  EXPECT_NE(overflow_error(ev, "0 - 9223372036854775807 - 2")
+                .find("integer overflow in '-'"),
+            std::string::npos);
+  EXPECT_EQ(ev.evaluate_expression("0 - 9223372036854775807 - 1").integer,
+            INT64_MIN);
+}
+
+TEST_F(CspmEvalTest, MultiplicationOverflowIsAnError) {
+  ev.load_source("");
+  EXPECT_NE(overflow_error(ev, "4611686018427387904 * 2")
+                .find("integer overflow in '*'"),
+            std::string::npos);
+  EXPECT_EQ(ev.evaluate_expression("4611686018427387904 * (0 - 2)").integer,
+            INT64_MIN);
+}
+
+TEST_F(CspmEvalTest, NegationOfTheMinimumIsAnError) {
+  ev.load_source("");
+  EXPECT_NE(overflow_error(ev, "-(0 - 9223372036854775807 - 1)")
+                .find("integer overflow in '-'"),
+            std::string::npos);
+  EXPECT_EQ(ev.evaluate_expression("-(0 - 9223372036854775807)").integer,
+            INT64_MAX);
+}
+
+TEST_F(CspmEvalTest, DivisionOfTheMinimumByMinusOneIsAnError) {
+  ev.load_source("");
+  EXPECT_NE(overflow_error(ev, "(0 - 9223372036854775807 - 1) / (0 - 1)")
+                .find("integer overflow in '/'"),
+            std::string::npos);
+  EXPECT_EQ(ev.evaluate_expression("(0 - 9223372036854775807) / (0 - 1)")
+                .integer,
+            INT64_MAX);
+}
+
+TEST_F(CspmEvalTest, RemainderOfTheMinimumByMinusOneIsAnError) {
+  ev.load_source("");
+  EXPECT_NE(overflow_error(ev, "(0 - 9223372036854775807 - 1) % (0 - 1)")
+                .find("integer overflow in '%'"),
+            std::string::npos);
+  // The floor-mod takes the divisor's sign, also where a + b would
+  // overflow.
+  EXPECT_EQ(ev.evaluate_expression("9223372036854775806 % 9223372036854775807")
+                .integer,
+            INT64_MAX - 1);
+  EXPECT_EQ(ev.evaluate_expression("5 % (0 - 3)").integer, -1);
+  EXPECT_EQ(ev.evaluate_expression("(0 - 5) % (0 - 3)").integer, -2);
+  EXPECT_EQ(ev.evaluate_expression("(0 - 1) % 9223372036854775807").integer,
+            INT64_MAX - 1);
 }
 
 TEST_F(CspmEvalTest, SetsAndBuiltins) {

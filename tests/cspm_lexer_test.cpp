@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "cspm/lexer.hpp"
 
 namespace ecucsp::cspm {
@@ -28,6 +30,19 @@ TEST(CspmLexer, NumbersCarryValues) {
   EXPECT_EQ(toks[0].number, 0);
   EXPECT_EQ(toks[1].number, 42);
   EXPECT_EQ(toks[2].number, 1234);
+}
+
+TEST(CspmLexer, OutOfRangeNumberIsALexErrorAtTheLiteral) {
+  EXPECT_EQ(lex("9223372036854775807")[0].number, INT64_MAX);
+  try {
+    lex("N =\n  99999999999999999999");
+    FAIL() << "expected LexError";
+  } catch (const LexError& e) {
+    EXPECT_EQ(e.line, 2);
+    EXPECT_EQ(e.column, 3);
+    EXPECT_NE(std::string(e.what()).find("integer literal out of range"),
+              std::string::npos);
+  }
 }
 
 TEST(CspmLexer, ProcessOperators) {

@@ -130,6 +130,26 @@ TEST(LintCorpus, CatalogueIsFullyCovered) {
   EXPECT_EQ(covered.size(), all_rules().size());
 }
 
+TEST(LintCorpus, OutOfRangeIntegerLiteralIsOneParseErrorAtTheLiteral) {
+  // Both lexers read literals with from_chars: a literal beyond int64 is
+  // one E001 at the literal, never an escaped std::out_of_range.
+  LintRequest req;
+  req.capl.push_back(
+      {"big.can", "on start {\n  x = 0x10000000000000000;\n}\n"});
+  req.cspm.push_back({"big.csp", "channel c\nN = 99999999999999999999\n"});
+  const LintReport report = run_lint(req);
+  ASSERT_EQ(report.diagnostics.size(), 2u)
+      << render_text(report.diagnostics, report.sources);
+  for (const Diagnostic& d : report.diagnostics) {
+    SCOPED_TRACE(d.file);
+    EXPECT_EQ(d.rule, "E001");
+    EXPECT_EQ(d.span.line, 2);
+    EXPECT_EQ(d.span.column, d.file == "big.can" ? 7 : 5);
+    EXPECT_NE(d.message.find("integer literal out of range"),
+              std::string::npos);
+  }
+}
+
 TEST(LintCorpus, SourcesAreCapturedForRendering) {
   const LintReport report = run_lint(request_for("C004_signal_overflow.can"));
   ASSERT_EQ(report.diagnostics.size(), 1u);

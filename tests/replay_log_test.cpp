@@ -5,6 +5,7 @@
 // the first divergence the replay reports".
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -378,6 +379,33 @@ TEST(ScanCandump, SplitInvariantInEveryFieldAtScale) {
                   a.message == b.message)
           << "diagnostic " << i;
     }
+  }
+}
+
+TEST(ScanCandump, EveryInterfaceNameKeepsItsOwnChannel) {
+  // One more interface name than 16 bits can index, one name per record:
+  // record i must name ch<i>. Both channel lookups, in a chunk and in the
+  // join, must cost the same whatever the number of names; linear ones
+  // took seconds on this log.
+  constexpr std::size_t kNames = 65'537;
+  std::string text;
+  for (std::size_t i = 0; i < kNames; ++i) {
+    text += "(1.0) ch" + std::to_string(i) + " 123#00\n";
+  }
+  for (const unsigned jobs : {1u, 2u}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    verify::VerifyScheduler sched{{.jobs = jobs}};
+    ParsedLog log;
+    const auto start = std::chrono::steady_clock::now();
+    scan_candump(text, 0, log, &sched);
+    const auto took = std::chrono::steady_clock::now() - start;
+    ASSERT_EQ(log.records.size(), kNames);
+    ASSERT_EQ(log.channels.size(), kNames);
+    for (std::size_t i = 0; i < kNames; ++i) {
+      ASSERT_EQ(log.channels[log.records[i].channel], "ch" + std::to_string(i))
+          << "record " << i;
+    }
+    EXPECT_LT(took, std::chrono::seconds(1));
   }
 }
 

@@ -3,6 +3,9 @@
 #include <string>
 #include <vector>
 
+#include "core/rng.hpp"
+#include "dolev_yao_reference.hpp"
+#include "refine/lts.hpp"
 #include "security/attack_tree.hpp"
 #include "security/intruder.hpp"
 #include "security/mac.hpp"
@@ -10,6 +13,7 @@
 #include "security/properties.hpp"
 #include "security/secoc.hpp"
 #include "security/terms.hpp"
+#include "store/term_digest.hpp"
 
 namespace ecucsp::security {
 namespace {
@@ -118,6 +122,93 @@ TEST_F(TermsTest, DerivableWrapper) {
   const Value y = T.atom("y");
   EXPECT_TRUE(T.derivable({T.pair(x, y)}, {}, x));
   EXPECT_FALSE(T.derivable({x}, {}, y));
+}
+
+TEST(TermAlgebra, ClosureMatchesReferenceOnSeededKnowledge) {
+  // Seeded knowledge over the NSPK and NSL universes and over random small
+  // algebras: the semi-naive closure must derive exactly the set that the
+  // naive fixpoint in dolev_yao_reference.hpp derives.
+  std::uint64_t rng = core::seed_state(26);
+  const auto below = [&](std::size_t n) {
+    return static_cast<std::size_t>(core::splitmix64(rng) % n);
+  };
+  const auto pick = [&](const std::vector<Value>& from) {
+    return from[below(from.size())];
+  };
+  std::size_t cases = 0;
+  std::size_t grew = 0;
+  const auto same = [&](const TermAlgebra& T, const std::set<Value>& known,
+                        const std::vector<Value>& universe) {
+    const std::set<Value> got = T.close(known, universe);
+    ++cases;
+    grew += got.size() > known.size();
+    return got == reference::NaiveAlgebra(T).close(known, universe);
+  };
+
+  // Protocol universes: a random share of the universe is composable, and
+  // the knowledge mixes universe terms, initial knowledge and secret keys.
+  for (const bool fix : {false, true}) {
+    auto sys = build_nspk(fix);
+    const TermAlgebra& T = sys->terms;
+    const std::vector<Value>& full = sys->intruder.universe;
+    std::vector<Value> pool = full;
+    pool.insert(pool.end(), sys->intruder.initial_knowledge.begin(),
+                sys->intruder.initial_knowledge.end());
+    const std::vector<Value> secrets{T.sk(T.atom("a")), T.sk(T.atom("b"))};
+    for (int run = 0; run < 2'000; ++run) {
+      const std::size_t keep = 1 + below(4);  // keep 1 in `keep` terms
+      std::vector<Value> universe;
+      for (const Value& v : full) {
+        if (below(keep) == 0) universe.push_back(v);
+      }
+      std::set<Value> known;
+      for (std::size_t n = below(7); n > 0; --n) known.insert(pick(pool));
+      if (below(2) == 0) known.insert(pick(secrets));
+      ASSERT_TRUE(same(T, known, universe)) << "NSPK case " << run;
+    }
+  }
+
+  // Random small algebras over pair, senc, aenc, mac, pk and sk, with keys
+  // inside and outside the universe and sk(a) absent or present.
+  Context ctx;
+  const TermAlgebra T{ctx};
+  const std::vector<Value> agents{T.atom("a"), T.atom("b")};
+  const std::vector<Value> leaves{T.atom("x"),        T.atom("y"),
+                                  T.atom("k"),        T.atom("k2"),
+                                  agents[0],          agents[1],
+                                  T.pk(agents[0]),    T.pk(agents[1]),
+                                  T.sk(agents[0]),    T.sk(agents[1])};
+  const auto term = [&](auto&& self, int depth) -> Value {
+    if (depth == 0 || below(3) == 0) return pick(leaves);
+    const Value body = self(self, depth - 1);
+    switch (below(4)) {
+      case 0:
+        return T.pair(self(self, depth - 1), body);
+      case 1:
+        return T.senc(below(3) == 0 ? self(self, depth - 1) : pick(leaves),
+                      body);
+      case 2:
+        return T.aenc(below(4) == 0 ? pick(leaves) : T.pk(pick(agents)),
+                      body);
+      default:
+        return T.mac(pick(leaves), body);
+    }
+  };
+  for (int run = 0; run < 18'000; ++run) {
+    std::vector<Value> universe;
+    for (std::size_t n = below(8); n > 0; --n) {
+      universe.push_back(term(term, 1 + below(2)));
+    }
+    if (below(2) == 0) universe.push_back(pick(leaves));
+    std::set<Value> known;
+    for (std::size_t n = 1 + below(4); n > 0; --n) {
+      known.insert(term(term, below(4)));
+    }
+    if (below(2) == 0) known.insert(T.sk(pick(agents)));
+    ASSERT_TRUE(same(T, known, universe)) << "algebra case " << run;
+  }
+  EXPECT_EQ(cases, 22'000u);
+  EXPECT_GT(grew, cases / 4);  // most cases derive something new
 }
 
 // --- attack trees -----------------------------------------------------------------
@@ -390,6 +481,38 @@ TEST(Nspk, LoweFixWitnessStatsArePinned) {
   EXPECT_EQ(r.stats.spec_states, 2u);
   EXPECT_EQ(r.stats.spec_norm_nodes, 2u);
   EXPECT_EQ(r.stats.product_states, 132u);
+}
+
+TEST(Nspk, TermDigestIsIndependentOfResolutionOrder) {
+  // The intruder's Var argument is its knowledge by content, so resolving
+  // its states first (as compile_lts does) leaves the term digest, the
+  // store key, as a fresh build has it. The digest walk unfolds an
+  // intruder on its own, where any message may be heard at any time, and
+  // it walks every path, so over all of NSPK's messages and agents it
+  // would not finish. This intruder keeps NSPK's universe and keys, but
+  // only the five messages of Lowe's attack and one agent.
+  const auto build = [](bool compile_first) {
+    auto sys = build_nspk(false);
+    TermAlgebra& T = sys->terms;
+    const auto enc = [&](const char* to, const Value& body) {
+      return T.aenc(T.pk(T.atom(to)), body);
+    };
+    IntruderConfig cfg = sys->intruder;
+    const Value na = T.atom("na");
+    const Value nb = T.atom("nb");
+    cfg.messages = {enc("i", T.pair(na, T.atom("a"))),
+                    enc("b", T.pair(na, T.atom("a"))),
+                    enc("a", T.pair(na, nb)), enc("i", nb), enc("b", nb)};
+    cfg.agents = {T.atom("i")};
+    cfg.name = "LOWE_INTRUDER";
+    const ProcessRef intruder = build_intruder(T, cfg);
+    if (compile_first) {
+      compile_lts(sys->ctx, sys->system);
+      EXPECT_EQ(compile_lts(sys->ctx, intruder).state_count(), 17u);
+    }
+    return store::digest_term(sys->ctx, intruder);
+  };
+  EXPECT_EQ(build(true), build(false));
 }
 
 TEST(Nspk, LoweFixRestoresAuthentication) {
