@@ -50,6 +50,10 @@ enum class CBinOp : std::uint8_t {
 enum class CUnOp : std::uint8_t { Neg, Not, BNot };
 
 struct CaplExpr {
+  /// Frees the subtree from a worklist, not by recursion, so an operator
+  /// chain of any length is freed without exhausting the stack.
+  ~CaplExpr();
+
   CExprKind kind = CExprKind::Number;
   int line = 0;
   int column = 0;
@@ -89,6 +93,11 @@ enum class CStmtKind : std::uint8_t {
 };
 
 struct CaplStmt {
+  /// Frees nested statements from a worklist, as ~CaplExpr does.
+  ~CaplStmt();
+  /// Mutation testing replaces a statement in place (conform/mutate.cpp).
+  CaplStmt& operator=(CaplStmt&&) = default;
+
   CStmtKind kind = CStmtKind::Block;
   int line = 0;
   int column = 0;

@@ -1,5 +1,9 @@
 #include "capl/parser.hpp"
 
+#include <variant>
+
+#include "core/stack_budget.hpp"
+
 namespace ecucsp::capl {
 
 std::string to_string(CaplType t) {
@@ -34,6 +38,44 @@ const FunctionDecl* CaplProgram::find_function(const std::string& name) const {
     if (f.name == name) return &f;
   }
   return nullptr;
+}
+
+CaplExpr::~CaplExpr() {
+  std::vector<CaplExprPtr> doomed;
+  const auto keep = [&doomed](CaplExprPtr& e) {
+    if (e) doomed.push_back(std::move(e));
+  };
+  const auto take_kids = [&keep](CaplExpr& e) {
+    for (CaplExprPtr& a : e.args) keep(a);
+    keep(e.object);
+  };
+  take_kids(*this);
+  while (!doomed.empty()) {
+    const CaplExprPtr e = std::move(doomed.back());
+    doomed.pop_back();
+    take_kids(*e);
+  }
+}
+
+CaplStmt::~CaplStmt() {
+  std::vector<CaplStmtPtr> doomed;
+  const auto keep = [&doomed](CaplStmtPtr& s) {
+    if (s) doomed.push_back(std::move(s));
+  };
+  const auto take_kids = [&keep](CaplStmt& s) {
+    for (CaplStmtPtr& k : s.body) keep(k);
+    keep(s.then_branch);
+    keep(s.else_branch);
+    keep(s.loop_body);
+    keep(s.for_init);
+    keep(s.for_step);
+  };
+  take_kids(*this);
+  while (!doomed.empty()) {
+    const CaplStmtPtr s = std::move(doomed.back());
+    doomed.pop_back();
+    take_kids(*s);
+  }
 }
 
 namespace {
@@ -203,7 +245,15 @@ class Parser {
     return out;
   }
 
+  // Each nesting of the grammar passes through block(), statement(),
+  // expression() or unary(); they stop with a parse error while stack is
+  // left.
+  void check_depth() const {
+    if (core::stack_exhausted()) fail("input nests too deeply");
+  }
+
   CaplStmtPtr block() {
+    check_depth();
     auto out = std::make_unique<CaplStmt>();
     out->kind = CStmtKind::Block;
     out->line = peek().line;
@@ -217,6 +267,7 @@ class Parser {
   }
 
   CaplStmtPtr statement() {
+    check_depth();
     if (at(Tok::LBrace)) return block();
 
     auto out = std::make_unique<CaplStmt>();
@@ -363,7 +414,10 @@ class Parser {
   }
 
   // Expression precedence, C-like.
-  CaplExprPtr expression() { return logical_or(); }
+  CaplExprPtr expression() {
+    check_depth();
+    return logical_or();
+  }
 
   CaplExprPtr make_bin(CBinOp op, CaplExprPtr l, CaplExprPtr r) {
     auto e = std::make_unique<CaplExpr>();
@@ -478,6 +532,7 @@ class Parser {
     }
   }
   CaplExprPtr unary() {
+    check_depth();
     const auto un = [&](CUnOp op) {
       take();
       auto e = std::make_unique<CaplExpr>();
@@ -591,38 +646,48 @@ namespace {
 
 /// Deterministic pre-order numbering over the whole program: statements and
 /// expressions share one counter, so any two distinct nodes have distinct
-/// ids regardless of kind.
+/// ids regardless of kind. The walk keeps its own stack, so an operator
+/// chain of any length is numbered without recursion.
 class Numberer {
  public:
   void run(CaplProgram& prog) {
-    for (auto& v : prog.variables) visit(v.init.get());
-    for (auto& h : prog.handlers) visit(h.body.get());
-    for (auto& f : prog.functions) visit(f.body.get());
+    for (auto& v : prog.variables) walk(v.init.get());
+    for (auto& h : prog.handlers) walk(h.body.get());
+    for (auto& f : prog.functions) walk(f.body.get());
   }
 
  private:
-  void visit(CaplStmt* s) {
-    if (!s) return;
-    s->node_id = ++next_;
-    for (auto& kid : s->body) visit(kid.get());
-    visit(s->init.get());
-    visit(s->lvalue.get());
-    visit(s->value.get());
-    visit(s->then_branch.get());
-    visit(s->else_branch.get());
-    visit(s->for_init.get());
-    visit(s->loop_body.get());
-    visit(s->for_step.get());
-    visit(s->expr.get());
+  using Node = std::variant<CaplStmt*, CaplExpr*>;
+
+  void walk(Node root) {
+    todo_.push_back(root);
+    while (!todo_.empty()) {
+      const Node n = todo_.back();
+      todo_.pop_back();
+      // Kids are pushed last first, so they are numbered in order.
+      if (CaplStmt* const* sp = std::get_if<CaplStmt*>(&n)) {
+        CaplStmt* s = *sp;
+        if (!s) continue;
+        s->node_id = ++next_;
+        todo_.insert(todo_.end(),
+                     {s->expr.get(), s->for_step.get(), s->loop_body.get(),
+                      s->for_init.get(), s->else_branch.get(),
+                      s->then_branch.get(), s->value.get(), s->lvalue.get(),
+                      s->init.get()});
+        for (auto it = s->body.rbegin(); it != s->body.rend(); ++it) {
+          todo_.push_back(it->get());
+        }
+      } else if (CaplExpr* e = std::get<CaplExpr*>(n)) {
+        e->node_id = ++next_;
+        todo_.push_back(e->object.get());
+        for (auto it = e->args.rbegin(); it != e->args.rend(); ++it) {
+          todo_.push_back(it->get());
+        }
+      }
+    }
   }
 
-  void visit(CaplExpr* e) {
-    if (!e) return;
-    e->node_id = ++next_;
-    for (auto& arg : e->args) visit(arg.get());
-    visit(e->object.get());
-  }
-
+  std::vector<Node> todo_;
   std::uint32_t next_ = 0;
 };
 

@@ -81,8 +81,6 @@ std::vector<CaplSpan> SpanMap::lookup(const std::string& event) const {
   return it == spans.end() ? std::vector<CaplSpan>{} : it->second;
 }
 
-namespace {
-
 std::string handler_label(const capl::EventHandler& h) {
   using Kind = capl::EventHandler::Kind;
   switch (h.kind) {
@@ -100,6 +98,8 @@ std::string handler_label(const capl::EventHandler& h) {
   }
   return "handler";
 }
+
+namespace {
 
 /// Names of message variables output() anywhere below `s`.
 void collect_outputs(const capl::CaplStmt& s, std::vector<std::string>& out) {

@@ -62,6 +62,11 @@ FrameCodec ota_codec(const can::DbcDatabase& db, bool alphabet_mismatch = false)
 
 // --- event <-> CAPL source spans --------------------------------------------
 
+/// "on start", "on message UpdApplyReq", "on message 259" (a handler named
+/// by its decimal id), "on timer t", "on key k": how spans and mutation
+/// reports name a handler.
+std::string handler_label(const capl::EventHandler& h);
+
 struct CaplSpan {
   std::string node;     // CAPL node name ("ECU", "VMG")
   std::string handler;  // "on message UpdApplyReq", "on start", ...

@@ -4,6 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "conform/harness.hpp"
+
 namespace ecucsp::conform {
 
 namespace {
@@ -15,24 +17,6 @@ struct Point {
   std::string handler;
   std::string other_var;  // RetargetOutput: the replacement message
 };
-
-std::string handler_label(const capl::EventHandler& h) {
-  using Kind = capl::EventHandler::Kind;
-  switch (h.kind) {
-    case Kind::Start:
-      return "on start";
-    case Kind::StopMeasurement:
-      return "on stopMeasurement";
-    case Kind::Message:
-      return "on message " +
-             (h.target.empty() ? std::to_string(h.msg_id) : h.target);
-    case Kind::Timer:
-      return "on timer " + h.target;
-    case Kind::Key:
-      return "on key " + h.target;
-  }
-  return "handler";
-}
 
 void collect_points(capl::CaplStmt& s, const std::string& handler,
                     const std::vector<std::string>& message_vars,

@@ -79,6 +79,10 @@ struct LetBinding {
 };
 
 struct Expr {
+  /// Frees the subtree from a worklist, not by recursion, so an operator
+  /// chain of any length is freed without exhausting the stack.
+  ~Expr();
+
   ExprKind kind = ExprKind::Number;
   int line = 0;
   int column = 0;

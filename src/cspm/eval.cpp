@@ -175,6 +175,12 @@ AssertionResult Evaluator::check_assertion(std::size_t index,
   AssertionResult r;
   r.kind = a->kind;
   r.line = a->line;
+  // Evaluation polls the check's token too, until the check returns.
+  struct Disarm {
+    CancelToken*& slot;
+    ~Disarm() { slot = nullptr; }
+  } disarm{cancel_};
+  cancel_ = cancel;
   const ProcessRef lhs = eval_process(*a->lhs, {});
   switch (a->kind) {
     case AssertionAst::Kind::RefinesT:
@@ -269,17 +275,7 @@ CVal Evaluator::reference_definition(const DefinitionAst& def,
       return CVal::of_process(ctx_.var(def.name, key.args));
     }
     if (auto it = memo_.find(key); it != memo_.end()) return it->second;
-    // Each distinct in-flight instantiation deepens the eager unfolding by
-    // a few C++ frames; only a reference to an instantiation already in
-    // progress is tied lazily. A definition recursing through an unbounded
-    // argument (COUNT(n) = a -> COUNT(n+1)) would therefore overflow the
-    // stack — fail with a diagnosable error while stack is left.
-    if (core::stack_exhausted()) {
-      error(where, "'" + def.name + "' exhausts the evaluator's stack after " +
-                       std::to_string(in_progress_.size()) +
-                       " nested instantiations; recursion through an "
-                       "unbounded argument?");
-    }
+    poll();
     Env env;
     for (std::size_t i = 0; i < args.size(); ++i) {
       env[def.params[i]] = args[i];
@@ -296,8 +292,10 @@ CVal Evaluator::reference_definition(const DefinitionAst& def,
     memo_.emplace(std::move(key), out);
     return out;
   }
-  // Non-data arguments (sets, processes, functions): evaluate directly.
-  // Recursion through such arguments is not supported.
+  // Non-data arguments (sets, processes, functions): evaluate directly, on
+  // every path that reaches the instantiation. Recursion through such
+  // arguments is not tied, so it ends only at its base case or a deadline.
+  poll();
   Env env;
   for (std::size_t i = 0; i < args.size(); ++i) {
     env[def.params[i]] = std::move(args[i]);
@@ -578,9 +576,52 @@ ProcessRef Evaluator::expand_prefix(const Expr& prefix, const CVal& head,
   return ctx_.ext_choice(branches);
 }
 
+// --- generators -----------------------------------------------------------------------------
+
+void Evaluator::for_each_binding(const std::vector<Generator>& gens,
+                                 const Env& env,
+                                 const std::function<void(const Env&)>& body) {
+  std::vector<std::vector<Value>> domains;
+  for (const Generator& g : gens) domains.push_back(eval_set(*g.set, env));
+  if (std::any_of(domains.begin(), domains.end(),
+                  [](const auto& d) { return d.empty(); })) {
+    return;
+  }
+  // An odometer over the domains: the last generator varies fastest.
+  std::vector<std::size_t> idx(domains.size(), 0);
+  for (bool done = false; !done;) {
+    poll();
+    Env inner = env;
+    for (std::size_t i = 0; i < domains.size(); ++i) {
+      inner[gens[i].var] = to_cval(domains[i][idx[i]]);
+    }
+    body(inner);
+    done = true;
+    for (std::size_t i = domains.size(); done && i > 0;) {
+      --i;
+      if (++idx[i] < domains[i].size()) {
+        done = false;
+      } else {
+        idx[i] = 0;
+      }
+    }
+  }
+}
+
 // --- the main evaluator -------------------------------------------------------------------------
 
 CVal Evaluator::eval(const Expr& e, const Env& env) {
+  // Every level of evaluation passes through here. Deeply nested operators,
+  // and a definition recursing through an unbounded argument
+  // (COUNT(n) = a -> COUNT(n+1); only an instantiation already in progress
+  // is tied lazily), stop with an error while stack is left.
+  if (core::stack_exhausted()) {
+    error(e, "the evaluator's stack is exhausted with " +
+                 std::to_string(in_progress_.size()) +
+                 " definition instantiation(s) open: the expression nests "
+                 "too deeply, or a definition recurses through an unbounded "
+                 "argument");
+  }
   switch (e.kind) {
     case ExprKind::Number:
       return CVal::of_int(e.number);
@@ -638,38 +679,13 @@ CVal Evaluator::eval(const Expr& e, const Env& env) {
     }
 
     case ExprKind::SetComp: {
-      std::vector<std::vector<Value>> domains;
-      for (const Generator& g : e.gens) {
-        domains.push_back(eval_set(*g.set, env));
-      }
       std::vector<Value> out;
-      std::vector<std::size_t> idx(domains.size(), 0);
-      bool done = std::any_of(domains.begin(), domains.end(),
-                              [](const auto& d) { return d.empty(); });
-      while (!done) {
-        Env inner = env;
-        for (std::size_t i = 0; i < domains.size(); ++i) {
-          inner[e.gens[i].var] = to_cval(domains[i][idx[i]]);
-        }
-        bool keep = true;
+      for_each_binding(e.gens, env, [&](const Env& inner) {
         for (std::size_t c = 1; c < e.kids.size(); ++c) {
-          if (!eval_bool(*e.kids[c], inner)) {
-            keep = false;
-            break;
-          }
+          if (!eval_bool(*e.kids[c], inner)) return;
         }
-        if (keep) out.push_back(eval_data(*e.kids[0], inner));
-        std::size_t i = domains.size();
-        done = true;
-        while (i > 0) {
-          --i;
-          if (++idx[i] < domains[i].size()) {
-            done = false;
-            break;
-          }
-          idx[i] = 0;
-        }
-      }
+        out.push_back(eval_data(*e.kids[0], inner));
+      });
       return CVal::of_set(std::move(out));
     }
 
@@ -920,34 +936,10 @@ CVal Evaluator::eval(const Expr& e, const Env& env) {
     }
 
     case ExprKind::Replicated: {
-      // Enumerate all generator assignments in lexicographic order.
-      std::vector<std::vector<Value>> domains;
-      for (const Generator& g : e.gens) {
-        domains.push_back(eval_set(*g.set, env));
-      }
       std::vector<ProcessRef> bodies;
-      std::vector<std::size_t> idx(domains.size(), 0);
-      bool done = domains.empty() ||
-                  std::any_of(domains.begin(), domains.end(),
-                              [](const auto& d) { return d.empty(); });
-      if (domains.empty()) done = true;
-      while (!done) {
-        Env inner = env;
-        for (std::size_t i = 0; i < domains.size(); ++i) {
-          inner[e.gens[i].var] = to_cval(domains[i][idx[i]]);
-        }
+      for_each_binding(e.gens, env, [&](const Env& inner) {
         bodies.push_back(eval_process(*e.kids[0], inner));
-        std::size_t i = domains.size();
-        done = true;
-        while (i > 0) {
-          --i;
-          if (++idx[i] < domains[i].size()) {
-            done = false;
-            break;
-          }
-          idx[i] = 0;
-        }
-      }
+      });
       switch (e.rep_op) {
         case ExprKind::ExtChoice:
           return CVal::of_process(ctx_.ext_choice(bodies));

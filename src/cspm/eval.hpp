@@ -144,6 +144,13 @@ class Evaluator {
   CVal reference_definition(const DefinitionAst& def, std::vector<CVal> args,
                             const Expr& where);
 
+  /// Calls `body` once per assignment of the generators' variables, with
+  /// `env` extended by it, in lexicographic order of the domains (the
+  /// first generator varies slowest); never if a domain is empty. Polls the
+  /// check's token once per assignment.
+  void for_each_binding(const std::vector<Generator>& gens, const Env& env,
+                        const std::function<void(const Env&)>& body);
+
   ProcessRef expand_prefix(const Expr& prefix, const CVal& head,
                            std::size_t next_field, std::vector<Value> fields,
                            const Env& env);
@@ -159,8 +166,13 @@ class Evaluator {
   [[noreturn]] void error(const Expr& e, const std::string& msg) const {
     throw EvalError(msg, e.line, e.column);
   }
+  void poll() const {
+    if (cancel_) cancel_->poll();
+  }
 
   Context& ctx_;
+  /// The token of the check_assertion in progress, if it has one.
+  CancelToken* cancel_ = nullptr;
   // Globals. Definitions are stored by pointer into owned copies of scripts.
   std::vector<std::unique_ptr<Script>> scripts_;
   std::unordered_map<std::string, const DefinitionAst*> defs_;

@@ -1,5 +1,6 @@
 #include "cspm/parser.hpp"
 
+#include "core/stack_budget.hpp"
 #include "cspm/lexer.hpp"
 
 namespace ecucsp::cspm {
@@ -14,6 +15,33 @@ std::string to_string(AssertionAst::Kind k) {
     case AssertionAst::Kind::Deterministic: return "deterministic";
   }
   return "?";
+}
+
+Expr::~Expr() {
+  std::vector<ExprPtr> doomed;
+  const auto keep = [&doomed](ExprPtr& e) {
+    if (e) doomed.push_back(std::move(e));
+  };
+  const auto take_kids = [&keep](Expr& e) {
+    for (ExprPtr& k : e.kids) keep(k);
+    keep(e.head);
+    for (CommField& f : e.fields) {
+      keep(f.restriction);
+      keep(f.expr);
+    }
+    for (Generator& g : e.gens) keep(g.set);
+    for (RenameItem& r : e.renames) {
+      keep(r.from);
+      keep(r.to);
+    }
+    for (LetBinding& b : e.bindings) keep(b.body);
+  };
+  take_kids(*this);
+  while (!doomed.empty()) {
+    const ExprPtr e = std::move(doomed.back());
+    doomed.pop_back();
+    take_kids(*e);
+  }
 }
 
 namespace {
@@ -198,7 +226,16 @@ class Parser {
   }
 
   // --- expression / process grammar ---------------------------------------
-  ExprPtr expr() { return if_let(); }
+  // Each nesting of the grammar passes through expr(), guard_or_prefix(),
+  // not_expr() or unary(); they stop with a parse error while stack is left.
+  void check_depth() const {
+    if (core::stack_exhausted()) fail("expression nests too deeply");
+  }
+
+  ExprPtr expr() {
+    check_depth();
+    return if_let();
+  }
 
   ExprPtr if_let() {
     if (at(Tok::KwIf)) {
@@ -267,7 +304,7 @@ class Parser {
 
   ExprPtr int_choice() {
     ExprPtr lhs = ext_choice();
-    while (at(Tok::IntChoice) && !starts_replicated()) {
+    while (at(Tok::IntChoice)) {
       take();
       lhs = binary(ExprKind::IntChoice, std::move(lhs), ext_choice());
     }
@@ -276,7 +313,7 @@ class Parser {
 
   ExprPtr ext_choice() {
     ExprPtr lhs = interrupt_level();
-    while (at(Tok::ExtChoice) && !starts_replicated()) {
+    while (at(Tok::ExtChoice)) {
       take();
       lhs = binary(ExprKind::ExtChoice, std::move(lhs), interrupt_level());
     }
@@ -295,12 +332,6 @@ class Parser {
       }
     }
   }
-
-  /// Lookahead: an operator token at operand position introduces a
-  /// replicated form ('[] x:S @ P'); after an operand it is infix. This is
-  /// only consulted *between* operands, so it always means infix here —
-  /// kept for clarity and future replicated-infix disambiguation.
-  bool starts_replicated() const { return false; }
 
   ExprPtr hiding() {
     ExprPtr lhs = sequential();
@@ -321,6 +352,7 @@ class Parser {
   /// Handles boolean guards 'b & P', communications 'c?x!e -> P', and plain
   /// value expressions, which all start with an or-level expression.
   ExprPtr guard_or_prefix() {
+    check_depth();
     ExprPtr head = or_expr();
     if (accept(Tok::Amp)) {
       return binary(ExprKind::Guard, std::move(head), guard_or_prefix());
@@ -378,6 +410,7 @@ class Parser {
   }
 
   ExprPtr not_expr() {
+    check_depth();
     if (at(Tok::KwNot)) {
       auto e = make(ExprKind::UnOp);
       take();
@@ -446,6 +479,7 @@ class Parser {
   }
 
   ExprPtr unary() {
+    check_depth();
     if (at(Tok::Minus)) {
       auto e = make(ExprKind::UnOp);
       take();

@@ -1,7 +1,6 @@
 #include "store/term_digest.hpp"
 
 #include <algorithm>
-#include <limits>
 
 namespace ecucsp::store {
 
@@ -18,18 +17,53 @@ enum Tag : std::uint8_t {
   kTau = 5,
   kTick = 6,
   kEventSet = 7,
-  kOpBase = 0x10,     // + static_cast<uint8_t>(Op)
-  kVarBackRef = 0x40,
+  kOpBase = 0x10,  // + static_cast<uint8_t>(Op)
   kRename = 0x41,
 };
 
-constexpr int kClosed = std::numeric_limits<int>::max();
-
 }  // namespace
 
-Digest TermDigester::term(ProcessRef p) {
+Digest TermDigester::term(ProcessRef root) {
+  // Unfolding re-walks a node wherever it meets it, so a node met again
+  // while its own walk is open continues there: its last started kid, then
+  // the rest. Each node keeps one cursor over its kids, so each node and
+  // each instance is entered once, in the order unfolding first meets them.
+  struct Walk {
+    std::size_t next = 0;  // kids started
+    bool done = false;
+  };
+  std::unordered_map<ProcessRef, Walk> walks;  // the nodes and instances met
+  std::vector<std::pair<Digest, Digest>> definitions;
+  std::vector<std::pair<ProcessRef, bool>> open;  // (node, met again)
+  const auto meet = [&](ProcessRef p) {
+    while (p->op() == Op::Var) {
+      if (!walks.try_emplace(p).second) return;
+      const ProcessRef body = ctx_.resolve(p->var_name(), p->var_args());
+      definitions.emplace_back(content(p), content(body));
+      p = body;
+    }
+    const auto [it, fresh] = walks.try_emplace(p);
+    if (!it->second.done) open.emplace_back(p, !fresh);
+  };
+  meet(root);
+  while (!open.empty()) {
+    const auto [p, again] = open.back();
+    Walk& w = walks.at(p);
+    if (again) {
+      open.back().second = false;
+      meet(p->kids()[w.next - 1]);
+    } else if (w.next < p->kid_count()) {
+      meet(p->kids()[w.next++]);
+    } else {
+      w.done = true;
+      open.pop_back();
+    }
+  }
+
   Hasher h;
-  feed_term(h, p);
+  h.digest(content(root));
+  std::sort(definitions.begin(), definitions.end());
+  for (const auto& [var, body] : definitions) h.digest(var).digest(body);
   return h.finish();
 }
 
@@ -40,18 +74,6 @@ Digest TermDigester::event(EventId e) {
   const Digest d = h.finish();
   event_memo_.emplace(e, d);
   return d;
-}
-
-Digest TermDigester::value(const Value& v) {
-  Hasher h;
-  feed_value(h, v);
-  return h.finish();
-}
-
-Digest TermDigester::event_set(const EventSet& es) {
-  Hasher h;
-  feed_event_set(h, es);
-  return h.finish();
 }
 
 void TermDigester::feed_value(Hasher& h, const Value& v) {
@@ -98,28 +120,26 @@ void TermDigester::feed_event_set(Hasher& h, const EventSet& es) {
   for (const Digest& d : ds) h.digest(d);
 }
 
-int TermDigester::feed_term(Hasher& h, ProcessRef p) {
-  // A node's digest is memoisable only if it is *closed*: digesting it
-  // touched no recursion binder that is still open above this position
-  // (otherwise the memoised digest would bake a back-reference in and leak
-  // it to positions where the binder is not open). feed_term returns the
-  // depth of the outermost open binder the subtree referenced, or kClosed.
-  //
-  // Symmetrically, memo *lookups* are only sound while no binder is open:
-  // under an open binder a fresh traversal of a node that references that
-  // binder emits back-reference bytes, while its memoised digest (computed
-  // standalone) unfolds it — hitting the memo there would make a node's
-  // digest depend on what the digester saw earlier. Positions with open
-  // binders are recomputed instead, so digests are pure in the term.
-  if (open_.empty()) {
-    if (auto it = memo_.find(p); it != memo_.end()) {
-      h.digest(it->second);
-      return kClosed;
+Digest TermDigester::content(ProcessRef root) {
+  // Post-order from an explicit stack: a node once its kids are digested.
+  std::vector<ProcessRef> todo{root};
+  while (!todo.empty()) {
+    const ProcessRef p = todo.back();
+    const std::size_t pending = todo.size();
+    if (!content_.contains(p)) {
+      for (ProcessRef k : p->kids()) {
+        if (!content_.contains(k)) todo.push_back(k);
+      }
+      if (todo.size() != pending) continue;
+      content_.emplace(p, node_content(p));
     }
+    todo.pop_back();
   }
+  return content_.at(root);
+}
 
+Digest TermDigester::node_content(ProcessRef p) {
   Hasher self;
-  int min_ref = kClosed;
   self.u8(
       static_cast<std::uint8_t>(kOpBase + static_cast<std::uint8_t>(p->op())));
   switch (p->op()) {
@@ -136,19 +156,20 @@ int TermDigester::feed_term(Hasher& h, ProcessRef p) {
     case Op::ExtChoice:
     case Op::IntChoice: {
       // A choice's operands are in arena-pointer order — an allocation
-      // accident that must not reach the digest. Feed the operand digests
-      // in digest order and without a count, which keeps two-operand store
-      // keys stable: every order and association hashes alike.
+      // accident that must not reach the digest. Feed each operand's
+      // H(content) in digest order and without a count, which keeps
+      // two-operand store keys stable: every order and association hashes
+      // alike.
       std::vector<Digest> ds;
       ds.reserve(p->kid_count());
       for (ProcessRef k : p->kids()) {
-        Hasher sub;
-        min_ref = std::min(min_ref, feed_term(sub, k));
-        ds.push_back(sub.finish());
+        Hasher operand;
+        operand.digest(content_.at(k));
+        ds.push_back(operand.finish());
       }
       std::sort(ds.begin(), ds.end());
       for (const Digest& d : ds) self.digest(d);
-      break;
+      return self.finish();
     }
     case Op::Par:
     case Op::Hide:
@@ -161,39 +182,15 @@ int TermDigester::feed_term(Hasher& h, ProcessRef p) {
         self.digest(event(r.to));
       }
       break;
-    case Op::Var: {
+    case Op::Var:
       self.str(ctx_.symbols().name(p->var_name()));
       self.u64(p->var_args().size());
       for (const Value& a : p->var_args()) feed_value(self, a);
-      if (auto it = open_.find(p); it != open_.end()) {
-        // Recursive back-edge, identified by the name/args fed above.
-        self.u8(kVarBackRef);
-        h.digest(self.finish());
-        return it->second;
-      }
-      const int depth = static_cast<int>(open_.size());
-      open_.emplace(p, depth);
-      const ProcessRef body = ctx_.resolve(p->var_name(), p->var_args());
-      const int body_ref = feed_term(self, body);
-      open_.erase(p);
-      // References to this binder (or ones opened inside the body, which
-      // have all closed again by now) are resolved here; only references
-      // to binders opened *above* keep the node open.
-      min_ref = body_ref < depth ? body_ref : kClosed;
       break;
-    }
   }
   // Every other operator feeds its operands in order, after its fields.
-  if (p->op() != Op::ExtChoice && p->op() != Op::IntChoice) {
-    for (ProcessRef k : p->kids()) {
-      min_ref = std::min(min_ref, feed_term(self, k));
-    }
-  }
-
-  const Digest d = self.finish();
-  if (min_ref == kClosed) memo_.emplace(p, d);
-  h.digest(d);
-  return min_ref;
+  for (ProcessRef k : p->kids()) self.digest(content_.at(k));
+  return self.finish();
 }
 
 Digest digest_term(Context& ctx, ProcessRef p) {

@@ -1,22 +1,22 @@
-// Context-independent structural digests of process terms.
+// Context-independent structural digests of process terms: the store's keys.
 //
-// A term's digest must be identical across Contexts, processes and runs
-// whenever the term is structurally the same model — EventIds, Symbols and
-// ProcessRef pointers are all per-Context accidents, so the digest is
-// computed over *names*: channel names, symbol spellings, field values,
-// and the operator structure of the (hash-consed) term DAG.
+// A key must be identical across Contexts, processes and runs whenever the
+// term is structurally the same model — EventIds, Symbols and ProcessRef
+// pointers are per-Context accidents, so keys are computed over *names*:
+// channel names, symbol spellings, field values and operator structure.
 //
-// Named recursion is digested by unfolding: a Var node contributes its
-// name/argument tuple and the digest of its resolved body. While a body is
-// being digested, re-entering the same (name, args) contributes a
-// back-reference marker instead — the usual mu-binder treatment — so
-// recursive definitions terminate and two models differing only inside a
-// definition body get different digests (editing one CAPL handler changes
-// exactly the digests of the terms that unfold through it).
+// content(p) digests a node's operator, fields and kids' contents; a Var is
+// its name and arguments, never its body, so content is memoised per node.
+// term(p) is H(content(p)), extended by the sorted pairs (content(V),
+// content(body of V)) of every definition instance V that p reaches. Two
+// terms share a key when their roots and the definitions they reach are the
+// same, so editing one CAPL handler changes exactly the keys of the terms
+// that reach it. One walk resolves the instances, in the order a
+// depth-first unfolding first meets them (lazily built bodies intern their
+// events in that order), and visits each node and instance once.
 //
 // A TermDigester memoises per ProcessRef *within one Context*; construct
-// one per Context (or per check) and never share across Contexts — the
-// memo keys on arena pointers.
+// one per Context (or per check) and never share across Contexts.
 #pragma once
 
 #include <unordered_map>
@@ -32,22 +32,18 @@ class TermDigester {
 
   Digest term(ProcessRef p);
   Digest event(EventId e);
-  Digest value(const Value& v);
-  Digest event_set(const EventSet& es);
 
  private:
-  /// Feeds p's digest into h; returns the depth of the outermost still-open
-  /// recursion binder the subtree back-referenced (kClosed when none), which
-  /// gates memoisation — see the comment in the implementation.
-  int feed_term(Hasher& h, ProcessRef p);
+  Digest content(ProcessRef p);
+  /// p's content from its kids' contents, which must be memoised already.
+  Digest node_content(ProcessRef p);
   void feed_event(Hasher& h, EventId e);
   void feed_value(Hasher& h, const Value& v);
   void feed_event_set(Hasher& h, const EventSet& es);
 
   Context& ctx_;
-  std::unordered_map<ProcessRef, Digest> memo_;  // closed nodes only
+  std::unordered_map<ProcessRef, Digest> content_;
   std::unordered_map<EventId, Digest> event_memo_;
-  std::unordered_map<ProcessRef, int> open_;  // Var nodes being unfolded -> depth
 };
 
 /// One-shot convenience.

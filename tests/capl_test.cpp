@@ -378,5 +378,39 @@ TEST(CaplInterp, SwitchOnCharLiteral) {
   EXPECT_EQ(node.call_function("keycode", {RtValue::of_int('d')}).i, 2);
 }
 
+// --- hostile nesting --------------------------------------------------------
+
+std::string repeat(std::string_view s, int n) {
+  std::string out;
+  out.reserve(s.size() * n);
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+TEST(CaplParser, DeepNestingIsAnErrorWithALocation) {
+  for (const std::string& handler :
+       {"x = " + repeat("(", 50000) + "1" + repeat(")", 50000) + ";",
+        "x = " + repeat("- ", 50000) + "1;",
+        "x = " + repeat("!", 50000) + "1;",
+        repeat("{", 50000) + repeat("}", 50000),
+        repeat("if (x) ", 50000) + "x = 1;"}) {
+    try {
+      parse_capl("variables { int x; }\non start { " + handler + " }\n");
+      ADD_FAILURE() << "parsed: " << handler.substr(0, 12);
+    } catch (const CaplError& e) {
+      EXPECT_NE(std::string(e.what()).find("input nests too deeply"),
+                std::string::npos);
+      EXPECT_EQ(e.line, 2);
+      EXPECT_GT(e.column, 10);
+    }
+  }
+}
+
+TEST(CaplParser, LongOperatorChainParsesAndFrees) {
+  const CaplProgram p = parse_capl("variables { int x; }\non start { x = 1" +
+                                   repeat(" + 1", 200000) + "; }\n");
+  ASSERT_EQ(p.handlers.size(), 1u);
+}
+
 }  // namespace
 }  // namespace ecucsp::capl

@@ -501,5 +501,79 @@ TEST_F(CspmEvalTest, UnboundedParameterRecursionIsAnErrorNotACrash) {
   EXPECT_THROW(ev.evaluate_expression("COUNT(0)"), EvalError);
 }
 
+std::string repeat(std::string_view s, int n) {
+  std::string out;
+  out.reserve(s.size() * n);
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+TEST_F(CspmEvalTest, LongChainsAreAnErrorNotACrash) {
+  // A 20,000-long `|||` or `;` chain parses, and so does a prefix chain
+  // unless parser frames are large (a TSan build), but evaluation nests
+  // once per operator: an EvalError where the stack ran low, never a
+  // segfault.
+  for (const std::string& body :
+       {repeat("a -> ", 20000) + "STOP",
+        "a -> STOP" + repeat(" ||| a -> STOP", 20000),
+        "a -> SKIP" + repeat(" ; a -> SKIP", 20000)}) {
+    Context c;
+    Evaluator e(c);
+    try {
+      e.load_source("channel a\nP = " + body + "\n");
+    } catch (const ParseError& err) {
+      EXPECT_TRUE(body.starts_with("a -> a -> ")) << err.what();
+      continue;
+    }
+    try {
+      e.process("P");
+      ADD_FAILURE() << "evaluated: " << body.substr(0, 12);
+    } catch (const EvalError& err) {
+      EXPECT_NE(std::string(err.what())
+                    .find("the evaluator's stack is exhausted"),
+                std::string::npos);
+      EXPECT_EQ(err.line, 2);
+    }
+  }
+}
+
+TEST_F(CspmEvalTest, DeadlineBindsDuringEvaluation) {
+  // A definition recursing through a set argument is evaluated again on
+  // every path (set arguments are not memoised): 12! orderings here. The
+  // check's token is polled per instantiation and per generator step, so
+  // the deadline stops the evaluation, not just the exploration after it.
+  ev.load_source(
+      "channel a : {0..11}\n"
+      "P(s) = [] i:{0..11} @ (if member(i, s) then STOP else "
+      "a.i -> P(union(s, {i})))\n"
+      "assert P({}) :[deadlock free]\n");
+  CancelToken token;
+  token.set_timeout(std::chrono::milliseconds(50));
+  const auto start = CancelToken::Clock::now();
+  try {
+    ev.check_assertion(0, 1u << 22, &token);
+    ADD_FAILURE() << "the check finished";
+  } catch (const CheckCancelled& c) {
+    EXPECT_EQ(c.reason(), CheckCancelled::Reason::DeadlineExceeded);
+  }
+  EXPECT_LT(CancelToken::Clock::now() - start, std::chrono::seconds(5));
+  // Without a token the evaluator polls nothing.
+  EXPECT_EQ(
+      ev.evaluate_expression("card({x | x <- {0..9}, x % 2 == 0})").integer,
+      5);
+}
+
+TEST_F(CspmEvalTest, GeneratorsBindInLexicographicOrder) {
+  // The first generator varies slowest, in both comprehensions and
+  // replicated operators: event ids are numbered in that order.
+  EXPECT_EQ(first_use_order(ctx, ev,
+                            "[] i:{1, 2}, j:{1, 2} @ c.j -> "
+                            "(if i == 1 then STOP else h -> STOP)"),
+            "c.1 c.2 h");
+  EXPECT_EQ(
+      ev.evaluate_expression("card({(x, y) | x <- {0..2}, y <- {}})").integer,
+      0);
+}
+
 }  // namespace
 }  // namespace ecucsp::cspm

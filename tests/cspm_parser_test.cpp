@@ -231,5 +231,52 @@ TEST(CspmParser, InterruptAndSlidingParse) {
   EXPECT_EQ(round1("P /\\ Q"), "P /\\ Q");
 }
 
+// --- hostile nesting --------------------------------------------------------
+
+std::string repeat(std::string_view s, int n) {
+  std::string out;
+  out.reserve(s.size() * n);
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+/// The error of parsing `src`, or "" if it parses.
+std::string parse_error(const std::string& src) {
+  try {
+    parse_cspm(src);
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line, 1);
+    EXPECT_GT(e.column, 1);
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CspmParser, DeepParenthesesAreAParseError) {
+  const std::string src =
+      "P = " + repeat("(", 100000) + "STOP" + repeat(")", 100000);
+  EXPECT_NE(parse_error(src).find("expression nests too deeply"),
+            std::string::npos);
+}
+
+TEST(CspmParser, DeepPrefixGuardNotAndMinusChainsAreParseErrors) {
+  for (const std::string& src :
+       {"P = " + repeat("a -> ", 200000) + "STOP",
+        "P = " + repeat("true & ", 200000) + "STOP",
+        "x = " + repeat("not ", 200000) + "true",
+        "x = " + repeat("- ", 200000) + "1"}) {
+    EXPECT_NE(parse_error(src).find("expression nests too deeply"),
+              std::string::npos)
+        << src.substr(0, 12);
+  }
+}
+
+TEST(CspmParser, LongOperatorChainParsesAndFrees) {
+  // A binary operator parses in a loop, so a chain nests only in the tree;
+  // freeing that tree must not recurse once per operator either.
+  const Script s = parse_cspm("P = STOP" + repeat(" ||| STOP", 200000));
+  ASSERT_EQ(s.definitions.size(), 1u);
+}
+
 }  // namespace
 }  // namespace ecucsp::cspm
